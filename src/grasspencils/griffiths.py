@@ -23,15 +23,15 @@ away.
 """
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .fields import PrimeField, RATIONALS
-from .grassmann import (PencilSpec, evaluate_pencil, monomial_name,
-                        plucker_indices, plucker_relations)
+from .grassmann import (PencilSpec, evaluate_pencil, index_position,
+                        monomial_name, plucker_indices, plucker_relations,
+                        sort_with_sign)
 from .linalg import ResourceLimitError, row_basis
 from .poly import SparsePolynomial, grlex_key, monomials_of_degree
 from .symmetry import build_group, invariant_monomials
@@ -111,7 +111,7 @@ def apply_derivation(i: int, j: int, g: SparsePolynomial, r: int,
     is degree-preserving.
     """
     indices = plucker_indices(r, n)
-    pos = {idx: k for k, idx in enumerate(indices)}
+    pos = index_position(r, n)
     if g.nvars != len(indices):
         raise ValueError("polynomial does not live on G(r,n)")
     if not (1 <= i <= n and 1 <= j <= n):
@@ -146,24 +146,12 @@ def apply_derivation(i: int, j: int, g: SparsePolynomial, r: int,
             if j not in idx or i in idx:
                 continue
             replaced = tuple(i if x == j else x for x in idx)
-            target, sign = _sorted_with_sign(replaced)
+            target, sign = sort_with_sign(replaced)
             new = list(exps)
             new[v] -= 1
             new[pos[target]] += 1
             accumulate(tuple(new), coeff * e * sign)
     return SparsePolynomial(g.nvars, fld, out, _clean=True)
-
-
-def _sorted_with_sign(seq):
-    seq = list(seq)
-    sign = 1
-    for a in range(1, len(seq)):
-        b = a
-        while b > 0 and seq[b - 1] > seq[b]:
-            seq[b - 1], seq[b] = seq[b], seq[b - 1]
-            sign = -sign
-            b -= 1
-    return tuple(seq), sign
 
 
 def grassmann_jacobian_generators(f: SparsePolynomial, r: int,
@@ -399,14 +387,6 @@ def ci_context_for_pencil(spec: PencilSpec, t, field=RATIONALS):
 # -- invariant subspaces across specializations ------------------------
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GRASSPENCILS_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _one_specialization(spec, degree, candidates, span_checks, fld, t):
     r, n = spec.r, spec.n
     t_val = fld.coerce(t)
@@ -468,32 +448,27 @@ def invariant_subspace(spec: PencilSpec, group=None, degree=None,
 
     candidates = invariant_monomials(r, n, degree, group)
     start = time.perf_counter()
-    workers = _worker_count()
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda job: _one_specialization(
-                    spec, degree, candidates, span_check_monomials, *job),
-                jobs))
-    else:
-        results = [
-            _one_specialization(spec, degree, candidates,
-                                span_check_monomials, fld, t)
-            for fld, t in jobs]
+    results = [
+        _one_specialization(spec, degree, candidates, span_check_monomials,
+                            fld, t)
+        for fld, t in jobs]
     elapsed = (time.perf_counter() - start) * 1000
 
     keys = ("ambient", "relation_rank", "ideal_rank", "quotient_dim",
             "invariant_dim", "survivors", "span_checks")
-    reference = {k: results[0][k] for k in keys}
-    disagreeing = [res for res in results
-                   if {k: res[k] for k in keys} != reference]
-    if disagreeing:
-        raise SpecializationMismatch(
-            f"{len(disagreeing)} of {len(results)} specializations disagree "
-            f"for {spec.variant} on G({r},{n})", results)
-
     consensus = results[0]
+    differences = []
+    for res in results[1:]:
+        differing = [k for k in keys if res[k] != consensus[k]]
+        if differing:
+            differences.append(f"t={res['t']} over {res['field']}: "
+                               + ", ".join(differing))
+    if differences:
+        raise SpecializationMismatch(
+            f"{len(differences)} of {len(results)} specializations disagree "
+            f"for {spec.variant} on G({r},{n}) with t={consensus['t']} over "
+            f"{consensus['field']} ({'; '.join(differences)})", results)
+
     return GradedPieceReport(
         label=f"G({r},{n}) {spec.variant} invariant slice, degree {degree}",
         rn=(r, n), degree=degree, t=None, field="consensus",

@@ -1,14 +1,15 @@
-"""Exact sparse linear algebra: rank, quotient dimensions, rank extension.
+"""Exact linear algebra: echelon row bases over Q and F_p, Smith form.
 
-Over the rationals, rank is computed by fraction-free (Bareiss) elimination
-on integer-scaled rows, choosing pivots of smallest magnitude in the current
-column to limit coefficient growth.  Over a prime field, elimination runs on
-dense int64 numpy arrays ((p-1)^2 must fit in int64, so p < 2^31).
+Every rank the package reports comes from row_basis(ncols, field), which
+keeps an echelon set of rows: RationalRowBasis stores sparse Fraction rows
+over Q, ModRowBasis stores dense int64 numpy rows over a prime field
+((p-1)^2 must fit in int64, so p < 2^31).  Each stored row vanishes on the
+pivot columns of all rows stored before it, so reducing a vector is a
+single in-order pass; ranks, quotient dimensions and greedy rank
+extensions are counts of the rows a basis accepts.
 
-Incremental rank questions ("does this vector extend the span?") go through
-RowBasis, which keeps an echelon set of rows; each stored row vanishes on
-the pivot columns of all rows stored before it, so reducing a vector is a
-single in-order pass.
+smith_invariant_factors gives the invariant factors of small integer
+matrices (abelian group structure).
 """
 
 from fractions import Fraction
@@ -16,182 +17,12 @@ from math import gcd
 
 import numpy as np
 
-from .fields import RATIONALS
-
 _MOD_LIMIT = 1 << 31  # int64 safety: factors and entries below 2^31
+_DENSE_BYTES_LIMIT = 1 << 30  # largest dense F_p row set: rows x cols x 8
 
 
 class ResourceLimitError(RuntimeError):
     """A computation would exceed a hard size guard."""
-
-
-class SparseMatrix:
-    """Sparse matrix over an exact field; no zero entries stored."""
-
-    __slots__ = ("nrows", "ncols", "field", "rows")
-
-    def __init__(self, nrows, ncols, field=RATIONALS, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.field = field
-        self.rows = [dict() for _ in range(nrows)]
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
-
-    @classmethod
-    def from_rows(cls, rows, ncols, field=RATIONALS):
-        """Build from an iterable of {column: value} dicts."""
-        rows = list(rows)
-        m = cls(len(rows), ncols, field)
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                m[i, j] = v
-        return m
-
-    @classmethod
-    def from_dense(cls, data, field=RATIONALS):
-        data = [list(r) for r in data]
-        ncols = len(data[0]) if data else 0
-        m = cls(len(data), ncols, field)
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                if v:
-                    m[i, j] = v
-        return m
-
-    def __setitem__(self, key, value):
-        i, j = key
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry {key} out of range")
-        value = self.field.coerce(value)
-        if value == 0:
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = value
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.rows[i].get(j, self.field.zero)
-
-    def entry_count(self):
-        return sum(len(r) for r in self.rows)
-
-    def rank(self):
-        if self.field.modulus is None:
-            return _rank_rational(self.rows, self.ncols)
-        return _rank_mod(self.rows, self.ncols, self.field.modulus)
-
-    def __repr__(self):
-        return (f"SparseMatrix({self.nrows}x{self.ncols}, {self.field}, "
-                f"{self.entry_count()} entries)")
-
-
-def rank(m: SparseMatrix) -> int:
-    return m.rank()
-
-
-def quotient_dimension(ambient_dim: int, span: SparseMatrix) -> int:
-    """dim(ambient / row span) = ambient_dim - rank(span)."""
-    if span.ncols != ambient_dim:
-        raise ValueError(
-            f"span has {span.ncols} columns, ambient dimension is "
-            f"{ambient_dim}")
-    return ambient_dim - span.rank()
-
-
-def independent_extension(base: SparseMatrix, candidates) -> list:
-    """Greedy maximal independent subset of candidate rows over `base`.
-
-    Candidates are processed in the given order; index i is kept iff row i
-    strictly increases the rank of base plus the rows kept so far.  The
-    result size always equals rank(base | candidates) - rank(base).
-    """
-    basis = row_basis(base.ncols, base.field)
-    basis.add_rows(base.rows)
-    kept = []
-    for i, cand in enumerate(candidates):
-        if basis.add_row(cand):
-            kept.append(i)
-    return kept
-
-
-# -- rational elimination --------------------------------------------
-
-
-def _integer_rows(rows):
-    """Clear denominators and content, preserving the row span."""
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = {c: int(v * den) for c, v in row.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        out.append(ints)
-    return out
-
-
-def _rank_rational(rows, ncols):
-    """Bareiss fraction-free elimination; smallest-magnitude pivots."""
-    work = _integer_rows(rows)
-    if not work:
-        return 0
-    rk = 0
-    prev = 1
-    active = work
-    for col in range(ncols):
-        pivot_idx = None
-        pivot_val = None
-        for idx, row in enumerate(active):
-            v = row.get(col)
-            if v and (pivot_val is None or abs(v) < abs(pivot_val)):
-                pivot_idx, pivot_val = idx, v
-        if pivot_idx is None:
-            continue
-        pivot = active.pop(pivot_idx)
-        rk += 1
-        nxt = []
-        for row in active:
-            rv = row.get(col, 0)
-            new = {}
-            for c in row.keys() | pivot.keys():
-                if c <= col:
-                    continue
-                val = pivot_val * row.get(c, 0) - rv * pivot.get(c, 0)
-                val //= prev  # exact by the Bareiss identity
-                if val:
-                    new[c] = val
-            if new:
-                nxt.append(new)
-        active = nxt
-        prev = pivot_val
-        if not active:
-            break
-    return rk
-
-
-# -- prime-field elimination (dense numpy) ----------------------------
-
-
-def _rows_to_array(rows, ncols, p):
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            a[i, j] = int(v) % p
-    return a
-
-
-def _rank_mod(rows, ncols, p):
-    basis = ModRowBasis(ncols, p)
-    basis.add_array(_rows_to_array(rows, ncols, p))
-    return basis.rank
 
 
 class ModRowBasis:
@@ -210,6 +41,25 @@ class ModRowBasis:
     def rank(self):
         return len(self.rows)
 
+    def _dense(self, row_dicts):
+        """{column: value} rows as a dense int64 array of residues mod p.
+
+        Stored rows are dense too, so the memory guard counts them with the
+        incoming ones and refuses before anything is allocated.
+        """
+        nbytes = (self.rank + len(row_dicts)) * self.ncols * 8
+        if nbytes > _DENSE_BYTES_LIMIT:
+            raise ResourceLimitError(
+                f"dense elimination over GF({self.p}): {self.rank} stored "
+                f"+ {len(row_dicts)} new rows x {self.ncols} columns need "
+                f"{nbytes / 2 ** 30:.1f} GiB, above the "
+                f"{_DENSE_BYTES_LIMIT / 2 ** 30:.0f} GiB limit")
+        a = np.zeros((len(row_dicts), self.ncols), dtype=np.int64)
+        for i, row in enumerate(row_dicts):
+            for j, v in row.items():
+                a[i, j] = int(v) % self.p
+        return a
+
     def reduce(self, vec):
         """Reduce a vector against the stored rows; returns the residue."""
         p = self.p
@@ -220,8 +70,8 @@ class ModRowBasis:
                 vec = (vec - f * row) % p
         return vec
 
-    def add_vector(self, vec) -> bool:
-        res = self.reduce(vec)
+    def add_row(self, row_dict) -> bool:
+        res = self.reduce(self._dense([row_dict])[0])
         cols = np.nonzero(res)[0]
         if cols.size == 0:
             return False
@@ -231,19 +81,10 @@ class ModRowBasis:
         self.pivots.append(pc)
         return True
 
-    def add_row(self, row_dict) -> bool:
-        vec = np.zeros(self.ncols, dtype=np.int64)
-        for j, v in row_dict.items():
-            vec[j] = int(v) % self.p
-        return self.add_vector(vec)
-
     def add_rows(self, row_dicts) -> int:
-        return self.add_array(_rows_to_array(row_dicts, self.ncols, self.p))
-
-    def add_array(self, block) -> int:
-        """Block insertion: one vectorized elimination pass over `block`."""
+        """Block insertion: one vectorized elimination pass over the rows."""
         p = self.p
-        a = np.array(block, dtype=np.int64) % p
+        a = self._dense(list(row_dicts))
         for pc, row in zip(self.pivots, self.rows):
             col = a[:, pc]
             nz = np.nonzero(col)[0]
@@ -276,10 +117,7 @@ class ModRowBasis:
         return gained
 
     def contains(self, row_dict) -> bool:
-        vec = np.zeros(self.ncols, dtype=np.int64)
-        for j, v in row_dict.items():
-            vec[j] = int(v) % self.p
-        return not np.any(self.reduce(vec))
+        return not np.any(self.reduce(self._dense([row_dict])[0]))
 
 
 class RationalRowBasis:

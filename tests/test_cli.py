@@ -128,3 +128,11 @@ def test_missing_fixture_exits_2(tmp_path):
     # no expected table ships for the squares variant
     assert run(["tables", "--p", "5", "--variant", "squares",
                 "--outdir", str(tmp_path), "--check"]) == 2
+
+
+def test_hodge_26_mod_p_refused_by_memory_guard(capsys):
+    # degree 6 on G(2,6) has 45,900 relation rows x 38,760 columns; the
+    # dense F_p kernel would need 13.3 GiB, so the run must stop with exit 2
+    assert run(["hodge", "--rn", "2,6", "--primes", "1048583"]) == 2
+    err = capsys.readouterr().err
+    assert "45900 new rows x 38760 columns" in err

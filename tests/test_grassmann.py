@@ -9,8 +9,9 @@ from grasspencils.grassmann import (PencilSpec, build_pencil,
                                     index_to_partition, monomial_name,
                                     normalize_partition, partition_to_index,
                                     plucker_indices, plucker_relations)
-from grasspencils.linalg import SparseMatrix
+from grasspencils.linalg import row_basis
 from grasspencils.poly import SparsePolynomial, monomials_of_degree
+from rank_oracle import _rank_rational
 
 
 def test_partition_index_examples():
@@ -153,13 +154,11 @@ def test_relations_span_degree_two_kernel(r, n, expected_independent):
             col = col_index.setdefault(ee, len(col_index))
             row[col] = c
         rows.append(row)
-    eval_matrix = SparseMatrix.from_rows(rows, len(col_index))
-    kernel_dim = len(deg2) - eval_matrix.rank()
+    kernel_dim = len(deg2) - _rank_rational(rows, len(col_index))
     assert kernel_dim == expected_independent
     rel_rows = [{pos[e]: c for e, c in rel.terms.items()}
                 for rel in plucker_relations(r, n)]
-    rel_matrix = SparseMatrix.from_rows(rel_rows, len(deg2))
-    assert rel_matrix.rank() == kernel_dim
+    assert row_basis(len(deg2), RATIONALS).add_rows(rel_rows) == kernel_dim
 
 
 # -- pencils -------------------------------------------------------------

@@ -3,55 +3,64 @@ import random
 import pytest
 from fractions import Fraction
 
+from grasspencils import linalg
 from grasspencils.fields import PrimeField, RATIONALS, next_prime
-from grasspencils.linalg import (ModRowBasis, ResourceLimitError,
-                                 SparseMatrix, independent_extension,
-                                 quotient_dimension, rank, row_basis,
+from grasspencils.linalg import (ModRowBasis, ResourceLimitError, row_basis,
                                  smith_invariant_factors)
+from rank_oracle import _rank_rational
+
+
+def _rank(rows, ncols, field=RATIONALS):
+    basis = row_basis(ncols, field)
+    basis.add_rows(rows)
+    return basis.rank
+
+
+def _dense_rows(data):
+    return [{j: v for j, v in enumerate(row) if v} for row in data]
 
 
 def test_rank_basics():
-    eye = SparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert rank(eye) == 3
-    zero = SparseMatrix(4, 5)
-    assert rank(zero) == 0
-    prop = SparseMatrix.from_dense([[1, 2, 3], [2, 4, 6]])
-    assert rank(prop) == 1
+    assert _rank(_dense_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3) == 3
+    assert _rank([{}] * 4, 5) == 0
+    assert _rank(_dense_rows([[1, 2, 3], [2, 4, 6]]), 3) == 1
 
 
 def test_rank_fractions():
-    m = SparseMatrix.from_dense([[Fraction(1, 2), Fraction(1, 3)],
-                                 [Fraction(1, 5), 1]])
-    assert rank(m) == 2
-    singular = SparseMatrix.from_dense([[Fraction(1, 2), Fraction(1, 3)],
-                                        [Fraction(3, 2), 1]])
-    assert rank(singular) == 1
+    m = _dense_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]])
+    assert _rank(m, 2) == 2
+    singular = _dense_rows([[Fraction(1, 2), Fraction(1, 3)],
+                            [Fraction(3, 2), 1]])
+    assert _rank(singular, 2) == 1
 
 
-def _random_matrix(rng, nrows, ncols, field):
-    m = SparseMatrix(nrows, ncols, field)
-    for i in range(nrows):
+def _random_matrix(rng, nrows, ncols):
+    rows = []
+    for _ in range(nrows):
+        row = {}
         for j in range(ncols):
             if rng.random() < 0.6:
-                m[i, j] = rng.randint(-9, 9)
-    return m
+                v = rng.randint(-9, 9)
+                if v:
+                    row[j] = v
+        rows.append(row)
+    return rows
 
 
 def test_rank_invariant_under_row_ops():
     rng = random.Random(7)
     for _ in range(60):
-        m = _random_matrix(rng, 5, 7, RATIONALS)
-        r0 = rank(m)
+        m = _random_matrix(rng, 5, 7)
+        r0 = _rank(m, 7)
         perm = list(range(5))
         rng.shuffle(perm)
-        shuffled = SparseMatrix(5, 7)
-        for i, src in enumerate(perm):
+        shuffled = []
+        for src in perm:
             scale = 0
             while scale == 0:
                 scale = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-            for j, v in m.rows[src].items():
-                shuffled[i, j] = v * scale
-        assert rank(shuffled) == r0
+            shuffled.append({j: v * scale for j, v in m[src].items()})
+        assert _rank(shuffled, 7) == r0
 
 
 def test_rank_rational_agrees_with_mod_p():
@@ -64,59 +73,54 @@ def test_rank_rational_agrees_with_mod_p():
         primes.append(p)
     rng = random.Random(11)
     for _ in range(40):
-        m = _random_matrix(rng, 6, 8, RATIONALS)
-        r_q = rank(m)
+        m = _random_matrix(rng, 6, 8)
+        r_q = _rank(m, 8)
         for p in primes:
-            mp = SparseMatrix(6, 8, PrimeField(p))
-            for i in range(6):
-                for j, v in m.rows[i].items():
-                    mp[i, j] = int(v)
-            assert mp.rank() == r_q, f"disagreement at p={p}"
+            assert _rank(m, 8, PrimeField(p)) == r_q, f"disagreement at p={p}"
 
 
 def test_quotient_dimension():
-    span = SparseMatrix(0, 9)
-    assert quotient_dimension(9, span) == 9
-    span = SparseMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
-    assert quotient_dimension(3, span) == 1
-    with pytest.raises(ValueError):
-        quotient_dimension(5, span)
+    assert 9 - _rank([], 9) == 9
+    assert 3 - _rank(_dense_rows([[1, 1, 0], [0, 1, 1]]), 3) == 1
 
 
 def test_independent_extension_greedy_order():
-    base = SparseMatrix(0, 3)
+    basis = row_basis(3, RATIONALS)
     candidates = [{0: 1}, {0: 2}, {1: 1}]
-    assert independent_extension(base, candidates) == [0, 2]
-    base = SparseMatrix.from_dense([[1, 0, 0]])
-    assert independent_extension(base, [{0: 1}]) == []
+    assert [i for i, c in enumerate(candidates) if basis.add_row(c)] == [0, 2]
+    basis = row_basis(3, RATIONALS)
+    basis.add_rows([{0: 1}])
+    assert not basis.add_row({0: 1})
 
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)])
 def test_independent_extension_counts_rank_gap(field):
+    # the greedy count must equal the rank gap, with the ranks taken by an
+    # independent route: Bareiss over Q, block elimination over F_p
+    def full_rank(rows):
+        if field.modulus is None:
+            return _rank_rational(rows, 6)
+        return _rank(rows, 6, field)
+
     rng = random.Random(13 + (field.modulus or 0))
     for _ in range(40):
-        base = _random_matrix(rng, 4, 6, field)
-        cands = [_random_matrix(rng, 1, 6, field).rows[0] for _ in range(5)]
-        kept = independent_extension(base, cands)
-        combined = SparseMatrix(4 + len(cands), 6, field)
-        for i in range(4):
-            for j, v in base.rows[i].items():
-                combined[i, j] = v
-        for k, cand in enumerate(cands):
-            for j, v in cand.items():
-                combined[4 + k, j] = v
-        assert len(kept) == combined.rank() - base.rank()
+        base = _random_matrix(rng, 4, 6)
+        cands = [_random_matrix(rng, 1, 6)[0] for _ in range(5)]
+        basis = row_basis(6, field)
+        basis.add_rows(base)
+        kept = [i for i, c in enumerate(cands) if basis.add_row(c)]
+        assert len(kept) == full_rank(base + cands) - full_rank(base)
 
 
 def test_bareiss_and_incremental_rational_routes_agree():
-    # rank() uses fraction-free elimination, row_basis uses Fraction
-    # echelon reduction; the two must agree on everything
+    # the Bareiss oracle uses fraction-free elimination, row_basis uses
+    # Fraction echelon reduction; the two must agree on everything
     rng = random.Random(19)
     for _ in range(40):
-        m = _random_matrix(rng, 5, 8, RATIONALS)
+        m = _random_matrix(rng, 5, 8)
         basis = row_basis(8, RATIONALS)
-        basis.add_rows(m.rows)
-        assert basis.rank == m.rank()
+        basis.add_rows(m)
+        assert basis.rank == _rank_rational(m, 8)
 
 
 def test_row_basis_membership():
@@ -149,6 +153,23 @@ def test_mod_basis_block_and_incremental_agree():
 def test_mod_basis_rejects_huge_modulus():
     with pytest.raises(ResourceLimitError):
         ModRowBasis(4, next_prime(2 ** 31))
+
+
+def test_mod_basis_refuses_oversized_dense_block(monkeypatch):
+    # 300 rows x 10^6 columns x 8 bytes is 2.4 GB: refused before allocating
+    basis = ModRowBasis(10 ** 6, 10007)
+    with pytest.raises(ResourceLimitError):
+        basis.add_rows([{}] * 300)
+    assert basis.rank == 0
+    # stored rows are dense too and count toward the limit
+    monkeypatch.setattr(linalg, "_DENSE_BYTES_LIMIT", 3 * 10 * 8)
+    small = ModRowBasis(10, 10007)
+    assert small.add_rows([{0: 1}, {1: 1}]) == 2
+    assert small.add_row({2: 1})
+    with pytest.raises(ResourceLimitError):
+        small.add_rows([{3: 1}])
+    with pytest.raises(ResourceLimitError):
+        small.contains({3: 1})
 
 
 def test_smith_invariant_factors():
