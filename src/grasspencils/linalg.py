@@ -1,158 +1,87 @@
 """Exact linear algebra: echelon row bases over Q and F_p, Smith form.
 
-Every rank the package reports comes from row_basis(ncols, field), which
-keeps an echelon set of rows: RationalRowBasis stores sparse Fraction rows
-over Q, ModRowBasis stores dense int64 numpy rows over a prime field
-((p-1)^2 must fit in int64, so p < 2^31).  Each stored row vanishes on the
-pivot columns of all rows stored before it, so reducing a vector is a
-single in-order pass; ranks, quotient dimensions and greedy rank
-extensions are counts of the rows a basis accepts.
+Every rank the package reports comes from row_basis(ncols, field), one
+sparse echelon kernel for both fields.  Rows are {column: value} dicts and
+the stored rows are kept in a dict keyed by pivot column, where the pivot
+of a row is its smallest column and carries the entry 1.  Reducing a vector
+repeatedly eliminates the smallest of its columns that is a stored pivot;
+that only creates larger columns, so each pivot is met at most once.
+Ranks, quotient dimensions and greedy rank extensions are counts of the
+rows a basis accepts.  Scalars are Fractions over Q and int residues in
+[0, p) over F_p (Python ints, so any prime works).
 
 smith_invariant_factors gives the invariant factors of small integer
 matrices (abelian group structure).
 """
 
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
-import numpy as np
-
-_MOD_LIMIT = 1 << 31  # int64 safety: factors and entries below 2^31
-_DENSE_BYTES_LIMIT = 1 << 30  # largest dense F_p row set: rows x cols x 8
+# Cap on the entries stored by one basis.  tracemalloc put the stored rows
+# of the arrow slices of (2,4), (2,5) and (2,6) in degree n at <= 130 bytes
+# per entry over Q and <= 93 over F_p (Python 3.11), so 5e6 entries stay
+# near 650 MB, under 1 GiB with room for larger Fractions.
+_ENTRY_LIMIT = 5_000_000
 
 
 class ResourceLimitError(RuntimeError):
     """A computation would exceed a hard size guard."""
 
 
-class ModRowBasis:
-    """Incremental echelon row set over F_p on dense int64 vectors."""
+class _RowBasis:
+    """Incremental echelon row set on sparse {column: value} rows."""
 
-    def __init__(self, ncols, p):
-        if p >= _MOD_LIMIT:
-            raise ResourceLimitError(
-                f"modulus {p} too large for the int64 elimination kernel")
+    def __init__(self, ncols, field):
         self.ncols = ncols
-        self.p = p
-        self.rows = []    # pivot-normalized np vectors
-        self.pivots = []  # pivot column of each stored row
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def _dense(self, row_dicts):
-        """{column: value} rows as a dense int64 array of residues mod p.
-
-        Stored rows are dense too, so the memory guard counts them with the
-        incoming ones and refuses before anything is allocated.
-        """
-        nbytes = (self.rank + len(row_dicts)) * self.ncols * 8
-        if nbytes > _DENSE_BYTES_LIMIT:
-            raise ResourceLimitError(
-                f"dense elimination over GF({self.p}): {self.rank} stored "
-                f"+ {len(row_dicts)} new rows x {self.ncols} columns need "
-                f"{nbytes / 2 ** 30:.1f} GiB, above the "
-                f"{_DENSE_BYTES_LIMIT / 2 ** 30:.0f} GiB limit")
-        a = np.zeros((len(row_dicts), self.ncols), dtype=np.int64)
-        for i, row in enumerate(row_dicts):
-            for j, v in row.items():
-                a[i, j] = int(v) % self.p
-        return a
-
-    def reduce(self, vec):
-        """Reduce a vector against the stored rows; returns the residue."""
-        p = self.p
-        vec = np.asarray(vec, dtype=np.int64) % p
-        for pc, row in zip(self.pivots, self.rows):
-            f = int(vec[pc])
-            if f:
-                vec = (vec - f * row) % p
-        return vec
-
-    def add_row(self, row_dict) -> bool:
-        res = self.reduce(self._dense([row_dict])[0])
-        cols = np.nonzero(res)[0]
-        if cols.size == 0:
-            return False
-        pc = int(cols[0])
-        inv = pow(int(res[pc]), -1, self.p)
-        self.rows.append(res * inv % self.p)
-        self.pivots.append(pc)
-        return True
-
-    def add_rows(self, row_dicts) -> int:
-        """Block insertion: one vectorized elimination pass over the rows."""
-        p = self.p
-        a = self._dense(list(row_dicts))
-        for pc, row in zip(self.pivots, self.rows):
-            col = a[:, pc]
-            nz = np.nonzero(col)[0]
-            if nz.size:
-                a[nz] = (a[nz] - col[nz, None] * row[None, :]) % p
-        gained = 0
-        r = 0
-        nrows = a.shape[0]
-        for c in range(self.ncols):
-            if r == nrows:
-                break
-            col = a[r:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            k = r + int(nz[0])
-            if k != r:
-                a[[r, k]] = a[[k, r]]
-            inv = pow(int(a[r, c]), -1, p)
-            a[r] = a[r] * inv % p
-            below = a[r + 1:, c]
-            bnz = np.nonzero(below)[0]
-            if bnz.size:
-                a[r + 1 + bnz] = (a[r + 1 + bnz]
-                                  - below[bnz, None] * a[r][None, :]) % p
-            self.rows.append(a[r].copy())
-            self.pivots.append(c)
-            gained += 1
-            r += 1
-        return gained
-
-    def contains(self, row_dict) -> bool:
-        return not np.any(self.reduce(self._dense([row_dict])[0]))
-
-
-class RationalRowBasis:
-    """Incremental echelon row set over Q on sparse Fraction rows."""
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []
-        self.pivots = []
+        self.field = field
+        self.rows = {}    # pivot column -> row, pivot entry 1
+        self.entries = 0  # stored nonzeros, bounded by _ENTRY_LIMIT
 
     @property
     def rank(self):
         return len(self.rows)
 
     def reduce(self, row_dict):
-        res = {c: Fraction(v) for c, v in row_dict.items() if v}
-        for pc, row in zip(self.pivots, self.rows):
+        """Residue of a row against the stored rows, as {column: value}."""
+        coerce, p = self.field.coerce, self.field.modulus
+        res = {}
+        for c, v in row_dict.items():
+            v = coerce(v)
+            if v:
+                res[c] = v
+        rows = self.rows
+        heap = [c for c in res if c in rows]
+        heapify(heap)
+        while heap:
+            pc = heappop(heap)
             f = res.get(pc)
-            if f:
-                for c, v in row.items():
-                    newv = res.get(c, 0) - f * v
-                    if newv:
-                        res[c] = newv
-                    else:
-                        res.pop(c, None)
+            if not f:
+                continue  # cancelled, or a repeated push
+            for c, v in rows[pc].items():
+                new = res.get(c, 0) - f * v
+                if p:
+                    new %= p
+                if new:
+                    if c not in res and c in rows:
+                        heappush(heap, c)
+                    res[c] = new
+                else:
+                    del res[c]
         return res
 
     def add_row(self, row_dict) -> bool:
         res = self.reduce(row_dict)
         if not res:
             return False
+        if self.entries + len(res) > _ENTRY_LIMIT:
+            raise ResourceLimitError(
+                f"echelon basis over {self.field.name}: {self.entries} "
+                f"stored + {len(res)} new entries exceed the "
+                f"{_ENTRY_LIMIT} entry limit")
         pc = min(res)
-        inv = 1 / res[pc]
-        self.rows.append({c: v * inv for c, v in res.items()})
-        self.pivots.append(pc)
+        inv, coerce = self.field.inv(res[pc]), self.field.coerce
+        self.rows[pc] = {c: coerce(v * inv) for c, v in res.items()}
+        self.entries += len(res)
         return True
 
     def add_rows(self, row_dicts) -> int:
@@ -163,9 +92,8 @@ class RationalRowBasis:
 
 
 def row_basis(ncols, field):
-    if field.modulus is None:
-        return RationalRowBasis(ncols)
-    return ModRowBasis(ncols, field.modulus)
+    """Empty echelon row set on ncols columns over field (Q or F_p)."""
+    return _RowBasis(ncols, field)
 
 
 # -- Smith normal form -------------------------------------------------

@@ -2,7 +2,7 @@
 
 Fraction-free (Bareiss) elimination on integer-scaled rows, choosing pivots
 of smallest magnitude in the current column to limit coefficient growth.
-It shares no code with RationalRowBasis (Fraction echelon reduction), so
+It shares no code with row_basis (pivot-keyed sparse echelon rows), so
 the two routes check each other.  Rows are {column: value} dicts.
 """
 

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from grasspencils import cli
+from grasspencils import cli, linalg
 from grasspencils.grassmann import build_pencil
 from grasspencils.griffiths import SpecializationMismatch
 
@@ -90,13 +94,16 @@ def test_hodge_check_mismatch_exits_2(tmp_path, monkeypatch):
                 "--check"]) == 2
 
 
-def test_hodge_inconsistency_exits_3(tmp_path, monkeypatch):
+def test_hodge_inconsistency_exits_3(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise SpecializationMismatch(
             "simulated", [{"t": "2", "field": "QQ", "quotient_dim": 89,
                            "invariant_dim": 5}])
     monkeypatch.setattr(cli, "invariant_subspace", explode)
     assert run(["hodge", "--rn", "2,4", "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "inconsistent specializations: simulated" in err
+    assert "  t=2 over QQ: quotient=89 invariant=5" in err
 
 
 def test_hodge_25_with_primes(tmp_path):
@@ -130,9 +137,34 @@ def test_missing_fixture_exits_2(tmp_path):
                 "--outdir", str(tmp_path), "--check"]) == 2
 
 
-def test_hodge_26_mod_p_refused_by_memory_guard(capsys):
-    # degree 6 on G(2,6) has 45,900 relation rows x 38,760 columns; the
-    # dense F_p kernel would need 13.3 GiB, so the run must stop with exit 2
-    assert run(["hodge", "--rn", "2,6", "--primes", "1048583"]) == 2
+def test_hodge_26_mod_p(tmp_path):
+    # degree 6 on G(2,6): 38,760 columns, a basis of 24,936 rows holding
+    # 96,471 entries
+    assert run(["hodge", "--rn", "2,6", "--t", "2", "--primes", "1048583",
+                "--outdir", str(tmp_path), "--check"]) == 0
+    doc = json.loads((tmp_path / "hodge_26_arrow.json").read_text())
+    assert doc["report"]["quotient_dim"] == 13824
+    assert doc["report"]["invariant_dim"] == 24
+
+
+def test_hodge_entry_cap_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 100)
+    assert run(["hodge", "--rn", "2,4", "--primes", "1048583",
+                "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "45900 new rows x 38760 columns" in err
+    assert "entry limit" in err
+
+
+def test_hodge_check_without_expectation_exits_2(tmp_path, capsys):
+    # no expected dimensions ship for G(3,5)
+    assert run(["hodge", "--rn", "3,5", "--primes", "1048583",
+                "--outdir", str(tmp_path), "--check"]) == 2
+    err = capsys.readouterr().err
+    assert "no expected dimensions ship for G(3,5) arrow" in err
+
+
+def test_package_imports_without_numpy():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import grasspencils, sys; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from grasspencils import linalg
 from grasspencils.fields import PrimeField, RATIONALS, next_prime
-from grasspencils.linalg import (ModRowBasis, ResourceLimitError, row_basis,
+from grasspencils.linalg import (ResourceLimitError, row_basis,
                                  smith_invariant_factors)
 from rank_oracle import _rank_rational
 
@@ -65,16 +65,18 @@ def test_rank_invariant_under_row_ops():
 
 def test_rank_rational_agrees_with_mod_p():
     # random integer matrices: rank over Q equals rank over F_p for all but
-    # finitely many p; three primes above 2^30 must agree
+    # finitely many p; three primes above 2^30 and one above 2^61 (residues
+    # are Python ints, so no word-size ceiling) must match the Bareiss rank
     primes = []
     p = 2 ** 30
     while len(primes) < 3:
         p = next_prime(p)
         primes.append(p)
+    primes.append(next_prime(2 ** 61))
     rng = random.Random(11)
     for _ in range(40):
         m = _random_matrix(rng, 6, 8)
-        r_q = _rank(m, 8)
+        r_q = _rank_rational(m, 8)
         for p in primes:
             assert _rank(m, 8, PrimeField(p)) == r_q, f"disagreement at p={p}"
 
@@ -95,13 +97,9 @@ def test_independent_extension_greedy_order():
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)])
 def test_independent_extension_counts_rank_gap(field):
-    # the greedy count must equal the rank gap, with the ranks taken by an
-    # independent route: Bareiss over Q, block elimination over F_p
-    def full_rank(rows):
-        if field.modulus is None:
-            return _rank_rational(rows, 6)
-        return _rank(rows, 6, field)
-
+    # the greedy count must equal the rank gap, with the ranks taken by the
+    # Bareiss oracle over Q (on these small integer entries the rank over
+    # F_10007 is the rank over Q)
     rng = random.Random(13 + (field.modulus or 0))
     for _ in range(40):
         base = _random_matrix(rng, 4, 6)
@@ -109,7 +107,8 @@ def test_independent_extension_counts_rank_gap(field):
         basis = row_basis(6, field)
         basis.add_rows(base)
         kept = [i for i, c in enumerate(cands) if basis.add_row(c)]
-        assert len(kept) == full_rank(base + cands) - full_rank(base)
+        assert len(kept) == (_rank_rational(base + cands, 6)
+                             - _rank_rational(base, 6))
 
 
 def test_bareiss_and_incremental_rational_routes_agree():
@@ -134,42 +133,28 @@ def test_row_basis_membership():
     mod.add_row({2: 1})
     assert mod.contains({0: 2, 1: 4, 2: 7})
     assert not mod.contains({3: 1})
+    assert mod.contains({0: 4, 1: 1})  # 1 = 4 * 2 in F_7, not in Q
+    assert not basis.contains({0: 4, 1: 1})
+    assert type(mod) is type(basis)  # one kernel for both fields
 
 
-def test_mod_basis_block_and_incremental_agree():
-    rng = random.Random(17)
-    p = 10007
-    for _ in range(20):
-        rows = [{j: rng.randint(0, p - 1) for j in range(8)
-                 if rng.random() < 0.5} for _ in range(10)]
-        block = ModRowBasis(8, p)
-        block.add_rows(rows)
-        inc = ModRowBasis(8, p)
-        for r in rows:
-            inc.add_row(r)
-        assert block.rank == inc.rank
-
-
-def test_mod_basis_rejects_huge_modulus():
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)])
+def test_row_basis_refuses_rows_past_entry_cap(field, monkeypatch):
+    # the cap counts stored entries of reduced rows and refuses a row
+    # before storing it, leaving the basis as it was
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 5)
+    basis = row_basis(8, field)
+    assert basis.add_rows([{0: 1, 1: 2}, {2: 1, 3: 1}]) == 2
     with pytest.raises(ResourceLimitError):
-        ModRowBasis(4, next_prime(2 ** 31))
-
-
-def test_mod_basis_refuses_oversized_dense_block(monkeypatch):
-    # 300 rows x 10^6 columns x 8 bytes is 2.4 GB: refused before allocating
-    basis = ModRowBasis(10 ** 6, 10007)
+        basis.add_row({4: 1, 5: 1})
+    assert basis.rank == 2
+    assert not basis.contains({4: 1})
+    assert not basis.add_row({0: 3, 1: 6})  # dependent rows store nothing
+    assert basis.add_row({0: 1, 1: 2, 4: 1})  # reduces to one entry: fits
     with pytest.raises(ResourceLimitError):
-        basis.add_rows([{}] * 300)
-    assert basis.rank == 0
-    # stored rows are dense too and count toward the limit
-    monkeypatch.setattr(linalg, "_DENSE_BYTES_LIMIT", 3 * 10 * 8)
-    small = ModRowBasis(10, 10007)
-    assert small.add_rows([{0: 1}, {1: 1}]) == 2
-    assert small.add_row({2: 1})
-    with pytest.raises(ResourceLimitError):
-        small.add_rows([{3: 1}])
-    with pytest.raises(ResourceLimitError):
-        small.contains({3: 1})
+        basis.add_row({5: 1})
+    assert basis.rank == 3
+    assert basis.contains({0: 1, 1: 2, 4: 5})
 
 
 def test_smith_invariant_factors():
