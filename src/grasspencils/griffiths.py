@@ -207,14 +207,12 @@ def _graded_slice(r, n, degree, generators, fld):
     position = {e: k for k, e in enumerate(ambient)}
     basis = row_basis(len(ambient), fld)
 
-    rel_rows = []
-    for rel in plucker_relations(r, n):
-        rel = rel.convert(fld)
-        for mult in monomials_of_degree(nv, degree - 2):
-            rel_rows.append(_slice_row(mult, rel, position))
-    relation_rank = basis.add_rows(rel_rows)
+    relations = [rel.convert(fld) for rel in plucker_relations(r, n)]
+    relation_rank = basis.add_rows(
+        _slice_row(mult, rel, position)
+        for rel in relations
+        for mult in monomials_of_degree(nv, degree - 2))
 
-    gen_rows = []
     for g in generators:
         if not g:
             continue
@@ -224,9 +222,10 @@ def _graded_slice(r, n, degree, generators, fld):
         if d > degree:
             raise ValueError(
                 f"generator of degree {d} cannot land in degree {degree}")
-        for mult in monomials_of_degree(nv, degree - d):
-            gen_rows.append(_slice_row(mult, g, position))
-    ideal_rank = basis.add_rows(gen_rows)
+    ideal_rank = basis.add_rows(
+        _slice_row(mult, g, position)
+        for g in generators if g
+        for mult in monomials_of_degree(nv, degree - g.total_degree()))
     return ambient, position, basis, relation_rank, ideal_rank
 
 

@@ -12,6 +12,15 @@ of t^k has constant term c_k = (-1)^k * ct(L^k), an integer.  Truncating
 the series at p terms and reducing mod p gives the Hasse-Witt invariant,
 which controls the point count: 1 - HW_p(t) = #X_t(F_p) mod p.
 
+The constant term is read off by meeting in the middle rather than by
+forming L^k: with a = ceil(k/2),
+
+    c_k = (-1)^k * sum_m [L^a]_m * [L^(k-a)]_(-m),
+
+one lookup per term of the smaller power.  Since k - a is a or a - 1, the
+kernel keeps only the two latest powers L^(a-1) and L^a, so c_0..c_K costs
+the powers up to L^ceil(K/2) and nothing older is held.
+
 The truncation search asks whether those counts also match a truncated
 classical hypergeometric series 4F3(1/4,1/2,3/4,1/2; 1,1,1 | a*t^b) for
 some fixed scaling (a, b); the scan over the full (a, b) grid comes back
@@ -44,19 +53,36 @@ class PeriodKernel:
         self.kernel = kernel
         self.checks = dict(checks)
         self._coeffs = [1]           # c_0
-        self._power = SparsePolynomial.constant(4, 1, RATIONALS)  # L^0
+        # L^(a-1) and L^a, a = ceil(k/2) for the latest c_k
+        self._lower = SparsePolynomial.constant(4, 1, RATIONALS)
+        self._upper = kernel
 
     def coefficients(self, k_max: int) -> list:
         """Integers c_0..c_k_max; computed once, extended on demand."""
         while len(self._coeffs) <= k_max:
-            self._power = self._power * self.kernel
             k = len(self._coeffs)
-            c = self._power.constant_term() * (-1) ** k
+            if k % 2 and k > 1:      # a = ceil(k/2) grows at odd k
+                self._lower, self._upper = (self._upper,
+                                            self._upper * self.kernel)
+            # L^(k-a) is L^a for even k and L^(a-1) for odd k
+            half = self._lower if k % 2 else self._upper
+            c = _constant_term_of_product(self._upper, half) * (-1) ** k
             if c.denominator != 1:
                 raise KernelVerificationError(
                     f"coefficient c_{k} is not an integer: {c}")
             self._coeffs.append(int(c))
         return self._coeffs[:k_max + 1]
+
+
+def _constant_term_of_product(f: SparsePolynomial, g: SparsePolynomial):
+    """ct(f*g) = sum_m f_m * g_(-m), looping over the smaller term map."""
+    small, large = sorted((f.terms, g.terms), key=len)
+    total = f.field.zero
+    for e, c in small.items():
+        other = large.get(tuple(-x for x in e))
+        if other is not None:
+            total += c * other
+    return total
 
 
 def build_period_kernel() -> PeriodKernel:

@@ -63,14 +63,21 @@ def grassmannian_count(r: int, n: int, p: int) -> int:
     return sum(p ** cell.dimension for cell in enumerate_cells(r, n))
 
 
-def _det_mod(matrix, cols, p):
-    """Determinant of the chosen column minor, permutation expansion."""
-    r = len(matrix)
-    total = 0
+@lru_cache(maxsize=None)
+def _signed_permutations(r):
+    """(perm, sign) for every permutation of range(r), signs by inversions."""
+    out = []
     for perm in permutations(range(r)):
         inv = sum(1 for a in range(r) for b in range(a + 1, r)
                   if perm[a] > perm[b])
-        sign = -1 if inv % 2 else 1
+        out.append((perm, -1 if inv % 2 else 1))
+    return tuple(out)
+
+
+def _det_mod(matrix, cols, p):
+    """Determinant of the chosen column minor, permutation expansion."""
+    total = 0
+    for perm, sign in _signed_permutations(len(matrix)):
         prod_val = 1
         for row_i, col_i in enumerate(perm):
             prod_val = prod_val * matrix[row_i][cols[col_i]] % p

@@ -9,6 +9,12 @@ from grasspencils.periods import (LT_LOWER, LT_UPPER, build_period_kernel,
                                   hypergeometric_truncation,
                                   period_coefficients, truncation_search)
 from grasspencils.pointcount import PointCountRecord, count_table
+from period_oracle import full_power_coefficients
+
+# c_0..c_20 of the (2,4) arrow pencil, as the full-power route gives them
+C_0_TO_20 = [1, 0, 12, 0, 492, 0, 32880, 0, 2743020, 0, 257986512, 0,
+             26170078704, 0, 2797796574144, 0, 310918611526380, 0,
+             35596887110962320, 0, 4172909329695526992]
 
 def test_kernel_construction_checks():
     kernel = build_period_kernel()
@@ -32,6 +38,24 @@ def test_constant_term_of_kernel_square():
 def test_series_coefficients_match_expected():
     coeffs = period_coefficients(default_kernel(), 10)
     assert coeffs == [1, 0, 12, 0, 492, 0, 32880, 0, 2743020, 0, 257986512]
+
+
+def test_coefficients_match_full_power_oracle():
+    kernel = build_period_kernel()
+    assert (period_coefficients(kernel, 12)
+            == full_power_coefficients(kernel.kernel, 12))
+
+
+def test_coefficients_extend_on_demand():
+    # piecewise extension, stopping at odd and even k, keeps the two
+    # latest powers in step with the cached coefficients
+    kernel = build_period_kernel()
+    for k in (0, 1, 3, 4, 7, 8, 9, 12):
+        assert period_coefficients(kernel, k) == C_0_TO_20[:k + 1]
+
+
+def test_coefficients_through_c20():
+    assert period_coefficients(default_kernel(), 20) == C_0_TO_20
 
 
 def test_odd_coefficients_vanish():
@@ -88,10 +112,12 @@ def test_hasse_witt_congruence_with_counts():
 
 def test_hasse_witt_congruence_beyond_tabulated_primes():
     # the congruence is a theorem about the family, not about three primes;
-    # p = 13 needs coefficients through c_12, past the tabulated range
+    # p = 13, 17, 19 need coefficients through c_12, c_16 and c_18, past
+    # the tabulated range
     spec = build_pencil(2, 4)
-    for rec in count_table(spec, 13):
-        assert (1 - hasse_witt(13, rec.t)) % 13 == rec.residue
+    for p in (13, 17, 19):
+        for rec in count_table(spec, p):
+            assert (1 - hasse_witt(p, rec.t)) % p == rec.residue
 
 
 def test_hasse_witt_rejects_bad_prime():

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from grasspencils.fields import PrimeField
 from grasspencils.grassmann import build_pencil, evaluate_pencil
 from grasspencils.linalg import ResourceLimitError
-from grasspencils.pointcount import (PointCountRecord, count_points,
-                                     count_table, count_zeros,
+from grasspencils.pointcount import (PointCountRecord, _det_mod,
+                                     count_points, count_table, count_zeros,
                                      enumerate_cells, grassmannian_count,
                                      iter_plucker_points, records_to_csv)
 from grasspencils.poly import SparsePolynomial
@@ -123,3 +125,30 @@ def test_counts_for_25_pencil_small_prime():
     p, t = 3, 2
     poly = evaluate_pencil(spec, t, PrimeField(p))
     assert count_points(spec, p, t).count == count_zeros(poly, 2, 5, p)
+
+
+def _det_by_cofactors(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j]
+               * _det_by_cofactors([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_det_mod_against_cofactor_expansion(r):
+    rng = random.Random(r)
+    p = 101
+    for _ in range(50):
+        matrix = [[rng.randrange(p) for _ in range(r + 2)] for _ in range(r)]
+        cols = tuple(sorted(rng.sample(range(r + 2), r)))
+        minor = [[row[c] for c in cols] for row in matrix]
+        assert _det_mod(matrix, cols, p) == _det_by_cofactors(minor) % p
+
+
+def test_minor_path_r3_matches_dual_r2_table():
+    # G(3,5) and G(2,5) are dual, so the permutation-expansion minors of
+    # the r >= 3 path must reproduce the unrolled r = 2 table
+    for p in (2, 3):
+        assert (count_table(build_pencil(3, 5), p)
+                == count_table(build_pencil(2, 5), p))
