@@ -3,15 +3,29 @@
 The Grassmannian G(r,n) over F_p is enumerated once per (pencil, p) through
 its Schubert cells: each cell is a reduced-row-echelon template with a fixed
 pivot column set, and every point arises from exactly one assignment of the
-free entries.  For each point we evaluate the r x r minors (the Pluecker
-coordinates, in the package-wide sign convention) and record the pair
-(deforming sum, frozen product); the histogram of those pairs answers the
-count for every parameter value t without re-enumerating.
+free entries.  At each point the r x r minors are the Pluecker coordinates,
+in the package-wide sign convention, and the pair (deforming sum, frozen
+product) is recorded; the histogram of those pairs answers the count for
+every parameter value t without re-enumerating.
+
+The histogram is built one cell at a time.  Every minor is linear in the
+last echelon row, so the trailing two (at most) free entries of that row
+form an inner block: with the other free entries fixed, each Pluecker
+coordinate is an affine form in the inner entries whose coefficients are
+cofactors along the last row.  The powers of each form over the inner grid
+(at most p^2 points) come from memoized line tables, coordinates constant
+on the grid stay scalars, and the products, sums and (sum, product) counts
+over the grid run in map, zip and Counter.update.
+
+iter_plucker_points and count_zeros keep the per-point route, the
+reference for checking the histogram against direct substitution.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from functools import lru_cache, partial, reduce
+from itertools import chain, combinations, permutations, product, repeat
+from operator import add, mod, mul
 
 from .fields import is_prime
 from .grassmann import PencilSpec, plucker_indices
@@ -130,28 +144,144 @@ def count_zeros(poly, r: int, n: int, p: int, force: bool = False) -> int:
     return count
 
 
+def _split_cell(cell: SchubertCell, r: int) -> tuple:
+    """(entries above the last row, leading free columns of the last row,
+    its trailing two free columns at most: the inner block)."""
+    top = tuple((i, j) for i, j in cell.free_positions if i < r - 1)
+    last = tuple(j for i, j in cell.free_positions if i == r - 1)
+    return top, last[:-2], last[-2:]
+
+
+class _LineTables:
+    """Value vectors of powers of affine forms over F_p.
+
+    rows(s, e)[b] lists (b + s*x)^e mod p for x in F_p, memoized per
+    (s, e); plane(b, s1, s2, e) lists (b + s1*x1 + s2*x2)^e mod p over the
+    p^2 grid, x1 major, by chaining the rows of x2 at b + s1*x1.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self._rows = {}
+
+    def rows(self, s: int, e: int) -> list:
+        key = (s, e)
+        if key not in self._rows:
+            p = self.p
+            self._rows[key] = [tuple(pow((b + s * x) % p, e, p)
+                                     for x in range(p)) for b in range(p)]
+        return self._rows[key]
+
+    def plane(self, b: int, s1: int, s2: int, e: int) -> tuple:
+        if s1 == 0:
+            return self.rows(s2, e)[b] * self.p
+        return tuple(chain.from_iterable(
+            map(self.rows(s2, e).__getitem__, self.rows(s1, 1)[b])))
+
+
+def _monomial(mono, values, p):
+    """(constant factor, lazy product of the vector factors or None)."""
+    const, vectors = 1, []
+    for qe in mono:
+        v = values[qe]
+        if isinstance(v, int):
+            const = const * v % p
+        else:
+            vectors.append(v)
+    if not vectors or const == 0:
+        return const, None
+    terms = reduce(partial(map, mul), vectors)
+    if const != 1:
+        terms = map(mul, terms, repeat(const))
+    return const, terms
+
+
+def _count_cell(cell, r, n, p, deforming, frozen, tables, hist):
+    """Add the (sum, product) pairs of every point of one cell to hist.
+
+    Each r x r minor is linear in the last echelon row, so once the other
+    free entries are fixed, a Pluecker coordinate is an affine form
+    k0 + k1*x1 + k2*x2 in the inner entries, and the cell's points are
+    counted one grid of at most p^2 inner values at a time.
+    """
+    top, mid, inner = _split_cell(cell, r)
+    piv = cell.pivots[-1]
+    slot = {c: k for k, c in enumerate(mid + inner)}
+    col_sets = [tuple(i - 1 for i in idx) for idx in plucker_indices(r, n)]
+    # cofactor expansion along the last row, which vanishes left of its
+    # pivot: (sign, column, complementary columns) per coordinate
+    expansion = [[(-1 if (r - 1 + k) % 2 else 1, c, cols[:k] + cols[k + 1:])
+                  for k, c in enumerate(cols) if c >= piv]
+                 for cols in col_sets]
+    complements = {comp for terms in expansion for _, _, comp in terms}
+    powers = {qe for mono in deforming + [frozen] for qe in mono}
+    grid = p ** len(inner)
+    upper = [[0] * n for _ in range(r - 1)]
+    for i, c in enumerate(cell.pivots[:-1]):
+        upper[i][c] = 1
+    for top_values in product(range(p), repeat=len(top)):
+        for (i, j), v in zip(top, top_values):
+            upper[i][j] = v
+        minor = {comp: _det_mod(upper, comp, p) for comp in complements}
+        forms = []  # (pivot cofactor, mid cofactors, inner cofactors or ())
+        for terms in expansion:
+            k0, coeffs = 0, [0] * len(slot)
+            for sign, c, comp in terms:
+                if c == piv:
+                    k0 = sign * minor[comp] % p
+                else:
+                    coeffs[slot[c]] = sign * minor[comp] % p
+            slopes = coeffs[len(mid):] if any(coeffs[len(mid):]) else ()
+            forms.append((k0, coeffs[:len(mid)], slopes))
+        for mid_values in product(range(p), repeat=len(mid)):
+            values = {}  # p_q^e: an int if constant on the grid, else a vector
+            for q, e in powers:
+                k0, mid_coeffs, slopes = forms[q]
+                if mid_values:
+                    k0 = (k0 + sum(map(mul, mid_coeffs, mid_values))) % p
+                if not slopes:
+                    values[q, e] = pow(k0, e, p)
+                elif len(slopes) == 1:
+                    values[q, e] = tables.rows(slopes[0], e)[k0]
+                else:
+                    values[q, e] = tables.plane(k0, *slopes, e)
+            s, s_terms = 0, []
+            for mono in deforming:
+                const, terms = _monomial(mono, values, p)
+                if terms is None:
+                    s += const
+                else:
+                    s_terms.append(terms)
+            s %= p
+            f, f_terms = _monomial(frozen, values, p)
+            if s_terms:
+                s = map(mod, reduce(partial(map, add), s_terms, repeat(s)),
+                        repeat(p))
+            if f_terms is not None:
+                f = map(mod, f_terms, repeat(p))
+            if isinstance(s, int) and isinstance(f, int):
+                hist[s, f] += grid
+            else:
+                hist.update(zip(repeat(s) if isinstance(s, int) else s,
+                                repeat(f) if isinstance(f, int) else f))
+
+
 @lru_cache(maxsize=32)
 def _pencil_histogram(spec: PencilSpec, p: int, force: bool = False) -> dict:
-    """Histogram of (deforming sum, frozen product) pairs over all points."""
+    """Histogram of (deforming sum, frozen product) pairs over all points,
+    counted one Schubert cell at a time by _count_cell."""
+    total = grassmannian_count(spec.r, spec.n, p)
+    if total > ENUMERATION_GUARD and not force:
+        raise ResourceLimitError(
+            f"G({spec.r},{spec.n})(F_{p}) has {total} points; "
+            "pass force=True to enumerate anyway")
     deforming = [tuple((i, e) for i, e in enumerate(mono) if e)
                  for mono in spec.deforming]
     frozen = tuple((i, e) for i, e in enumerate(spec.frozen) if e)
-    maxexp = max(max(e for _, e in mono) for mono in deforming)
-    maxexp = max(maxexp, max(e for _, e in frozen))
-    pow_table = [[pow(v, k, p) for k in range(maxexp + 1)] for v in range(p)]
-    hist = {}
-    for coords in iter_plucker_points(spec.r, spec.n, p, force=force):
-        s = 0
-        for mono in deforming:
-            term = 1
-            for i, e in mono:
-                term = term * pow_table[coords[i]][e] % p
-            s = (s + term) % p
-        f = 1
-        for i, e in frozen:
-            f = f * pow_table[coords[i]][e] % p
-        key = (s, f)
-        hist[key] = hist.get(key, 0) + 1
+    tables = _LineTables(p)
+    hist = Counter()
+    for cell in enumerate_cells(spec.r, spec.n):
+        _count_cell(cell, spec.r, spec.n, p, deforming, frozen, tables, hist)
     return hist
 
 

@@ -137,6 +137,20 @@ def test_missing_fixture_exits_2(tmp_path):
                 "--outdir", str(tmp_path), "--check"]) == 2
 
 
+def test_tables_check_without_fixture_exits_2(tmp_path, capsys):
+    # tables ship for G(2,4) arrow at p = 5, 7, 11 only; the p = 5 file
+    # is not the expectation for G(2,5)
+    assert run(["tables", "--p", "13", "--outdir", str(tmp_path),
+                "--check"]) == 2
+    err = capsys.readouterr().err
+    assert "check FAILED: no expected table ships for p=13 arrow" in err
+    assert "missing file" not in err
+    assert run(["tables", "--p", "5", "--rn", "2,5", "--outdir",
+                str(tmp_path), "--check"]) == 2
+    err = capsys.readouterr().err
+    assert "no expected table ships for p=5 arrow on G(2,5)" in err
+
+
 def test_hodge_26_mod_p(tmp_path):
     # degree 6 on G(2,6): 38,760 columns, a basis of 24,936 rows holding
     # 96,471 entries

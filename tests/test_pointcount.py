@@ -2,14 +2,18 @@ import random
 
 import pytest
 
+from grasspencils import pointcount
 from grasspencils.fields import PrimeField
-from grasspencils.grassmann import build_pencil, evaluate_pencil
+from grasspencils.grassmann import VARIANTS, build_pencil, evaluate_pencil
 from grasspencils.linalg import ResourceLimitError
 from grasspencils.pointcount import (PointCountRecord, _det_mod,
-                                     count_points, count_table, count_zeros,
-                                     enumerate_cells, grassmannian_count,
-                                     iter_plucker_points, records_to_csv)
+                                     _LineTables, _pencil_histogram,
+                                     _split_cell, count_points, count_table,
+                                     count_zeros, enumerate_cells,
+                                     grassmannian_count, iter_plucker_points,
+                                     records_to_csv)
 from grasspencils.poly import SparsePolynomial
+from histogram_oracle import per_point_histogram
 
 TABLE_P5 = [(1, 296, 1), (2, 320, 0), (3, 320, 0), (4, 296, 1)]
 TABLE_P7 = [(1, 384, 6), (2, 388, 3), (3, 352, 2), (4, 520, 2), (5, 416, 3),
@@ -93,7 +97,10 @@ def test_count_points_rejects_bad_input():
         grassmannian_count(2, 4, 9)
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a cell was counted past the guard")
+    monkeypatch.setattr(pointcount, "_count_cell", no_work)
     spec = build_pencil(2, 7)
     with pytest.raises(ResourceLimitError):
         count_points(spec, 31, 1)
@@ -117,6 +124,15 @@ def test_csv_rendering_matches_shipped_tables_byte_for_byte():
         expected = resources.files("grasspencils").joinpath(
             f"fixtures/table_p{p}_arrow.csv").read_text()
         assert records_to_csv(count_table(spec, p)) == expected
+
+
+@pytest.mark.parametrize("variant", ["squares", "quads", "squares+quads"])
+def test_extension_tables_agree_with_direct_substitution(variant):
+    spec = build_pencil(2, 4, variant)
+    p = 5
+    for rec in count_table(spec, p):
+        poly = evaluate_pencil(spec, rec.t, PrimeField(p))
+        assert rec.count == count_zeros(poly, 2, 4, p)
 
 
 def test_counts_for_25_pencil_small_prime():
@@ -152,3 +168,52 @@ def test_minor_path_r3_matches_dual_r2_table():
     for p in (2, 3):
         assert (count_table(build_pencil(3, 5), p)
                 == count_table(build_pencil(2, 5), p))
+
+
+def test_minor_path_r4_matches_dual_r2_table():
+    # G(4,6) and G(2,6) are dual; r = 4 expands along the last row with
+    # 3 x 3 cofactors
+    for p in (2, 3):
+        assert (count_table(build_pencil(4, 6), p)
+                == count_table(build_pencil(2, 6), p))
+
+
+HISTOGRAM_CASES = ([((2, 4, v), p) for v in VARIANTS for p in (2, 3, 5, 7)]
+                   + [((2, 5, "arrow"), 3), ((3, 5, "arrow"), 3)]
+                   + [((r, 6, "arrow"), 2) for r in (2, 3, 4)])
+
+
+@pytest.mark.parametrize(
+    "rnv, p", HISTOGRAM_CASES,
+    ids=[f"{r}-{n}-{v}-p{p}" for (r, n, v), p in HISTOGRAM_CASES])
+def test_histogram_matches_per_point_oracle(rnv, p):
+    # (2,6), (3,6), (4,6) have cells with more than two free last-row
+    # entries, and r = 4 takes 3 x 3 cofactors
+    spec = build_pencil(*rnv)
+    assert _pencil_histogram(spec, p) == per_point_histogram(spec, p)
+
+
+@pytest.mark.parametrize("r, n", [(2, 6), (3, 6), (2, 7)])
+def test_inner_block_holds_at_most_two_entries(r, n):
+    wide = 0
+    for cell in enumerate_cells(r, n):
+        top, mid, inner = _split_cell(cell, r)
+        assert len(inner) <= 2
+        last = tuple((r - 1, j) for j in mid + inner)
+        assert sorted(top + last) == sorted(cell.free_positions)
+        assert all(j > cell.pivots[-1] for j in mid + inner)
+        wide += bool(mid)
+    assert wide  # some cells split their last row
+
+
+def test_line_tables_hold_at_most_p_squared_values():
+    p = 5
+    tables = _LineTables(p)
+    for b in range(p):
+        for s1 in range(p):
+            for s2 in (0, 1, 3):
+                assert tables.rows(s1, 3)[b] == tuple(
+                    pow(b + s1 * x, 3, p) for x in range(p))
+                assert tables.plane(b, s1, s2, 2) == tuple(
+                    pow(b + s1 * x1 + s2 * x2, 2, p)
+                    for x1 in range(p) for x2 in range(p))
