@@ -89,7 +89,10 @@ def cmd_tables(args) -> int:
 
     csv_text = records_to_csv(records)
     rows = []
-    with_hw = (spec.r, spec.n) == (2, 4) and spec.variant == "arrow"
+    # the period kernel belongs to the (2,4) arrow monomials, not its label
+    arrow = build_pencil(2, 4)
+    with_hw = ((set(spec.deforming), spec.frozen)
+               == (set(arrow.deforming), arrow.frozen))
     for rec in records:
         row = {"t": rec.t, "count": rec.count, "residue": rec.residue}
         if with_hw:

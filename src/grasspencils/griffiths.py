@@ -353,14 +353,11 @@ def ci_bigraded_quotient(ctx: CIJacobianContext,
     position = {e: k for k, e in enumerate(ambient)}
     fld = ctx.field
     basis = row_basis(len(ambient), fld)
-    rows = []
-    for g in _ci_generators(ctx):
-        if not g:
-            continue
-        ga, gb = _poly_bidegree(g, ctx.nx, ctx.degrees)
-        for mult in bigraded_monomials(ctx, (a - ga, b - gb)):
-            rows.append(_slice_row(mult, g, position))
-    ideal_rank = basis.add_rows(rows)
+    ideal_rank = basis.add_rows(
+        _slice_row(mult, g, position)
+        for g in _ci_generators(ctx) if g
+        for ga, gb in [_poly_bidegree(g, ctx.nx, ctx.degrees)]
+        for mult in bigraded_monomials(ctx, (a - ga, b - gb)))
     elapsed = (time.perf_counter() - start) * 1000
     return GradedPieceReport(
         label=f"CI in P^{ctx.nx - 1} bidegree {bidegree}",

@@ -4,30 +4,32 @@ On the dense torus chart of G(2,4) with coordinates t1..t4, the defining
 polynomial of the (2,4) pencil, divided by the frozen product, takes the
 form B = 1 + t*L for a Laurent polynomial L (the period kernel).  The
 construction below assembles B from its chart expression and machine-checks
-both the simplifying identity w = -1/(t1 t2 t3 t4) and the factorization
-B = 1 + t*L before anything else runs.
+the simplifying identity w = -1/(t1 t2 t3 t4), the factorization B = 1 + t*L
+and the six-piece split of L below before anything else runs.
 
 The holomorphic period is the constant-term series of 1/B: the coefficient
 of t^k has constant term c_k = (-1)^k * ct(L^k), an integer.  Truncating
 the series at p terms and reducing mod p gives the Hasse-Witt invariant,
 which controls the point count: 1 - HW_p(t) = #X_t(F_p) mod p.
 
-The constant term is read off by meeting in the middle rather than by
-forming L^k: with a = ceil(k/2),
+L is M = t1^3 t2^2 t3^2 t4 times six pieces: w^4, t1^-4, (t1 t2)^-4,
+(t1 t3)^-4, 1 and (t1 + t4)^4 (t1 t2 t3 t4)^-4.  A product of k kernel terms
+is constant exactly when w^4 and 1 occur a times each, t1^-4 and the
+binomial piece b times each, (t1 t2)^-4 and (t1 t3)^-4 c times each, and
+the binomial factors supply t1-degree 2(b + c - a).  So c_odd = 0 and
 
-    c_k = (-1)^k * sum_m [L^a]_m * [L^(k-a)]_(-m),
+    c_2m = sum_{a+b+c=m} (2m)! / (a! b! c!)^2 * C(4b, 2(b + c - a)),
 
-one lookup per term of the smaller power.  Since k - a is a or a - 1, the
-kernel keeps only the two latest powers L^(a-1) and L^a, so c_0..c_K costs
-the powers up to L^ceil(K/2) and nothing older is held.
+a sum of Python integers; 2(b + c - a) = 2(m - 2a) must lie in 0..4b.
 
 The truncation search asks whether those counts also match a truncated
 classical hypergeometric series 4F3(1/4,1/2,3/4,1/2; 1,1,1 | a*t^b) for
 some fixed scaling (a, b); the scan over the full (a, b) grid comes back
-empty for p = 5, 7, 11.
+empty for every prime 5 <= p <= 37.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 
 from .fields import RATIONALS, is_prime
 from .poly import SparsePolynomial
@@ -36,6 +38,14 @@ from .poly import SparsePolynomial
 # one-parameter mirror family of quartics in G(2,4)
 LT_UPPER = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1, 2))
 LT_LOWER = (Fraction(1), Fraction(1), Fraction(1))
+
+# the pieces of L as term maps, in the pairs the c_k sum counts a, b, c times
+_PIECES = (
+    {(-1, -2, -2, -3): 1}, {(3, 2, 2, 1): 1},            # w^4 M, M
+    {(-1, 2, 2, 1): 1},                                  # t1^-4 M
+    {(j - 1, -2, -2, 1 - j): comb(4, j) for j in range(5)},  # binomial
+    {(-1, -2, 2, 1): 1}, {(-1, 2, -2, 1): 1},   # (t1 t2)^-4 M, (t1 t3)^-4 M
+)
 
 
 class KernelVerificationError(RuntimeError):
@@ -50,39 +60,28 @@ class PeriodKernel:
     """Laurent kernel L with B = 1 + t*L on the G(2,4) torus chart."""
 
     def __init__(self, kernel: SparsePolynomial, checks: dict):
+        # coefficients() reads the six pieces, so they must make up kernel
+        if sum((_mono(e, c) for piece in _PIECES for e, c in piece.items()),
+               SparsePolynomial.zero(4, RATIONALS)) != kernel:
+            raise KernelVerificationError("L != the six pieces of the c_k sum")
         self.kernel = kernel
         self.checks = dict(checks)
         self._coeffs = [1]           # c_0
-        # L^(a-1) and L^a, a = ceil(k/2) for the latest c_k
-        self._lower = SparsePolynomial.constant(4, 1, RATIONALS)
-        self._upper = kernel
 
     def coefficients(self, k_max: int) -> list:
         """Integers c_0..c_k_max; computed once, extended on demand."""
         while len(self._coeffs) <= k_max:
             k = len(self._coeffs)
-            if k % 2 and k > 1:      # a = ceil(k/2) grows at odd k
-                self._lower, self._upper = (self._upper,
-                                            self._upper * self.kernel)
-            # L^(k-a) is L^a for even k and L^(a-1) for odd k
-            half = self._lower if k % 2 else self._upper
-            c = _constant_term_of_product(self._upper, half) * (-1) ** k
-            if c.denominator != 1:
-                raise KernelVerificationError(
-                    f"coefficient c_{k} is not an integer: {c}")
-            self._coeffs.append(int(c))
+            self._coeffs.append(0 if k % 2 else _even_coefficient(k // 2))
         return self._coeffs[:k_max + 1]
 
 
-def _constant_term_of_product(f: SparsePolynomial, g: SparsePolynomial):
-    """ct(f*g) = sum_m f_m * g_(-m), looping over the smaller term map."""
-    small, large = sorted((f.terms, g.terms), key=len)
-    total = f.field.zero
-    for e, c in small.items():
-        other = large.get(tuple(-x for x in e))
-        if other is not None:
-            total += c * other
-    return total
+def _even_coefficient(m: int) -> int:
+    """c_2m by the closed-form sum of the module docstring."""
+    top = factorial(2 * m)
+    return sum(top // (factorial(a) * factorial(b) * factorial(m - a - b)) ** 2
+               * comb(4 * b, 2 * (m - 2 * a))   # 0 when 2(m - 2a) > 4b
+               for a in range(m // 2 + 1) for b in range(m - a + 1))
 
 
 def build_period_kernel() -> PeriodKernel:
@@ -123,6 +122,7 @@ def build_period_kernel() -> PeriodKernel:
         "w_identity": "w == -1/(t1*t2*t3*t4)",
         "factorization": "L*w == -(bracket)*t1^2*t2*t3",
         "constant_term": "ct(L) == 0",
+        "decomposition": "L == the six pieces of the c_k sum",
         "kernel_terms": kernel.num_terms(),
     }
     return PeriodKernel(kernel, checks)
@@ -145,21 +145,21 @@ def period_coefficients(kernel: PeriodKernel, k_max: int) -> list:
     return kernel.coefficients(k_max)
 
 
+def _require_odd_prime(p: int) -> None:
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def hasse_witt(p: int, t: int, kernel: PeriodKernel | None = None) -> int:
     """Truncated period series sum(c_k t^k, k=0..p-1) mod p.
 
     Satisfies 1 - hasse_witt(p, t) = #X_t(F_p) mod p for the (2,4) pencil.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _require_odd_prime(p)
     kernel = kernel or default_kernel()
-    coeffs = kernel.coefficients(p - 1)
-    t = t % p
     total = 0
-    tk = 1
-    for c in coeffs:
-        total = (total + c * tk) % p
-        tk = tk * t % p
+    for c in reversed(kernel.coefficients(p - 1)):   # Horner's rule
+        total = (total * t + c) % p
     return total
 
 
@@ -170,8 +170,7 @@ def hypergeometric_truncation(upper, lower, p: int, z: int) -> int:
     Pochhammer symbols evaluated through modular inverses.  Parameters are
     rationals whose denominators must be invertible mod p.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _require_odd_prime(p)
     fp_upper = [_param_mod(a, p) for a in upper]
     fp_lower = [_param_mod(b, p) for b in lower]
     z = z % p

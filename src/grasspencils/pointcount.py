@@ -99,15 +99,20 @@ def _det_mod(matrix, cols, p):
     return total
 
 
-def iter_plucker_points(r: int, n: int, p: int, force: bool = False):
-    """Yield the Pluecker coordinate tuple of every F_p-point, once each."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+def _check_enumeration_size(r, n, p, force):
+    """Refuse past ENUMERATION_GUARD points unless forced."""
     total = grassmannian_count(r, n, p)
     if total > ENUMERATION_GUARD and not force:
         raise ResourceLimitError(
             f"G({r},{n})(F_{p}) has {total} points; "
             "pass force=True to enumerate anyway")
+
+
+def iter_plucker_points(r: int, n: int, p: int, force: bool = False):
+    """Yield the Pluecker coordinate tuple of every F_p-point, once each."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    _check_enumeration_size(r, n, p, force)
     col_sets = [tuple(i - 1 for i in idx) for idx in plucker_indices(r, n)]
     for cell in enumerate_cells(r, n):
         base = [[0] * n for _ in range(r)]
@@ -270,11 +275,7 @@ def _count_cell(cell, r, n, p, deforming, frozen, tables, hist):
 def _pencil_histogram(spec: PencilSpec, p: int, force: bool = False) -> dict:
     """Histogram of (deforming sum, frozen product) pairs over all points,
     counted one Schubert cell at a time by _count_cell."""
-    total = grassmannian_count(spec.r, spec.n, p)
-    if total > ENUMERATION_GUARD and not force:
-        raise ResourceLimitError(
-            f"G({spec.r},{spec.n})(F_{p}) has {total} points; "
-            "pass force=True to enumerate anyway")
+    _check_enumeration_size(spec.r, spec.n, p, force)
     deforming = [tuple((i, e) for i, e in enumerate(mono) if e)
                  for mono in spec.deforming]
     frozen = tuple((i, e) for i, e in enumerate(spec.frozen) if e)

@@ -57,6 +57,23 @@ def test_tables_accepts_pencil_json(tmp_path):
     assert "hw" not in doc["rows"][0]  # congruence column is arrow-only
 
 
+def test_tables_hw_column_follows_the_monomials(tmp_path):
+    # a non-arrow pencil labelled arrow gets no HW column; the arrow
+    # monomials get it in any order
+    for variant, with_hw in (("squares", False), ("arrow", True)):
+        doc = json.loads(build_pencil(2, 4, variant).to_json())
+        doc["variant"] = "arrow"
+        doc["monomials"].reverse()
+        path = tmp_path / f"{variant}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / variant
+        assert run(["tables", "--p", "5", "--pencil-json", str(path),
+                    "--outdir", str(out)]) == 0
+        rows = json.loads((out / "tables_p5_arrow.json").read_text())["rows"]
+        assert all(("hw" in row) == with_hw for row in rows)
+        assert all(row.get("congruence_ok", True) for row in rows)
+
+
 def test_search_empty_hits(tmp_path):
     assert run(["search", "--p", "5", "--outdir", str(tmp_path),
                 "--check"]) == 0

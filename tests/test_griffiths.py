@@ -6,7 +6,9 @@ import pytest
 from grasspencils.fields import PrimeField, RATIONALS
 from grasspencils.grassmann import (build_pencil, evaluate_pencil,
                                     plucker_indices, plucker_relations)
-from grasspencils.griffiths import (SpecializationMismatch, apply_derivation,
+from grasspencils import griffiths
+from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
+                                    apply_derivation,
                                     ci_bigraded_quotient, ci_context,
                                     ci_context_for_pencil, bigraded_monomials,
                                     graded_quotient,
@@ -194,6 +196,27 @@ def test_ci_context_validation():
     assert ctx.degrees == (2, 1)
     assert bigraded_monomials(ctx, (0, 0)) == [(0, 0, 0, 0)]
     assert bigraded_monomials(ctx, (0, -1)) == []
+
+
+def test_ci_rows_stream_and_each_generator_is_checked_first(monkeypatch):
+    # f_1 = x0^2 contributes one row (times y1) before the non-bihomogeneous
+    # f_2 = x0 + x0*x1 is rejected, and none of f_2's rows is added
+    added = []
+
+    class Recording:
+        def __init__(self, ncols, field):
+            self.inner = row_basis(ncols, field)
+
+        def add_rows(self, rows):
+            return self.inner.add_rows(added.append(r) or r for r in rows)
+
+    monkeypatch.setattr(griffiths, "row_basis", Recording)
+    x0 = SparsePolynomial.variable(4, 0)
+    x1 = SparsePolynomial.variable(4, 1)
+    ctx = CIJacobianContext(2, (2, 1), (x0 * x0, x0 + x0 * x1))
+    with pytest.raises(ValueError, match="bihomogeneous"):
+        ci_bigraded_quotient(ctx, (0, 1))
+    assert added == [{0: 1}]
 
 
 def test_ci_model_only_for_24():

@@ -3,24 +3,60 @@ from math import factorial
 
 import pytest
 
+from grasspencils import periods
 from grasspencils.grassmann import build_pencil
-from grasspencils.periods import (LT_LOWER, LT_UPPER, build_period_kernel,
+from grasspencils.periods import (LT_LOWER, LT_UPPER, KernelVerificationError,
+                                  PeriodKernel, build_period_kernel,
                                   default_kernel, hasse_witt,
                                   hypergeometric_truncation,
                                   period_coefficients, truncation_search)
 from grasspencils.pointcount import PointCountRecord, count_table
-from period_oracle import full_power_coefficients
+from period_oracle import (full_power_coefficients,
+                           meet_in_the_middle_coefficients)
 
 # c_0..c_20 of the (2,4) arrow pencil, as the full-power route gives them
 C_0_TO_20 = [1, 0, 12, 0, 492, 0, 32880, 0, 2743020, 0, 257986512, 0,
              26170078704, 0, 2797796574144, 0, 310918611526380, 0,
              35596887110962320, 0, 4172909329695526992]
 
+# primes whose congruence and truncation search run in tier-1; p = 37 needs
+# c_0..c_36
+PRIMES_TO_37 = (13, 17, 19, 23, 29, 31, 37)
+
 def test_kernel_construction_checks():
     kernel = build_period_kernel()
     assert kernel.kernel.constant_term() == 0
     assert kernel.checks["kernel_terms"] == 10
+    assert "decomposition" in kernel.checks
     assert kernel.kernel.num_terms() == 10
+
+
+def _drop_constant_piece(pieces):
+    return tuple(p for p in pieces if p != {(3, 2, 2, 1): 1})
+
+
+def _flatten_binomial(pieces):
+    return tuple({e: 1 for e in p} for p in pieces)
+
+
+def _shift_first_piece(pieces):
+    return ({(-1, -2, -2, -2): 1},) + pieces[1:]
+
+
+@pytest.mark.parametrize("mutate", [_drop_constant_piece, _flatten_binomial,
+                                    _shift_first_piece])
+def test_mutated_decomposition_is_rejected(monkeypatch, mutate):
+    monkeypatch.setattr(periods, "_PIECES", mutate(periods._PIECES))
+    with pytest.raises(KernelVerificationError, match="six pieces"):
+        build_period_kernel()
+
+
+def test_period_kernel_rejects_other_laurent_polynomial():
+    # the coefficients come from the six pieces, so a kernel that is not
+    # their sum gets no PeriodKernel
+    L = build_period_kernel().kernel
+    with pytest.raises(KernelVerificationError, match="six pieces"):
+        PeriodKernel(L + L, {})
 
 
 def test_kernel_at_all_ones():
@@ -46,9 +82,17 @@ def test_coefficients_match_full_power_oracle():
             == full_power_coefficients(kernel.kernel, 12))
 
 
+def test_coefficients_match_meet_in_the_middle_oracle():
+    # the closed-form sum against the Laurent-power engine it replaced,
+    # bit for bit through c_24 (the oracle holds L^12)
+    kernel = build_period_kernel()
+    assert (period_coefficients(kernel, 24)
+            == meet_in_the_middle_coefficients(kernel.kernel, 24))
+
+
 def test_coefficients_extend_on_demand():
-    # piecewise extension, stopping at odd and even k, keeps the two
-    # latest powers in step with the cached coefficients
+    # piecewise extension, stopping at odd and even k, agrees with the
+    # cached coefficients
     kernel = build_period_kernel()
     for k in (0, 1, 3, 4, 7, 8, 9, 12):
         assert period_coefficients(kernel, k) == C_0_TO_20[:k + 1]
@@ -112,10 +156,10 @@ def test_hasse_witt_congruence_with_counts():
 
 def test_hasse_witt_congruence_beyond_tabulated_primes():
     # the congruence is a theorem about the family, not about three primes;
-    # p = 13, 17, 19 need coefficients through c_12, c_16 and c_18, past
-    # the tabulated range
+    # p = 13..37 need coefficients through c_12..c_36, past the tabulated
+    # range
     spec = build_pencil(2, 4)
-    for p in (13, 17, 19):
+    for p in PRIMES_TO_37:
         for rec in count_table(spec, p):
             assert (1 - hasse_witt(p, rec.t)) % p == rec.residue
 
@@ -174,7 +218,7 @@ def test_hypergeometric_rejects_bad_denominator():
 
 def test_truncation_search_empty_for_arrow_pencil():
     spec = build_pencil(2, 4)
-    for p in (5, 7, 11):
+    for p in (5, 7, 11) + PRIMES_TO_37:
         assert truncation_search(p, count_table(spec, p)) == []
 
 
