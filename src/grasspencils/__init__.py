@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .fields import PrimeField, RATIONALS, is_prime, next_prime
 from .poly import SparsePolynomial, monomials_of_degree
-from .linalg import smith_invariant_factors, ResourceLimitError
+from .linalg import ResourceLimitError
 from .grassmann import (PencilSpec, plucker_indices, partition_to_index,
                         index_to_partition, enumerate_arrow_partitions,
                         frozen_variables, plucker_relations, build_pencil,

@@ -183,7 +183,7 @@ def cmd_hodge(args) -> int:
 
     t0 = time.perf_counter()
     report = invariant_subspace(
-        spec, group=group, degree=args.degree,
+        spec, degree=args.degree,
         t_values=t_values, primes=primes, include_rationals=include_q)
     timings["invariant_ms"] = (time.perf_counter() - t0) * 1000
 
@@ -224,10 +224,13 @@ def cmd_hodge(args) -> int:
 
     if args.check:
         expected = json.loads(_fixture_text("dimensions.json"))
-        want = expected.get(f"{r},{n}", {}).get(spec.variant)
+        # the shipped dimensions are all for degree n
+        want = (expected.get(f"{r},{n}", {}).get(spec.variant)
+                if report.degree == n else None)
         if want is None:
             print(f"check FAILED: no expected dimensions ship for "
-                  f"G({r},{n}) {spec.variant}", file=sys.stderr)
+                  f"G({r},{n}) {spec.variant} in degree {report.degree}",
+                  file=sys.stderr)
             return MISMATCH
         ok = (report.quotient_dim == want["quotient_dim"]
               and report.invariant_dim == want["invariant_dim"])

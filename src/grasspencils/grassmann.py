@@ -234,10 +234,34 @@ class PencilSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "PencilSpec":
+        """Inverse of to_json; a missing or malformed key is a ValueError."""
         doc = json.loads(text)
-        return cls(doc["r"], doc["n"], doc["variant"],
-                   tuple(tuple(e) for e in doc["monomials"]),
-                   tuple(doc["frozen"]))
+        if not isinstance(doc, dict):
+            raise ValueError("pencil JSON must be an object")
+
+        def get(key, ok):
+            if key not in doc:
+                raise ValueError(f"pencil JSON has no {key!r} key")
+            if not ok(doc[key]):
+                raise ValueError(
+                    f"pencil JSON key {key!r} is malformed: {doc[key]!r}")
+            return doc[key]
+
+        def is_vectors(v):
+            return isinstance(v, list) and all(map(_is_vector, v))
+
+        return cls(get("r", _is_int), get("n", _is_int),
+                   get("variant", lambda v: isinstance(v, str)),
+                   tuple(map(tuple, get("monomials", is_vectors))),
+                   tuple(get("frozen", _is_vector)))
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_vector(v):
+    return isinstance(v, list) and all(map(_is_int, v))
 
 
 def _exponent_of(factors, r, n):

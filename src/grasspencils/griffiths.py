@@ -24,9 +24,10 @@ away.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .fields import PrimeField, RATIONALS
 from .grassmann import (PencilSpec, evaluate_pencil, index_position,
@@ -34,7 +35,7 @@ from .grassmann import (PencilSpec, evaluate_pencil, index_position,
                         sort_with_sign)
 from .linalg import ResourceLimitError, row_basis
 from .poly import SparsePolynomial, grlex_key, monomials_of_degree
-from .symmetry import build_group, invariant_monomials
+from .symmetry import invariant_monomials
 
 AMBIENT_GUARD = 10 ** 6  # largest graded slice we agree to materialize
 
@@ -74,28 +75,10 @@ class GradedPieceReport:
     elapsed_ms: float = 0.0
 
     def to_json(self, include_timing: bool = True) -> str:
-        doc = {
-            "label": self.label,
-            "rn": list(self.rn) if self.rn else None,
-            "degree": list(self.degree) if isinstance(self.degree, tuple)
-                      else self.degree,
-            "t": str(self.t) if self.t is not None else None,
-            "field": self.field,
-            "ambient": self.ambient,
-            "relation_rank": self.relation_rank,
-            "ideal_rank": self.ideal_rank,
-            "quotient_dim": self.quotient_dim,
-            "invariant_dim": self.invariant_dim,
-            "survivors": ([list(e) for e in self.survivors]
-                          if self.survivors is not None else None),
-            "survivor_names": (list(self.survivor_names)
-                               if self.survivor_names is not None else None),
-            "specializations": (list(self.specializations)
-                                if self.specializations is not None else None),
-            "span_checks": self.span_checks,
-            "elapsed_ms": self.elapsed_ms if include_timing else None,
-        }
-        return json.dumps(doc, sort_keys=True)
+        doc = asdict(self)
+        if not include_timing:
+            doc["elapsed_ms"] = None
+        return json.dumps(doc, sort_keys=True, default=str)
 
 
 # -- derivations -------------------------------------------------------
@@ -187,13 +170,21 @@ def _slice_row(mult_exp, poly, position):
             for e, c in poly.terms.items()}
 
 
+def _check_slice_size(size, kind="graded"):
+    """Raise before a slice of `size` monomials above the guard is built."""
+    if size > AMBIENT_GUARD:
+        raise ResourceLimitError(
+            f"{kind} slice with {size} monomials exceeds the guard")
+
+
+def _check_ambient_size(nvars, degree):
+    if degree >= 0:
+        _check_slice_size(comb(nvars + degree - 1, degree))
+
+
 @lru_cache(maxsize=None)
 def _ambient_monomials(nvars, degree):
-    mons = tuple(monomials_of_degree(nvars, degree))
-    if len(mons) > AMBIENT_GUARD:
-        raise ResourceLimitError(
-            f"graded slice with {len(mons)} monomials exceeds the guard")
-    return mons
+    return tuple(monomials_of_degree(nvars, degree))
 
 
 def _graded_slice(r, n, degree, generators, fld):
@@ -203,6 +194,7 @@ def _graded_slice(r, n, degree, generators, fld):
     basis may then be extended by candidate vectors for invariant counts.
     """
     nv = len(plucker_indices(r, n))
+    _check_ambient_size(nv, degree)
     ambient = _ambient_monomials(nv, degree)
     position = {e: k for k, e in enumerate(ambient)}
     basis = row_basis(len(ambient), fld)
@@ -323,20 +315,16 @@ def _poly_bidegree(poly, nx, degrees):
 def bigraded_monomials(ctx: CIJacobianContext, bidegree) -> list:
     """All monomials x^a y^b of the given bidegree, canonical order."""
     a, b = bidegree
-    out = []
     if b < 0:
-        return out
-    c = len(ctx.degrees)
-    for ybeta in monomials_of_degree(c, b):
-        xdeg = a + sum(d * e for d, e in zip(ctx.degrees, ybeta))
-        if xdeg < 0:
-            continue
-        for xalpha in monomials_of_degree(ctx.nx, xdeg):
-            out.append(xalpha + ybeta)
+        return []
+    ys = [(ybeta, a + sum(d * e for d, e in zip(ctx.degrees, ybeta)))
+          for ybeta in monomials_of_degree(len(ctx.degrees), b)]
+    ys = [(ybeta, xdeg) for ybeta, xdeg in ys if xdeg >= 0]
+    _check_slice_size(sum(comb(ctx.nx + xdeg - 1, xdeg) for _, xdeg in ys),
+                      "bigraded")
+    out = [xalpha + ybeta for ybeta, xdeg in ys
+           for xalpha in monomials_of_degree(ctx.nx, xdeg)]
     out.sort(key=grlex_key, reverse=True)
-    if len(out) > AMBIENT_GUARD:
-        raise ResourceLimitError(
-            f"bigraded slice with {len(out)} monomials exceeds the guard")
     return out
 
 
@@ -409,7 +397,7 @@ def _one_specialization(spec, degree, candidates, span_checks, fld, t):
     }
 
 
-def invariant_subspace(spec: PencilSpec, group=None, degree=None,
+def invariant_subspace(spec: PencilSpec, degree=None,
                        t_values=(2, 3, 5), primes=(),
                        include_rationals=None,
                        span_check_monomials=()) -> GradedPieceReport:
@@ -425,8 +413,6 @@ def invariant_subspace(spec: PencilSpec, group=None, degree=None,
     r, n = spec.r, spec.n
     if degree is None:
         degree = n
-    if group is None:
-        group = build_group(n, r)
     if include_rationals is None:
         include_rationals = not primes
     jobs = []
@@ -442,7 +428,8 @@ def invariant_subspace(spec: PencilSpec, group=None, degree=None,
     if not jobs:
         raise ValueError("no specializations requested")
 
-    candidates = invariant_monomials(r, n, degree, group)
+    _check_ambient_size(len(plucker_indices(r, n)), degree)
+    candidates = invariant_monomials(r, n, degree)
     start = time.perf_counter()
     results = [
         _one_specialization(spec, degree, candidates, span_check_monomials,

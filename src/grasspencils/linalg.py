@@ -1,4 +1,4 @@
-"""Exact linear algebra: echelon row bases over Q and F_p, Smith form.
+"""Exact linear algebra: echelon row bases over Q and F_p.
 
 Every rank the package reports comes from row_basis(ncols, field), one
 sparse echelon kernel for both fields.  Rows are {column: value} dicts and
@@ -9,13 +9,9 @@ that only creates larger columns, so each pivot is met at most once.
 Ranks, quotient dimensions and greedy rank extensions are counts of the
 rows a basis accepts.  Scalars are Fractions over Q and int residues in
 [0, p) over F_p (Python ints, so any prime works).
-
-smith_invariant_factors gives the invariant factors of small integer
-matrices (abelian group structure).
 """
 
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 # Cap on the entries stored by one basis.  tracemalloc put the stored rows
 # of the arrow slices of (2,4), (2,5) and (2,6) in degree n at <= 130 bytes
@@ -95,82 +91,3 @@ def row_basis(ncols, field):
     """Empty echelon row set on ncols columns over field (Q or F_p)."""
     return _RowBasis(ncols, field)
 
-
-# -- Smith normal form -------------------------------------------------
-
-
-def smith_invariant_factors(rows) -> list:
-    """Nontrivial invariant factors d1 | d2 | ... of an integer matrix.
-
-    Small-matrix workhorse for abelian group structure; entries are Python
-    ints, so there is no overflow to worry about.
-    """
-    a = [list(map(int, r)) for r in rows]
-    if not a or not a[0]:
-        return []
-    m, n = len(a), len(a[0])
-    diag = []
-    k = 0
-    while k < min(m, n):
-        # locate the smallest-magnitude nonzero entry in the trailing block
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                v = a[i][j]
-                if v and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
-        if best is None:
-            break
-        bi, bj, _ = best
-        a[k], a[bi] = a[bi], a[k]
-        for row in a:
-            row[k], row[bj] = row[bj], row[k]
-        while True:
-            # clear column k then row k by floor-division steps
-            done = True
-            for i in range(k + 1, m):
-                if a[i][k]:
-                    q = a[i][k] // a[k][k]
-                    for j in range(k, n):
-                        a[i][j] -= q * a[k][j]
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        done = False
-            for j in range(k + 1, n):
-                if a[k][j]:
-                    q = a[k][j] // a[k][k]
-                    for i in range(k, m):
-                        a[i][j] -= q * a[i][k]
-                    if a[k][j]:
-                        for row in a:
-                            row[k], row[j] = row[j], row[k]
-                        done = False
-            if done:
-                break
-        piv = abs(a[k][k])
-        # force divisibility: fold in any entry the pivot does not divide
-        offender = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if a[i][j] % piv:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(k, n):
-                a[k][j] += a[offender][j]
-            continue
-        diag.append(piv)
-        k += 1
-    # normalize the chain d1 | d2 | ... via gcd/lcm exchanges
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    return [d for d in diag if d != 1]

@@ -7,8 +7,8 @@ roots of unity never appear, everything is exponent arithmetic mod n.  A
 monomial is invariant iff its character (the vector of index multiplicities
 mod n) pairs to zero with every generator of L.
 
-The effective quotient by the scalar diagonal has order |L|/n; its abelian
-structure is read off the Smith normal form of the relation lattice.
+The effective quotient by the scalar diagonal has order |L|/n and is
+Z/g x (Z/n)^(n-2) with g = gcd(r, n); build_group derives this closed form.
 """
 
 import json
@@ -16,10 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from fractions import Fraction
-
 from .grassmann import plucker_indices
-from .linalg import smith_invariant_factors
 from .poly import monomials_of_degree
 
 
@@ -60,33 +57,17 @@ def _structure_string(invariant_factors) -> str:
     return " x ".join(parts)
 
 
-def _solve_integer(basis_rows, target):
-    """Solve x * B = target over the integers (B square, full rank)."""
-    n = len(basis_rows)
-    aug = [[Fraction(basis_rows[j][i]) for j in range(n)] + [Fraction(target[i])]
-           for i in range(n)]  # columns of B^T, solving B^T x = target
-    # plain Gaussian elimination over Q
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    xs = [aug[i][n] for i in range(n)]
-    if any(x.denominator != 1 for x in xs):
-        raise ValueError("target is not in the lattice")
-    return [int(x) for x in xs]
-
-
 @lru_cache(maxsize=None)
 def build_group(n: int, r: int) -> SymmetryGroup:
     """Generators and structure of the diagonal symmetry group for (n, r).
 
-    The lattice L is the kernel of a -> r*sum(a) mod n; an explicit basis is
-    e_i - e_1 for i = 2..n together with (n/gcd(r,n)) * e_1.
+    With g = gcd(r, n), L = {a : sum(a) = 0 mod n/g}, generated by
+    e_i - e_1 for i = 2..n together with (n/g) * e_1.  In the basis e_1,
+    e_i - e_1 (i >= 2) of (Z/n)^n, a has coordinates (sum(a); a_2..a_n),
+    so L = Z/g x (Z/n)^(n-1).  The scalar (1,...,1) has coordinates
+    (0; 1,...,1), primitive in the second factor, hence
+    L / scalars = Z/g x (Z/n)^(n-2).  As g | n, that list with its
+    trivial factors dropped is already the chain d1 | d2 | ...
     """
     if n < 2 or not (1 <= r <= n - 1):
         raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got ({n}, {r})")
@@ -101,34 +82,11 @@ def build_group(n: int, r: int) -> SymmetryGroup:
     v[0] = n // g
     gens.append(tuple(v))
     order = n ** (n - 1) * g
-    effective = order // n
-
-    # structure of (lattice L) / (scalars + n Z^n), via Smith normal form of
-    # the sublattice expressed in a basis of the preimage of L in Z^n
-    basis = [[0] * n for _ in range(n)]
-    basis[0][0] = n // g
-    for i in range(1, n):
-        basis[i][0] = -1
-        basis[i][i] = 1
-    sub = []
-    for i in range(n):
-        v = [0] * n
-        v[i] = n
-        sub.append(_solve_integer(basis, v))
-    sub.append(_solve_integer(basis, [1] * n))
-    factors = tuple(smith_invariant_factors(sub))
-    assert _product(factors) == effective, "group order/SNF mismatch"
+    factors = tuple(d for d in (g,) + (n,) * (n - 2) if d != 1)
     return SymmetryGroup(
         n=n, r=r, generators=tuple(gens), scalar=(1,) * n,
-        order=order, effective_order=effective,
+        order=order, effective_order=order // n,
         invariant_factors=factors, structure=_structure_string(factors))
-
-
-def _product(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def character(exponents, group: SymmetryGroup) -> tuple:

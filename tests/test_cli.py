@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from grasspencils import cli, linalg
+import pytest
+
+from grasspencils import cli, griffiths, linalg, symmetry
 from grasspencils.grassmann import build_pencil
 from grasspencils.griffiths import SpecializationMismatch
 
@@ -192,6 +194,46 @@ def test_hodge_check_without_expectation_exits_2(tmp_path, capsys):
                 "--outdir", str(tmp_path), "--check"]) == 2
     err = capsys.readouterr().err
     assert "no expected dimensions ship for G(3,5) arrow" in err
+
+
+def test_hodge_check_in_other_degree_exits_2(tmp_path, capsys):
+    # the shipped dimensions are for degree n only
+    assert run(["hodge", "--rn", "2,4", "--degree", "5", "--t", "2",
+                "--primes", "1048583", "--outdir", str(tmp_path),
+                "--check"]) == 2
+    err = capsys.readouterr().err
+    assert ("check FAILED: no expected dimensions ship for G(2,4) arrow "
+            "in degree 5") in err
+
+
+def test_hodge_slice_guard_exits_2_before_enumerating(tmp_path, monkeypatch,
+                                                      capsys):
+    # degree 5 on G(2,5) has C(14, 5) = 2002 monomials; the guard counts
+    # them before the slice or its invariant monomials are enumerated
+    def refuse(*args):
+        raise AssertionError("slice enumerated before the size guard")
+
+    monkeypatch.setattr(griffiths, "AMBIENT_GUARD", 1000)
+    monkeypatch.setattr(griffiths, "monomials_of_degree", refuse)
+    monkeypatch.setattr(symmetry, "monomials_of_degree", refuse)
+    assert run(["hodge", "--rn", "2,5", "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: graded slice with 2002 monomials exceeds the guard" in err
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"monomials": None}, "pencil JSON has no 'monomials' key"),
+    ({"frozen": 7}, "pencil JSON key 'frozen' is malformed: 7"),
+])
+def test_malformed_pencil_json_exits_2(tmp_path, capsys, change, message):
+    doc = json.loads(build_pencil(2, 4).to_json())
+    doc.update(change)
+    doc = {k: v for k, v in doc.items() if v is not None}
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(doc))
+    assert run(["hodge", "--pencil-json", str(path),
+                "--outdir", str(tmp_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_package_imports_without_numpy():

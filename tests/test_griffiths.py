@@ -5,7 +5,8 @@ import pytest
 
 from grasspencils.fields import PrimeField, RATIONALS
 from grasspencils.grassmann import (build_pencil, evaluate_pencil,
-                                    plucker_indices, plucker_relations)
+                                    monomial_name, plucker_indices,
+                                    plucker_relations)
 from grasspencils import griffiths
 from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
                                     apply_derivation,
@@ -14,10 +15,11 @@ from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
                                     graded_quotient,
                                     grassmann_jacobian_generators,
                                     invariant_subspace)
-from grasspencils.linalg import row_basis
+from grasspencils.linalg import ResourceLimitError, row_basis
 from grasspencils.poly import SparsePolynomial, monomials_of_degree
 from grasspencils.symmetry import invariant_monomials
 from rank_oracle import _rank_rational
+from test_acceptance import REFERENCE_MONOMIALS_25
 
 def _coord(idx, r=2, n=4, field=RATIONALS):
     pos = {i: k for k, i in enumerate(plucker_indices(r, n))}
@@ -198,6 +200,23 @@ def test_ci_context_validation():
     assert bigraded_monomials(ctx, (0, -1)) == []
 
 
+def test_bigraded_guard_counts_before_building(monkeypatch):
+    # (0, 1) on the (2,4) model: y1 x^4 and y2 x^2, C(9,4) + C(7,2) = 147
+    ctx = ci_context_for_pencil(build_pencil(2, 4), Fraction(2))
+    assert len(bigraded_monomials(ctx, (0, 1))) == 147
+    real = griffiths.monomials_of_degree
+
+    def y_only(nvars, degree):
+        assert nvars == 2, "x-monomials built before the size guard"
+        return real(nvars, degree)
+
+    monkeypatch.setattr(griffiths, "AMBIENT_GUARD", 146)
+    monkeypatch.setattr(griffiths, "monomials_of_degree", y_only)
+    with pytest.raises(ResourceLimitError,
+                       match="bigraded slice with 147 monomials"):
+        bigraded_monomials(ctx, (0, 1))
+
+
 def test_ci_rows_stream_and_each_generator_is_checked_first(monkeypatch):
     # f_1 = x0^2 contributes one row (times y1) before the non-bihomogeneous
     # f_2 = x0 + x0*x1 is rejected, and none of f_2's rows is added
@@ -232,6 +251,43 @@ REFERENCE_BASIS_24 = (
     (0, 0, 0, 4, 0, 0),   # p23^4
 )
 
+MODIFIED_BASIS_24 = (
+    (0, 0, 0, 4, 0, 0),   # p23^4
+    (0, 1, 1, 1, 1, 0),   # p13 p14 p23 p24
+    (0, 0, 0, 0, 0, 4),   # p34^4
+    (0, 0, 2, 2, 0, 0),   # p14^2 p23^2
+    (0, 0, 0, 0, 4, 0),   # p24^4
+)
+
+
+def _quotient_with_monomials(spec, monomials):
+    """Degree-n quotient dimension at t = 2 over Q, before and after the
+    given monomials join the Jacobian generators."""
+    r, n = spec.r, spec.n
+    gens = grassmann_jacobian_generators(
+        evaluate_pencil(spec, Fraction(2)), r, n)
+    extra = [SparsePolynomial.monomial(e) for e in monomials]
+    return (graded_quotient(r, n, n, gens).quotient_dim,
+            graded_quotient(r, n, n, gens + extra).quotient_dim)
+
+
+@pytest.mark.parametrize("variant,basis,after", [
+    ("arrow", REFERENCE_BASIS_24, 84),
+    ("arrow", MODIFIED_BASIS_24, 85),   # rank 4 modulo the arrow ideal
+    ("squares", MODIFIED_BASIS_24, 84),
+])
+def test_reference_bases_are_independent_mod_ideal(variant, basis, after):
+    before, with_basis = _quotient_with_monomials(
+        build_pencil(2, 4, variant), basis)
+    assert (before, with_basis) == (89, after)
+
+
+def test_reference_basis_25_is_independent_mod_ideal():
+    name_to_exp = {monomial_name(e, 2, 5): e
+                   for e in invariant_monomials(2, 5, 5)}
+    basis = [name_to_exp[name] for name in REFERENCE_MONOMIALS_25]
+    assert _quotient_with_monomials(build_pencil(2, 5), basis) == (1151, 1140)
+
 
 @pytest.mark.parametrize("variant", ["arrow", "squares", "quads",
                                      "squares+quads"])
@@ -243,7 +299,9 @@ def test_invariant_subspace_dimension_five(variant):
     assert report.invariant_dim == 5
     assert report.quotient_dim == 89
     assert len(report.specializations) == 9  # 3 over Q + 3 per prime
-    # the printed reference basis lies in ideal + survivors span
+    # membership only: every invariant monomial lies in ideal + survivors
+    # span, so this cannot tell a basis from a dependent set (see
+    # test_reference_bases_are_independent_mod_ideal)
     assert all(report.span_checks.values())
     assert report.invariant_dim <= report.quotient_dim
 

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 from grasspencils import linalg
 from grasspencils.fields import PrimeField, RATIONALS, next_prime
-from grasspencils.linalg import (ResourceLimitError, row_basis,
-                                 smith_invariant_factors)
+from grasspencils.linalg import ResourceLimitError, row_basis
 from rank_oracle import _rank_rational
 
 
@@ -156,12 +155,3 @@ def test_row_basis_refuses_rows_past_entry_cap(field, monkeypatch):
     assert basis.rank == 3
     assert basis.contains({0: 1, 1: 2, 4: 5})
 
-
-def test_smith_invariant_factors():
-    assert smith_invariant_factors([[12, 6, 4], [3, 9, 6], [2, 16, 14]]) \
-        == [10, 30]
-    assert smith_invariant_factors([[2, 0], [0, 3]]) == [6]
-    assert smith_invariant_factors([[1, 0], [0, 1]]) == []
-    assert smith_invariant_factors([[0, 0], [0, 0]]) == []
-    assert smith_invariant_factors([[4, 0, 0], [0, 4, 0], [0, 0, 2]]) \
-        == [2, 4, 4]

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import gcd, prod
 
 import pytest
 
@@ -25,6 +26,26 @@ def test_group_orders_and_structure():
     g31 = build_group(3, 1)
     assert g31.order == 9
     assert g31.effective_order == 3
+
+
+def test_invariant_factors_match_brute_force_torsion():
+    """Independent oracle for the structure.  Subtracting a_1 * (1,...,1)
+    maps L / scalars isomorphically onto H = {a in (Z/n)^(n-1) :
+    r * sum(a) = 0 mod n}, the elements of L with a_1 = 0.  For a finite
+    abelian group of exponent dividing n, the numbers of elements killed by
+    k = 1..n determine it, and for Z/d1 x ... they are prod gcd(k, d_i)."""
+    for n in range(2, 7):
+        for r in range(1, n):
+            group = build_group(n, r)
+            factors = group.invariant_factors
+            assert all(d > 1 for d in factors)
+            assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+            h = [a for a in product(range(n), repeat=n - 1)
+                 if r * sum(a) % n == 0]
+            assert len(h) == group.effective_order
+            for k in range(1, n + 1):
+                killed = sum(1 for a in h if all(k * x % n == 0 for x in a))
+                assert killed == prod(gcd(k, d) for d in factors), (n, r, k)
 
 
 def _lattice_brute_force(n, r):
