@@ -184,7 +184,8 @@ def cmd_hodge(args) -> int:
     t0 = time.perf_counter()
     report = invariant_subspace(
         spec, degree=args.degree,
-        t_values=t_values, primes=primes, include_rationals=include_q)
+        t_values=t_values, primes=primes, include_rationals=include_q,
+        timings=timings)
     timings["invariant_ms"] = (time.perf_counter() - t0) * 1000
 
     doc = {

@@ -19,7 +19,10 @@ out a row span, and the quotient dimension is an exact corank.
 Generic-parameter answers (coefficients in Q(t)) are obtained by
 specializing t to several rational values and/or several large prime
 fields and demanding unanimity; disagreement raises, it is never averaged
-away.
+away.  A slice is built in two parts: the Pluecker relation rows, which do
+not depend on t and are eliminated once per field (_relation_slice), and
+the generator rows of one specialization, added to a copy of that basis
+(_graded_slice).
 """
 
 import json
@@ -28,6 +31,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .fields import PrimeField, RATIONALS
 from .grassmann import (PencilSpec, evaluate_pencil, index_position,
@@ -187,38 +191,61 @@ def _ambient_monomials(nvars, degree):
     return tuple(monomials_of_degree(nvars, degree))
 
 
-def _graded_slice(r, n, degree, generators, fld):
-    """Ambient basis plus an echelon basis of the ideal slice.
+class _Relations(NamedTuple):
+    """The part of a graded slice of S^{r,n} that no ideal generator enters."""
 
-    Returns (ambient, position, basis, relation_rank, ideal_rank); the
-    basis may then be extended by candidate vectors for invariant counts.
+    nvars: int
+    degree: int
+    ambient: tuple    # monomials of the slice, canonical order
+    position: dict    # monomial -> column
+    basis: object     # echelon basis of the Pluecker relation rows
+    rank: int
+
+
+def _relation_slice(r, n, degree, fld):
+    """Ambient basis of a slice and its eliminated Pluecker relation rows.
+
+    Nothing here depends on t, so one result serves every specialization
+    over fld; _graded_slice extends copies of its basis and never the basis
+    itself.
     """
     nv = len(plucker_indices(r, n))
     _check_ambient_size(nv, degree)
     ambient = _ambient_monomials(nv, degree)
     position = {e: k for k, e in enumerate(ambient)}
     basis = row_basis(len(ambient), fld)
-
     relations = [rel.convert(fld) for rel in plucker_relations(r, n)]
-    relation_rank = basis.add_rows(
+    rank = basis.add_rows(
         _slice_row(mult, rel, position)
         for rel in relations
         for mult in monomials_of_degree(nv, degree - 2))
+    return _Relations(nv, degree, ambient, position, basis, rank)
 
+
+def _graded_slice(relations, generators):
+    """Echelon basis of the ideal slice on top of the relation rows.
+
+    Returns (basis, ideal_rank): a copy of relations.basis extended by the
+    generator rows, so relations stays reusable.  The basis may then be
+    extended by candidate vectors for invariant counts.
+    """
     for g in generators:
         if not g:
             continue
         if not g.is_homogeneous():
             raise ValueError("ideal generators must be homogeneous")
         d = g.total_degree()
-        if d > degree:
+        if d > relations.degree:
             raise ValueError(
-                f"generator of degree {d} cannot land in degree {degree}")
+                f"generator of degree {d} cannot land in degree "
+                f"{relations.degree}")
+    basis = relations.basis.copy()
     ideal_rank = basis.add_rows(
-        _slice_row(mult, g, position)
+        _slice_row(mult, g, relations.position)
         for g in generators if g
-        for mult in monomials_of_degree(nv, degree - g.total_degree()))
-    return ambient, position, basis, relation_rank, ideal_rank
+        for mult in monomials_of_degree(
+            relations.nvars, relations.degree - g.total_degree()))
+    return basis, ideal_rank
 
 
 def graded_quotient(r: int, n: int, degree: int,
@@ -232,15 +259,16 @@ def graded_quotient(r: int, n: int, degree: int,
     generators = list(ideal_generators)
     fld = generators[0].field if generators else RATIONALS
     start = time.perf_counter()
-    ambient, _, _, relation_rank, ideal_rank = _graded_slice(
-        r, n, degree, generators, fld)
+    relations = _relation_slice(r, n, degree, fld)
+    _, ideal_rank = _graded_slice(relations, generators)
     elapsed = (time.perf_counter() - start) * 1000
+    ambient = len(relations.ambient)
     return GradedPieceReport(
         label=f"G({r},{n}) degree {degree}",
         rn=(r, n), degree=degree, t=None, field=fld.name,
-        ambient=len(ambient), relation_rank=relation_rank,
+        ambient=ambient, relation_rank=relations.rank,
         ideal_rank=ideal_rank,
-        quotient_dim=len(ambient) - relation_rank - ideal_rank,
+        quotient_dim=ambient - relations.rank - ideal_rank,
         elapsed_ms=elapsed)
 
 
@@ -371,15 +399,16 @@ def ci_context_for_pencil(spec: PencilSpec, t, field=RATIONALS):
 # -- invariant subspaces across specializations ------------------------
 
 
-def _one_specialization(spec, degree, candidates, span_checks, fld, t):
+def _one_specialization(spec, relations, candidates, span_checks, t):
     r, n = spec.r, spec.n
+    fld = relations.basis.field
     t_val = fld.coerce(t)
     if t_val == 0:
         raise ValueError(f"t = {t} vanishes in {fld.name}; bad specialization")
     f = evaluate_pencil(spec, t_val, fld)
     gens = grassmann_jacobian_generators(f, r, n)
-    ambient, position, basis, relation_rank, ideal_rank = _graded_slice(
-        r, n, degree, gens, fld)
+    basis, ideal_rank = _graded_slice(relations, gens)
+    position, ambient = relations.position, len(relations.ambient)
     survivors = []
     for e in candidates:
         if basis.add_row({position[e]: 1}):
@@ -388,9 +417,9 @@ def _one_specialization(spec, degree, candidates, span_checks, fld, t):
               for e in span_checks}
     return {
         "t": str(t), "field": fld.name,
-        "ambient": len(ambient),
-        "relation_rank": relation_rank, "ideal_rank": ideal_rank,
-        "quotient_dim": len(ambient) - relation_rank - ideal_rank,
+        "ambient": ambient,
+        "relation_rank": relations.rank, "ideal_rank": ideal_rank,
+        "quotient_dim": ambient - relations.rank - ideal_rank,
         "invariant_dim": len(survivors),
         "survivors": tuple(survivors),
         "span_checks": checks,
@@ -400,15 +429,21 @@ def _one_specialization(spec, degree, candidates, span_checks, fld, t):
 def invariant_subspace(spec: PencilSpec, degree=None,
                        t_values=(2, 3, 5), primes=(),
                        include_rationals=None,
-                       span_check_monomials=()) -> GradedPieceReport:
+                       span_check_monomials=(),
+                       timings=None) -> GradedPieceReport:
     """Consensus dimension of the invariant part of a graded slice.
 
     For every specialization (t over Q, and t mod every given prime) the
     graded ideal slice is built, and the invariant monomials are fed to the
     greedy rank extension in canonical order; the surviving monomials span
-    the image of the invariant subspace in the quotient.  All
-    specializations must agree on every reported number, otherwise
-    SpecializationMismatch is raised with the divergent results attached.
+    the image of the invariant subspace in the quotient.  The Pluecker
+    relation rows do not depend on t, so they are eliminated once per field
+    and every t of that field extends a copy of that basis; the next field
+    starts only after the last one's basis is dropped, so one relation basis
+    is alive at a time.  All specializations must agree on every reported
+    number, otherwise SpecializationMismatch is raised with the divergent
+    results attached.  A `timings` dict, if given, receives under
+    "relation_ms" the milliseconds spent on each field's relation rows.
     """
     r, n = spec.r, spec.n
     if degree is None:
@@ -417,25 +452,32 @@ def invariant_subspace(spec: PencilSpec, degree=None,
         include_rationals = not primes
     jobs = []
     if include_rationals:
-        jobs += [(RATIONALS, Fraction(t)) for t in t_values]
+        jobs.append((RATIONALS, [Fraction(t) for t in t_values]))
     for p in primes:
         if n % p == 0:
             raise ValueError(
                 f"prime {p} divides n = {n}; invariant counts need the "
                 "group order invertible")
-        fld = PrimeField(p)
-        jobs += [(fld, t) for t in t_values]
-    if not jobs:
+        jobs.append((PrimeField(p), t_values))
+    if not jobs or not t_values:
         raise ValueError("no specializations requested")
 
     _check_ambient_size(len(plucker_indices(r, n)), degree)
     candidates = invariant_monomials(r, n, degree)
     start = time.perf_counter()
-    results = [
-        _one_specialization(spec, degree, candidates, span_check_monomials,
-                            fld, t)
-        for fld, t in jobs]
+    results, relation_ms = [], {}
+    for fld, ts in jobs:
+        t0 = time.perf_counter()
+        relations = _relation_slice(r, n, degree, fld)
+        relation_ms[fld.name] = (relation_ms.get(fld.name, 0.0)
+                                 + (time.perf_counter() - t0) * 1000)
+        results += [_one_specialization(spec, relations, candidates,
+                                        span_check_monomials, t)
+                    for t in ts]
+        del relations  # before the next field's basis is built
     elapsed = (time.perf_counter() - start) * 1000
+    if timings is not None:
+        timings["relation_ms"] = relation_ms
 
     keys = ("ambient", "relation_rank", "ideal_rank", "quotient_dim",
             "invariant_dim", "survivors", "span_checks")

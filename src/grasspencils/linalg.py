@@ -86,6 +86,18 @@ class _RowBasis:
     def contains(self, row_dict) -> bool:
         return not self.reduce(row_dict)
 
+    def copy(self):
+        """An independent basis holding the same rows.
+
+        Stored rows are never mutated once added, so the copy shares them
+        and only the pivot dict is duplicated.  The shared entries still
+        count against the copy's entry limit.
+        """
+        other = _RowBasis(self.ncols, self.field)
+        other.rows = dict(self.rows)
+        other.entries = self.entries
+        return other
+
 
 def row_basis(ncols, field):
     """Empty echelon row set on ncols columns over field (Q or F_p)."""

@@ -135,6 +135,20 @@ def test_hodge_25_with_primes(tmp_path):
     assert len(doc["report"]["specializations"]) == 8
 
 
+def test_hodge_manifest_times_relation_rows_per_field(tmp_path):
+    assert run(["hodge", "--rn", "2,4", "--t", "2,3",
+                "--primes", "1048583,2097169", "--rationals",
+                "--outdir", str(tmp_path)]) == 0
+    timings = json.loads(
+        (tmp_path / "hodge_24_arrow_manifest.json").read_text())["timings_ms"]
+    assert {"invariant_ms", "ci_ms"} <= set(timings)
+    assert set(timings["relation_ms"]) == {"QQ", "GF(1048583)",
+                                           "GF(2097169)"}
+    assert all(ms >= 0 for ms in timings["relation_ms"].values())
+    # timings stay out of the digested report
+    assert "relation_ms" not in (tmp_path / "hodge_24_arrow.json").read_text()
+
+
 def test_hodge_25_over_rationals(tmp_path):
     # no primes: the Q specialization route, t = 2, 3, 7, 13
     assert run(["hodge", "--rn", "2,5", "--t", "2,3,7,13",

@@ -124,23 +124,40 @@ def test_graded_quotient_empty_ideal():
     assert rep25.quotient_dim == 1176
 
 
-def _hook_content_dimension(n, m):
-    """dim of the degree-m part of the Pluecker ring of G(2,n): the number
-    of semistandard tableaux of shape (m, m) with entries in 1..n, by the
-    hook content formula (contents j-1, j-2; hooks m-j+2, m-j+1)."""
+def _hook_content_dimension(r, n, m):
+    """dim of the degree-m part of the Pluecker ring of G(r,n): the number
+    of semistandard tableaux of the r x m rectangle with entries in 1..n,
+    by the hook content formula (cell (i, j) has content j - i and hook
+    (m - j) + (r - i) + 1)."""
     num = 1
     den = 1
-    for j in range(1, m + 1):
-        num *= (n + j - 1) * (n + j - 2)
-        den *= (m - j + 2) * (m - j + 1)
+    for i in range(1, r + 1):
+        for j in range(1, m + 1):
+            num *= n + j - i
+            den *= (m - j) + (r - i) + 1
     return num // den
 
 
 def test_coordinate_ring_dimensions_match_hook_content():
-    assert _hook_content_dimension(4, 4) == 105
-    assert _hook_content_dimension(5, 5) == 1176
+    assert _hook_content_dimension(2, 4, 4) == 105
+    assert _hook_content_dimension(2, 5, 5) == 1176
     assert graded_quotient(2, 4, 4, []).quotient_dim == 105
     assert graded_quotient(2, 5, 5, []).quotient_dim == 1176
+
+
+BENCH_FIELDS = [RATIONALS, PrimeField(1048583), PrimeField(2097169)]
+
+
+@pytest.mark.parametrize("fld", BENCH_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("r,n,rank", [(2, 4, 21), (2, 5, 826), (3, 5, 826)])
+def test_relation_rank_is_ambient_minus_hilbert_function(r, n, rank, fld):
+    # standard monomial theory: the relation rows cut the slice down to the
+    # Pluecker ring over every field, so the shared basis of each field has
+    # rank ambient - HF(G(r,n), n)
+    relations = griffiths._relation_slice(r, n, n, fld)
+    assert relations.rank == rank
+    assert relations.rank == (len(relations.ambient)
+                              - _hook_content_dimension(r, n, n))
 
 
 @pytest.mark.parametrize("t", [2, 3, 5])
@@ -282,11 +299,18 @@ def test_reference_bases_are_independent_mod_ideal(variant, basis, after):
     assert (before, with_basis) == (89, after)
 
 
+def _span_checks(r, n):
+    """The reference invariant basis of G(2,4) or G(2,5), as exponents."""
+    if n == 4:
+        return REFERENCE_BASIS_24
+    name_to_exp = {monomial_name(e, r, n): e
+                   for e in invariant_monomials(r, n, n)}
+    return tuple(name_to_exp[name] for name in REFERENCE_MONOMIALS_25)
+
+
 def test_reference_basis_25_is_independent_mod_ideal():
-    name_to_exp = {monomial_name(e, 2, 5): e
-                   for e in invariant_monomials(2, 5, 5)}
-    basis = [name_to_exp[name] for name in REFERENCE_MONOMIALS_25]
-    assert _quotient_with_monomials(build_pencil(2, 5), basis) == (1151, 1140)
+    assert _quotient_with_monomials(
+        build_pencil(2, 5), _span_checks(2, 5)) == (1151, 1140)
 
 
 @pytest.mark.parametrize("variant", ["arrow", "squares", "quads",
@@ -313,6 +337,78 @@ def test_invariant_subspace_25():
     assert report.invariant_dim == 11
     assert report.quotient_dim == 1151
     assert len(report.specializations) == 8
+
+
+def _fresh_specialization(spec, fld, t, span_checks):
+    """One degree-n specialization on a basis of its own: relation rows,
+    generator rows, then the invariant monomials in canonical order."""
+    r, n = spec.r, spec.n
+    nv = len(plucker_indices(r, n))
+    ambient = list(monomials_of_degree(nv, n))
+    pos = {e: k for k, e in enumerate(ambient)}
+
+    def rows(polys):
+        return [{pos[tuple(m + x for m, x in zip(mult, e))]: c
+                 for e, c in g.terms.items()}
+                for g in polys if g
+                for mult in monomials_of_degree(nv, n - g.total_degree())]
+
+    basis = row_basis(len(ambient), fld)
+    relation_rank = basis.add_rows(rows(
+        rel.convert(fld) for rel in plucker_relations(r, n)))
+    f = evaluate_pencil(spec, fld.coerce(t), fld)
+    ideal_rank = basis.add_rows(rows(grassmann_jacobian_generators(f, r, n)))
+    survivors = tuple(e for e in invariant_monomials(r, n, n)
+                      if basis.add_row({pos[e]: 1}))
+    checks = {monomial_name(e, r, n): basis.contains({pos[e]: 1})
+              for e in span_checks}
+    return {"relation_rank": relation_rank, "ideal_rank": ideal_rank,
+            "quotient_dim": len(ambient) - relation_rank - ideal_rank,
+            "survivors": survivors, "span_checks": checks}
+
+
+@pytest.mark.parametrize("r,n,variant", [
+    (2, 4, "arrow"), (2, 4, "squares"), (2, 4, "quads"),
+    (2, 4, "squares+quads"), (2, 5, "arrow")])
+def test_shared_relation_basis_matches_fresh_slices(r, n, variant,
+                                                    monkeypatch):
+    real = griffiths._one_specialization
+    recorded = []
+
+    def recording(spec, relations, candidates, span_checks, t):
+        res = real(spec, relations, candidates, span_checks, t)
+        recorded.append((relations.basis.field, t, res))
+        return res
+
+    monkeypatch.setattr(griffiths, "_one_specialization", recording)
+    spec = build_pencil(r, n, variant)
+    checks = _span_checks(r, n)
+    invariant_subspace(spec, t_values=(2, 3, 7), primes=(1048583,),
+                       include_rationals=True, span_check_monomials=checks)
+    assert [(fld.name, str(t)) for fld, t, _ in recorded] == [
+        (name, t) for name in ("QQ", "GF(1048583)") for t in "237"]
+    for fld, t, res in recorded:
+        fresh = _fresh_specialization(spec, fld, t, checks)
+        assert {k: res[k] for k in fresh} == fresh, (fld.name, t)
+
+
+def test_relation_rows_eliminated_once_per_field(monkeypatch):
+    real = griffiths._relation_slice
+    built = []
+
+    def counting(r, n, degree, fld):
+        built.append(fld.name)
+        return real(r, n, degree, fld)
+
+    monkeypatch.setattr(griffiths, "_relation_slice", counting)
+    report = invariant_subspace(build_pencil(2, 4), t_values=(2, 3, 5),
+                                primes=(1048583, 2097169),
+                                include_rationals=True)
+    assert len(report.specializations) == 9
+    assert built == ["QQ", "GF(1048583)", "GF(2097169)"]
+    built.clear()
+    invariant_subspace(build_pencil(2, 4), t_values=(2, 3, 5))
+    assert built == ["QQ"]  # once per call: nothing is cached across calls
 
 
 def test_independent_extension_on_ideal_slice():
@@ -391,8 +487,8 @@ def test_specialization_mismatch_raised_on_disagreement(monkeypatch):
     real = g._one_specialization
     calls = []
 
-    def wobbly(spec, degree, candidates, span_checks, fld, t):
-        res = real(spec, degree, candidates, span_checks, fld, t)
+    def wobbly(spec, relations, candidates, span_checks, t):
+        res = real(spec, relations, candidates, span_checks, t)
         calls.append(res)
         if len(calls) == 2:
             res = dict(res)
