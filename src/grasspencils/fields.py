@@ -2,8 +2,11 @@
 
 Scalars are plain Python objects: ``fractions.Fraction`` over the rationals,
 ``int`` residues in ``[0, p)`` over a prime field.  A field object knows how
-to coerce, invert and reduce; all polynomial and matrix code dispatches on
-``field.modulus`` (``None`` for the rationals).
+to coerce, invert and reduce; ``field.modulus`` is ``None`` for the
+rationals.  Polynomial ring operations bring their coefficients into the
+field in one place, ``SparsePolynomial._reduced``.  Two loops reduce mod p
+themselves: ``SparsePolynomial.evaluate``, whose Laurent exponents need
+``pow(v, k, p)``, and the elimination inner loop ``_RowBasis.reduce``.
 """
 
 from fractions import Fraction

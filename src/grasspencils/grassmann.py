@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .fields import RATIONALS
-from .poly import SparsePolynomial
+from .poly import SparsePolynomial, grlex_key
 
 VARIANTS = ("arrow", "squares", "quads", "squares+quads")
 
@@ -167,21 +167,17 @@ def plucker_relations(r: int, n: int) -> tuple:
                 e[pos[first]] += 1
                 e[pos[second]] += 1
                 e = tuple(e)
-                coeff = terms.get(e, 0) + (-1) ** j * s1
-                if coeff:
-                    terms[e] = coeff
-                else:
-                    terms.pop(e, None)
+                terms[e] = terms.get(e, 0) + (-1) ** j * s1
+            terms = {e: c for e, c in terms.items() if c}
             if not terms:
                 continue
-            lead = max(terms, key=lambda e: (sum(e), e))
-            if terms[lead] < 0:
+            if terms[max(terms, key=grlex_key)] < 0:
                 terms = {e: -c for e, c in terms.items()}
             key = tuple(sorted(terms.items()))
             if key in seen:
                 continue
             seen.add(key)
-            out.append(SparsePolynomial(nv, RATIONALS, dict(terms)))
+            out.append(SparsePolynomial(nv, RATIONALS, terms))
     return tuple(out)
 
 

@@ -103,28 +103,11 @@ def apply_derivation(i: int, j: int, g: SparsePolynomial, r: int,
         raise ValueError("polynomial does not live on G(r,n)")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"derivation indices ({i},{j}) out of range 1..{n}")
-    fld = g.field
-    p = fld.modulus
     out = {}
-
-    def accumulate(e, c):
-        if p is not None:
-            c %= p
-        if c == 0:
-            return
-        cur = out.get(e, 0) + c
-        if p is not None:
-            cur %= p
-        if cur == 0:
-            out.pop(e, None)
-        else:
-            out[e] = cur
-
     for exps, coeff in g.terms.items():
         if i == j:
-            mult = sum(e for e, idx in zip(exps, indices) if e and i in idx)
-            if mult:
-                accumulate(exps, coeff * mult)
+            out[exps] = coeff * sum(e for e, idx in zip(exps, indices)
+                                    if i in idx)
             continue
         for v, e in enumerate(exps):
             if not e:
@@ -137,8 +120,9 @@ def apply_derivation(i: int, j: int, g: SparsePolynomial, r: int,
             new = list(exps)
             new[v] -= 1
             new[pos[target]] += 1
-            accumulate(tuple(new), coeff * e * sign)
-    return SparsePolynomial(g.nvars, fld, out, _clean=True)
+            key = tuple(new)
+            out[key] = out.get(key, 0) + coeff * e * sign
+    return g._reduced(out)
 
 
 def grassmann_jacobian_generators(f: SparsePolynomial, r: int,
@@ -218,7 +202,7 @@ def _relation_slice(r, n, degree, fld):
     rank = basis.add_rows(
         _slice_row(mult, rel, position)
         for rel in relations
-        for mult in monomials_of_degree(nv, degree - 2))
+        for mult in _ambient_monomials(nv, degree - 2))
     return _Relations(nv, degree, ambient, position, basis, rank)
 
 
@@ -243,7 +227,7 @@ def _graded_slice(relations, generators):
     ideal_rank = basis.add_rows(
         _slice_row(mult, g, relations.position)
         for g in generators if g
-        for mult in monomials_of_degree(
+        for mult in _ambient_monomials(
             relations.nvars, relations.degree - g.total_degree()))
     return basis, ideal_rank
 
@@ -402,10 +386,7 @@ def ci_context_for_pencil(spec: PencilSpec, t, field=RATIONALS):
 def _one_specialization(spec, relations, candidates, span_checks, t):
     r, n = spec.r, spec.n
     fld = relations.basis.field
-    t_val = fld.coerce(t)
-    if t_val == 0:
-        raise ValueError(f"t = {t} vanishes in {fld.name}; bad specialization")
-    f = evaluate_pencil(spec, t_val, fld)
+    f = evaluate_pencil(spec, t, fld)
     gens = grassmann_jacobian_generators(f, r, n)
     basis, ideal_rank = _graded_slice(relations, gens)
     position, ambient = relations.position, len(relations.ambient)
@@ -454,13 +435,19 @@ def invariant_subspace(spec: PencilSpec, degree=None,
     if include_rationals:
         jobs.append((RATIONALS, [Fraction(t) for t in t_values]))
     for p in primes:
+        fld = PrimeField(p)
         if n % p == 0:
             raise ValueError(
                 f"prime {p} divides n = {n}; invariant counts need the "
                 "group order invertible")
-        jobs.append((PrimeField(p), t_values))
+        jobs.append((fld, t_values))
     if not jobs or not t_values:
         raise ValueError("no specializations requested")
+    for fld, ts in jobs:
+        for t in ts:
+            if fld.coerce(t) == 0:
+                raise ValueError(
+                    f"t = {t} vanishes in {fld.name}; bad specialization")
 
     _check_ambient_size(len(plucker_indices(r, n)), degree)
     candidates = invariant_monomials(r, n, degree)

@@ -29,6 +29,7 @@ empty for every prime 5 <= p <= 37.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .fields import RATIONALS, is_prime
@@ -128,14 +129,9 @@ def build_period_kernel() -> PeriodKernel:
     return PeriodKernel(kernel, checks)
 
 
-_default_kernel = None
-
-
+@lru_cache(maxsize=None)
 def default_kernel() -> PeriodKernel:
-    global _default_kernel
-    if _default_kernel is None:
-        _default_kernel = build_period_kernel()
-    return _default_kernel
+    return build_period_kernel()
 
 
 def period_coefficients(kernel: PeriodKernel, k_max: int) -> list:

@@ -94,46 +94,40 @@ class SparsePolynomial:
             raise ValueError(
                 f"coefficient fields differ: {self.field} vs {other.field}")
 
-    def __add__(self, other):
-        self._check_context(other)
-        p = self.field.modulus
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if p is not None:
-                s %= p
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return SparsePolynomial(self.nvars, self.field, out, _clean=True)
+    def _reduced(self, raw):
+        """This ring's polynomial from a map of plain sums and products.
 
-    def __neg__(self):
+        The one place where ring operations bring coefficients into the
+        field: over F_p each is taken mod p, and zero terms are dropped.
+        """
         p = self.field.modulus
         if p is None:
-            out = {e: -c for e, c in self.terms.items()}
+            out = {e: c for e, c in raw.items() if c}
         else:
-            out = {e: (p - c) % p for e, c in self.terms.items()}
+            out = {e: r for e, c in raw.items() if (r := c % p)}
         return SparsePolynomial(self.nvars, self.field, out, _clean=True)
+
+    def __add__(self, other):
+        self._check_context(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return self._reduced(out)
+
+    def __neg__(self):
+        return self._reduced({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_context(other)
-        p = self.field.modulus
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if p is not None:
-                    s %= p
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return SparsePolynomial(self.nvars, self.field, out, _clean=True)
+                out[e] = out.get(e, 0) + c1 * c2
+        return self._reduced(out)
 
     def __pow__(self, k):
         if k < 0:
@@ -145,18 +139,7 @@ class SparsePolynomial:
 
     def scale(self, c):
         c = self.field.coerce(c)
-        if c == 0:
-            return SparsePolynomial.zero(self.nvars, self.field)
-        p = self.field.modulus
-        if p is None:
-            out = {e: v * c for e, v in self.terms.items()}
-        else:
-            out = {}
-            for e, v in self.terms.items():
-                s = v * c % p
-                if s:
-                    out[e] = s
-        return SparsePolynomial(self.nvars, self.field, out, _clean=True)
+        return self._reduced({e: v * c for e, v in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, SparsePolynomial)
@@ -188,21 +171,14 @@ class SparsePolynomial:
 
     def partial(self, index):
         """Formal partial derivative with respect to variable `index`."""
-        p = self.field.modulus
         out = {}
         for e, c in self.terms.items():
             k = e[index]
-            if k == 0:
-                continue
-            coeff = c * k
-            if p is not None:
-                coeff %= p
-                if coeff == 0:
-                    continue
-            e2 = list(e)
-            e2[index] = k - 1
-            out[tuple(e2)] = coeff
-        return SparsePolynomial(self.nvars, self.field, out, _clean=True)
+            if k:
+                e2 = list(e)
+                e2[index] = k - 1
+                out[tuple(e2)] = c * k
+        return self._reduced(out)
 
     def evaluate(self, values):
         """Evaluate at a point; negative exponents need invertible values."""

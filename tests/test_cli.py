@@ -164,6 +164,12 @@ def test_unknown_variant_exits_2(capsys):
     assert "cubes" in capsys.readouterr().err
 
 
+def test_hodge_prime_zero_exits_2(tmp_path, capsys):
+    # the field is built, and its prime checked, before n % p is taken
+    assert run(["hodge", "--primes", "0", "--outdir", str(tmp_path)]) == 2
+    assert "error: modulus 0 is not prime" in capsys.readouterr().err
+
+
 def test_missing_fixture_exits_2(tmp_path):
     # no expected table ships for the squares variant
     assert run(["tables", "--p", "5", "--variant", "squares",

@@ -37,6 +37,26 @@ def test_derivation_single_coordinate_cases():
     assert not apply_derivation(1, 2, _coord((3, 4)), 2, 4)
 
 
+@pytest.mark.parametrize("p", [5, 101])
+@pytest.mark.parametrize("rn,variant", [
+    ((2, 4), "arrow"), ((2, 4), "squares"), ((2, 4), "quads"),
+    ((2, 4), "squares+quads"), ((2, 5), "arrow")])
+def test_reduction_mod_p_commutes_with_derivations(rn, variant, p):
+    # at t = p - 1 the coefficient t + 1 of shared monomials vanishes mod p
+    r, n = rn
+    field = PrimeField(p)
+    f = evaluate_pencil(build_pencil(r, n, variant), p - 1)
+    dropped = 0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            over_q = apply_derivation(i, j, f, r, n)
+            over_p = apply_derivation(i, j, f.convert(field), r, n)
+            assert over_p == over_q.convert(field)
+            dropped += over_q.num_terms() - over_p.num_terms()
+    if "quads" in variant or (rn, p) == ((2, 5), 5):
+        assert dropped  # some coefficients cancel only mod p
+
+
 def test_derivation_preserves_degree_and_frozen_example():
     frozen = (_coord((1, 2)) * _coord((2, 3)) * _coord((3, 4))
               * _coord((1, 4)))
@@ -469,16 +489,34 @@ def test_invariant_dim_monotone_under_larger_ideal():
     assert len(survivors) <= base.invariant_dim
 
 
-def test_invariant_subspace_rejects_bad_inputs():
+def test_invariant_subspace_rejects_bad_inputs(monkeypatch):
     spec = build_pencil(2, 4)
     with pytest.raises(ValueError):
         invariant_subspace(spec, t_values=(2,), primes=(2,))  # 2 divides n
     with pytest.raises(ValueError):
         invariant_subspace(spec, t_values=(), primes=())
+    with pytest.raises(ValueError, match="modulus 0 is not prime"):
+        invariant_subspace(spec, t_values=(2,), primes=(0,))
     with pytest.raises(ValueError):
         # t = 0 in the prime field
         invariant_subspace(spec, t_values=(1048583,), primes=(1048583,),
                            include_rationals=False)
+
+    # a t vanishing in the last field is caught before any field's relation
+    # rows are eliminated, not after the earlier specializations ran
+    calls = []
+    real = griffiths._relation_slice
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(griffiths, "_relation_slice", counting)
+    with pytest.raises(ValueError,
+                       match=r"t = 1048583 vanishes in GF\(1048583\)"):
+        invariant_subspace(build_pencil(2, 5), t_values=(2, 3, 1048583),
+                           primes=(1048583,), include_rationals=True)
+    assert calls == []
 
 
 def test_specialization_mismatch_raised_on_disagreement(monkeypatch):

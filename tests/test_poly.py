@@ -79,6 +79,41 @@ def test_ring_axioms_randomized(field):
         assert a * (b + c) == a * b + a * c
 
 
+@pytest.mark.parametrize("field", [F5, PrimeField(101)])
+def test_reduction_mod_p_commutes_with_ring_operations(field):
+    rng = random.Random(4049 + field.modulus)
+    for _ in range(300):
+        a = _random_poly(rng, 3, RATIONALS, laurent=True)
+        b = _random_poly(rng, 3, RATIONALS, laurent=True)
+        c = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
+        fa, fb = a.convert(field), b.convert(field)
+        assert (a + b).convert(field) == fa + fb
+        assert (a - b).convert(field) == fa - fb
+        assert (-a).convert(field) == -fa
+        assert (a * b).convert(field) == fa * fb
+        assert a.scale(c).convert(field) == fa.scale(c)
+        for i in range(3):
+            assert a.partial(i).convert(field) == fa.partial(i)
+
+
+def test_coefficients_cancelling_only_mod_p_are_dropped():
+    x = SparsePolynomial.variable(1, 0)
+    one = SparsePolynomial.constant(1, 1)
+    three, two = x.scale(3), x.scale(2)
+    assert (three + two).terms == {(1,): 5}
+    assert not three.convert(F5) + two.convert(F5)
+    assert not three.convert(F5) - two.scale(-1).convert(F5)
+    assert (-x.convert(F5)).terms == {(1,): 4}
+    # (x + 1)(x + 4) = x^2 + 5x + 4
+    assert ((x + one) * (x + one.scale(4))).convert(F5).terms == {
+        (2,): 1, (0,): 4}
+    assert ((x + one).convert(F5) * (x + one.scale(4)).convert(F5)).terms \
+        == {(2,): 1, (0,): 4}
+    assert not x.convert(F5).scale(5)
+    assert not (x ** 5).convert(F5).partial(0)
+    assert (x ** 5).partial(0).terms == {(4,): 5}
+
+
 def test_partial_derivative():
     f = SparsePolynomial(2, RATIONALS, {(3, 1): 2, (0, 2): 1, (0, 0): 5})
     assert f.partial(0).terms == {(2, 1): 6}
