@@ -189,7 +189,7 @@ def cmd_hodge(args) -> int:
     timings["invariant_ms"] = (time.perf_counter() - t0) * 1000
 
     doc = {
-        "report": json.loads(report.to_json(include_timing=False)),
+        "report": json.loads(report.to_json()),
         "group": {"order": group.effective_order,
                   "structure": group.structure},
         "verdict": "unanimous",

@@ -29,7 +29,6 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -76,13 +75,10 @@ class GradedPieceReport:
     survivor_names: tuple | None = None
     specializations: tuple | None = None
     span_checks: dict | None = None
-    elapsed_ms: float = 0.0
+    elapsed_ms: None = None  # always null: timings go to the manifest
 
-    def to_json(self, include_timing: bool = True) -> str:
-        doc = asdict(self)
-        if not include_timing:
-            doc["elapsed_ms"] = None
-        return json.dumps(doc, sort_keys=True, default=str)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True, default=str)
 
 
 # -- derivations -------------------------------------------------------
@@ -170,11 +166,6 @@ def _check_ambient_size(nvars, degree):
         _check_slice_size(comb(nvars + degree - 1, degree))
 
 
-@lru_cache(maxsize=None)
-def _ambient_monomials(nvars, degree):
-    return tuple(monomials_of_degree(nvars, degree))
-
-
 class _Relations(NamedTuple):
     """The part of a graded slice of S^{r,n} that no ideal generator enters."""
 
@@ -195,14 +186,14 @@ def _relation_slice(r, n, degree, fld):
     """
     nv = len(plucker_indices(r, n))
     _check_ambient_size(nv, degree)
-    ambient = _ambient_monomials(nv, degree)
+    ambient = monomials_of_degree(nv, degree)
     position = {e: k for k, e in enumerate(ambient)}
     basis = row_basis(len(ambient), fld)
     relations = [rel.convert(fld) for rel in plucker_relations(r, n)]
     rank = basis.add_rows(
         _slice_row(mult, rel, position)
         for rel in relations
-        for mult in _ambient_monomials(nv, degree - 2))
+        for mult in monomials_of_degree(nv, degree - 2))
     return _Relations(nv, degree, ambient, position, basis, rank)
 
 
@@ -227,7 +218,7 @@ def _graded_slice(relations, generators):
     ideal_rank = basis.add_rows(
         _slice_row(mult, g, relations.position)
         for g in generators if g
-        for mult in _ambient_monomials(
+        for mult in monomials_of_degree(
             relations.nvars, relations.degree - g.total_degree()))
     return basis, ideal_rank
 
@@ -242,18 +233,15 @@ def graded_quotient(r: int, n: int, degree: int,
     """
     generators = list(ideal_generators)
     fld = generators[0].field if generators else RATIONALS
-    start = time.perf_counter()
     relations = _relation_slice(r, n, degree, fld)
     _, ideal_rank = _graded_slice(relations, generators)
-    elapsed = (time.perf_counter() - start) * 1000
     ambient = len(relations.ambient)
     return GradedPieceReport(
         label=f"G({r},{n}) degree {degree}",
         rn=(r, n), degree=degree, t=None, field=fld.name,
         ambient=ambient, relation_rank=relations.rank,
         ideal_rank=ideal_rank,
-        quotient_dim=ambient - relations.rank - ideal_rank,
-        elapsed_ms=elapsed)
+        quotient_dim=ambient - relations.rank - ideal_rank)
 
 
 # -- complete-intersection Jacobian ring -------------------------------
@@ -348,7 +336,6 @@ def ci_bigraded_quotient(ctx: CIJacobianContext,
     requested bidegree.
     """
     a, b = bidegree
-    start = time.perf_counter()
     ambient = bigraded_monomials(ctx, bidegree)
     position = {e: k for k, e in enumerate(ambient)}
     fld = ctx.field
@@ -358,13 +345,11 @@ def ci_bigraded_quotient(ctx: CIJacobianContext,
         for g in _ci_generators(ctx) if g
         for ga, gb in [_poly_bidegree(g, ctx.nx, ctx.degrees)]
         for mult in bigraded_monomials(ctx, (a - ga, b - gb)))
-    elapsed = (time.perf_counter() - start) * 1000
     return GradedPieceReport(
         label=f"CI in P^{ctx.nx - 1} bidegree {bidegree}",
         rn=None, degree=(a, b), t=None, field=fld.name,
         ambient=len(ambient), relation_rank=0, ideal_rank=ideal_rank,
-        quotient_dim=len(ambient) - ideal_rank,
-        elapsed_ms=elapsed)
+        quotient_dim=len(ambient) - ideal_rank)
 
 
 def ci_context_for_pencil(spec: PencilSpec, t, field=RATIONALS):
@@ -451,7 +436,6 @@ def invariant_subspace(spec: PencilSpec, degree=None,
 
     _check_ambient_size(len(plucker_indices(r, n)), degree)
     candidates = invariant_monomials(r, n, degree)
-    start = time.perf_counter()
     results, relation_ms = [], {}
     for fld, ts in jobs:
         t0 = time.perf_counter()
@@ -462,7 +446,6 @@ def invariant_subspace(spec: PencilSpec, degree=None,
                                         span_check_monomials, t)
                     for t in ts]
         del relations  # before the next field's basis is built
-    elapsed = (time.perf_counter() - start) * 1000
     if timings is not None:
         timings["relation_ms"] = relation_ms
 
@@ -494,5 +477,4 @@ def invariant_subspace(spec: PencilSpec, degree=None,
                              for e in consensus["survivors"]),
         specializations=tuple(
             {"t": res["t"], "field": res["field"]} for res in results),
-        span_checks=consensus["span_checks"] or None,
-        elapsed_ms=elapsed)
+        span_checks=consensus["span_checks"] or None)

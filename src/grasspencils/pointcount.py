@@ -28,7 +28,7 @@ from itertools import chain, combinations, permutations, product, repeat
 from operator import add, mod, mul
 
 from .fields import is_prime
-from .grassmann import PencilSpec, plucker_indices
+from .grassmann import PencilSpec, plucker_indices, sort_with_sign
 from .linalg import ResourceLimitError
 
 ENUMERATION_GUARD = 10 ** 9  # refuse larger Grassmannians without force
@@ -79,13 +79,9 @@ def grassmannian_count(r: int, n: int, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _signed_permutations(r):
-    """(perm, sign) for every permutation of range(r), signs by inversions."""
-    out = []
-    for perm in permutations(range(r)):
-        inv = sum(1 for a in range(r) for b in range(a + 1, r)
-                  if perm[a] > perm[b])
-        out.append((perm, -1 if inv % 2 else 1))
-    return tuple(out)
+    """(perm, sign) for every permutation of range(r)."""
+    return tuple((perm, sort_with_sign(perm)[1])
+                 for perm in permutations(range(r)))
 
 
 def _det_mod(matrix, cols, p):
@@ -110,28 +106,16 @@ def _check_enumeration_size(r, n, p, force):
 
 def iter_plucker_points(r: int, n: int, p: int, force: bool = False):
     """Yield the Pluecker coordinate tuple of every F_p-point, once each."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     _check_enumeration_size(r, n, p, force)
     col_sets = [tuple(i - 1 for i in idx) for idx in plucker_indices(r, n)]
     for cell in enumerate_cells(r, n):
         base = [[0] * n for _ in range(r)]
         for i, c in enumerate(cell.pivots):
             base[i][c] = 1
-        if r == 2:
-            # unrolled 2x2 minors; the dominant use case
-            for assignment in product(range(p), repeat=cell.dimension):
-                for (i, j), v in zip(cell.free_positions, assignment):
-                    base[i][j] = v
-                row0, row1 = base
-                yield tuple(
-                    (row0[a] * row1[b] - row0[b] * row1[a]) % p
-                    for a, b in col_sets)
-        else:
-            for assignment in product(range(p), repeat=cell.dimension):
-                for (i, j), v in zip(cell.free_positions, assignment):
-                    base[i][j] = v
-                yield tuple(_det_mod(base, cols, p) for cols in col_sets)
+        for assignment in product(range(p), repeat=cell.dimension):
+            for (i, j), v in zip(cell.free_positions, assignment):
+                base[i][j] = v
+            yield tuple(_det_mod(base, cols, p) for cols in col_sets)
 
 
 def count_zeros(poly, r: int, n: int, p: int, force: bool = False) -> int:
@@ -304,6 +288,8 @@ def count_points(spec: PencilSpec, p: int, t: int,
 
 def count_table(spec: PencilSpec, p: int, force: bool = False) -> list:
     """Records for every t = 1..p-1 (one shared enumeration pass)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return [count_points(spec, p, t, force) for t in range(1, p)]
 
 

@@ -13,6 +13,7 @@ x5^4).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .fields import RATIONALS
 
@@ -22,20 +23,25 @@ def grlex_key(exponents):
     return (sum(exponents), exponents)
 
 
-def monomials_of_degree(nvars: int, degree: int):
-    """Yield all degree-`degree` exponent vectors in canonical order.
+@lru_cache(maxsize=None)
+def monomials_of_degree(nvars: int, degree: int) -> tuple:
+    """All degree-`degree` exponent vectors in canonical order, as a tuple.
 
     Canonical order within a fixed degree is descending lexicographic:
     (degree, 0, ..., 0) first, (0, ..., 0, degree) last.  Negative degrees
-    yield nothing.
+    give the empty tuple.  Cached: every caller shares one listing.
     """
+    return tuple(_monomials(nvars, degree))
+
+
+def _monomials(nvars, degree):
     if degree < 0:
         return
     if nvars == 1:
         yield (degree,)
         return
     for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - first):
+        for rest in _monomials(nvars - 1, degree - first):
             yield (first,) + rest
 
 

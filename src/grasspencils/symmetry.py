@@ -5,10 +5,13 @@ The group of diagonal matrices diag(z_1,...,z_n) with z_i^n = 1 and
 Additively this is the lattice L = {a in (Z/n)^n : r * sum(a) = 0 mod n};
 roots of unity never appear, everything is exponent arithmetic mod n.  A
 monomial is invariant iff its character (the vector of index multiplicities
-mod n) pairs to zero with every generator of L.
+mod n) pairs to zero with every element of L.  With g = gcd(r, n), L holds
+every e_i - e_j and (n/g) * e_1, so the characters it fixes are exactly
+c * (1,...,1) with g | c; is_invariant reads that off the character, and
+no basis of L is stored.
 
-The effective quotient by the scalar diagonal has order |L|/n and is
-Z/g x (Z/n)^(n-2) with g = gcd(r, n); build_group derives this closed form.
+The effective group, L modulo the line (1,...,1), has order |L|/n and is
+Z/g x (Z/n)^(n-2); build_group derives this closed form.
 """
 
 import json
@@ -22,14 +25,12 @@ from .poly import monomials_of_degree
 
 @dataclass(frozen=True)
 class SymmetryGroup:
-    """Additive presentation of the diagonal symmetry group for (n, r)."""
+    """Order and structure of the diagonal symmetry group for (n, r)."""
 
     n: int
     r: int
-    generators: tuple            # basis of the lattice L in (Z/n)^n
-    scalar: tuple                # the scalar direction (1,...,1)
     order: int                   # |L|, the full diagonal group
-    effective_order: int         # |L| / n, after killing scalars
+    effective_order: int         # |L| / n, modulo the line (1,...,1)
     invariant_factors: tuple     # d1 | d2 | ... of the effective group
     structure: str               # e.g. "(Z/4)^2 x (Z/2)"
 
@@ -59,33 +60,23 @@ def _structure_string(invariant_factors) -> str:
 
 @lru_cache(maxsize=None)
 def build_group(n: int, r: int) -> SymmetryGroup:
-    """Generators and structure of the diagonal symmetry group for (n, r).
+    """Order and structure of the diagonal symmetry group for (n, r).
 
     With g = gcd(r, n), L = {a : sum(a) = 0 mod n/g}, generated by
     e_i - e_1 for i = 2..n together with (n/g) * e_1.  In the basis e_1,
     e_i - e_1 (i >= 2) of (Z/n)^n, a has coordinates (sum(a); a_2..a_n),
-    so L = Z/g x (Z/n)^(n-1).  The scalar (1,...,1) has coordinates
+    so L = Z/g x (Z/n)^(n-1).  The vector (1,...,1) has coordinates
     (0; 1,...,1), primitive in the second factor, hence
-    L / scalars = Z/g x (Z/n)^(n-2).  As g | n, that list with its
+    L / <(1,...,1)> = Z/g x (Z/n)^(n-2).  As g | n, that list with its
     trivial factors dropped is already the chain d1 | d2 | ...
     """
     if n < 2 or not (1 <= r <= n - 1):
         raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got ({n}, {r})")
     g = gcd(r, n)
-    gens = []
-    for i in range(1, n):
-        v = [0] * n
-        v[0] = n - 1  # -e_1 mod n
-        v[i] = 1
-        gens.append(tuple(v))
-    v = [0] * n
-    v[0] = n // g
-    gens.append(tuple(v))
     order = n ** (n - 1) * g
     factors = tuple(d for d in (g,) + (n,) * (n - 2) if d != 1)
     return SymmetryGroup(
-        n=n, r=r, generators=tuple(gens), scalar=(1,) * n,
-        order=order, effective_order=order // n,
+        n=n, r=r, order=order, effective_order=order // n,
         invariant_factors=factors, structure=_structure_string(factors))
 
 
@@ -107,12 +98,10 @@ def character(exponents, group: SymmetryGroup) -> tuple:
 
 
 def is_invariant(exponents, group: SymmetryGroup) -> bool:
-    """True iff the monomial is fixed by the whole diagonal group."""
-    chi = character(exponents, group)
-    n = group.n
-    return all(
-        sum(c * a for c, a in zip(chi, gen)) % n == 0
-        for gen in group.generators)
+    """True iff the character is c * (1,...,1) with gcd(r, n) | c."""
+    first, *rest = character(exponents, group)
+    return (first % gcd(group.r, group.n) == 0
+            and all(c == first for c in rest))
 
 
 def invariant_monomials(r: int, n: int, degree: int,

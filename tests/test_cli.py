@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -91,6 +92,16 @@ def test_search_check_fails_on_hits(tmp_path, monkeypatch):
                         lambda p, records: [(1, 1)])
     assert run(["search", "--p", "5", "--outdir", str(tmp_path),
                 "--check"]) == 2
+
+
+@pytest.mark.parametrize("args", [("tables", "--p", "1"),
+                                  ("tables", "--p", "0"),
+                                  ("tables", "--p", "-7"),
+                                  ("search", "--p", "0")])
+def test_non_prime_p_exits_2_without_a_table(tmp_path, capsys, args):
+    assert run([*args, "--outdir", str(tmp_path)]) == 2
+    assert f"error: {args[2]} is not prime" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_hodge_24(tmp_path):
@@ -254,6 +265,21 @@ def test_malformed_pencil_json_exits_2(tmp_path, capsys, change, message):
     assert run(["hodge", "--pencil-json", str(path),
                 "--outdir", str(tmp_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_package_imports_only_the_standard_library():
+    src = Path(cli.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, \
+                    f"{path.name} imports {name}"
 
 
 def test_package_imports_without_numpy():

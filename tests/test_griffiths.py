@@ -551,6 +551,4 @@ def test_report_json_round_trip():
     assert doc["quotient_dim"] == 89
     assert doc["invariant_dim"] == 5
     assert doc["ambient"] == 126
-    assert doc["elapsed_ms"] is not None
-    doc2 = json.loads(report.to_json(include_timing=False))
-    assert doc2["elapsed_ms"] is None
+    assert doc["elapsed_ms"] is None  # timings live in the manifest

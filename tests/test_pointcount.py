@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -95,6 +96,9 @@ def test_count_points_rejects_bad_input():
         count_points(spec, 6, 1)
     with pytest.raises(ValueError):
         grassmannian_count(2, 4, 9)
+    for p in (0, 1, -7):
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            count_table(spec, p)
 
 
 def test_enumeration_guard(monkeypatch):
@@ -163,8 +167,8 @@ def test_det_mod_against_cofactor_expansion(r):
 
 
 def test_minor_path_r3_matches_dual_r2_table():
-    # G(3,5) and G(2,5) are dual, so the permutation-expansion minors of
-    # the r >= 3 path must reproduce the unrolled r = 2 table
+    # G(3,5) and G(2,5) are dual, so the 2 x 2 cofactors of r = 3 must
+    # reproduce the r = 2 table
     for p in (2, 3):
         assert (count_table(build_pencil(3, 5), p)
                 == count_table(build_pencil(2, 5), p))
@@ -176,6 +180,30 @@ def test_minor_path_r4_matches_dual_r2_table():
     for p in (2, 3):
         assert (count_table(build_pencil(4, 6), p)
                 == count_table(build_pencil(2, 6), p))
+
+
+def _brute_force_points(r, n, p):
+    """Every Pluecker point of G(r,n)(F_p) from r distinct vectors of
+    F_p^n: cofactor-expanded r x r minors, scaled so that the first nonzero
+    coordinate is 1.  Ordered r-tuples add only row permutations (a sign,
+    which the scaling removes) and repeated rows (all minors zero)."""
+    col_sets = list(combinations(range(n), r))
+    points = set()
+    for rows in combinations(product(range(p), repeat=n), r):
+        coords = [_det_by_cofactors([[row[c] for c in cols] for row in rows])
+                  % p for cols in col_sets]
+        lead = next((c for c in coords if c), 0)
+        if lead:
+            inv = pow(lead, -1, p)
+            points.add(tuple(c * inv % p for c in coords))
+    return points
+
+
+@pytest.mark.parametrize("r, n, p", [(2, 4, 3), (2, 5, 2), (3, 5, 2)])
+def test_reference_points_match_brute_force(r, n, p):
+    points = list(iter_plucker_points(r, n, p))
+    assert len(points) == len(set(points)) == grassmannian_count(r, n, p)
+    assert set(points) == _brute_force_points(r, n, p)
 
 
 HISTOGRAM_CASES = ([((2, 4, v), p) for v in VARIANTS for p in (2, 3, 5, 7)]

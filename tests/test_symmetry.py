@@ -6,6 +6,7 @@ import pytest
 
 from grasspencils.grassmann import (build_pencil, monomial_name,
                                     plucker_indices)
+from grasspencils.poly import monomials_of_degree
 from grasspencils.symmetry import (build_group, character, invariant_monomials,
                                    invariant_monomials_json, is_invariant)
 
@@ -59,26 +60,55 @@ def test_lattice_matches_brute_force(n, r):
     group = build_group(n, r)
     lattice = _lattice_brute_force(n, r)
     assert len(lattice) == group.order
-    # the stored generators actually generate the lattice
-    span = {(0,) * n}
-    frontier = [(0,) * n]
-    while frontier:
-        cur = frontier.pop()
-        for gen in group.generators:
-            nxt = tuple((a + b) % n for a, b in zip(cur, gen))
-            if nxt not in span:
-                span.add(nxt)
-                frontier.append(nxt)
-    assert span == lattice
-    assert group.scalar in lattice
+    assert (1,) * n in lattice
     assert group.effective_order == group.order // n
 
 
-def test_generators_satisfy_constraint():
-    for n, r in [(4, 2), (5, 2), (6, 2), (6, 3), (7, 3)]:
+def _multiplicities(exps, indices, n):
+    counts = [0] * n
+    for e, idx in zip(exps, indices):
+        for i in idx:
+            counts[i - 1] += e
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_closed_form_invariance_matches_whole_lattice(n):
+    """is_invariant (c * (1,...,1) with gcd(r, n) | c) against pairing the
+    index multiplicities with every element of the brute-force lattice,
+    for every r and every degree 1..4.  The lattice is shuffled so that a
+    non-invariant character meets a violating element early; a character
+    is declared invariant only after the whole lattice is paired."""
+    rng = random.Random(n)
+    equal_entries = []  # (g, invariant?) of characters c * (1,...,1)
+    for r in range(1, n):
         group = build_group(n, r)
-        for gen in group.generators:
-            assert (r * sum(gen)) % n == 0
+        lattice = sorted(_lattice_brute_force(n, r))
+        rng.shuffle(lattice)
+        indices = plucker_indices(r, n)
+        fixed = {}
+        for degree in range(1, 5):
+            invariant = 0
+            for exps in monomials_of_degree(len(indices), degree):
+                counts = _multiplicities(exps, indices, n)
+                if counts not in fixed:
+                    fixed[counts] = all(
+                        sum(c * a for c, a in zip(counts, vec)) % n == 0
+                        for vec in lattice)
+                    if len({c % n for c in counts}) == 1:
+                        equal_entries.append((gcd(r, n), fixed[counts]))
+                assert is_invariant(exps, group) == fixed[counts], \
+                    (n, r, exps)
+                invariant += fixed[counts]
+            if (r * degree) % n:
+                assert invariant == 0, (n, r, degree)
+    if n in (4, 6):
+        # with g = gcd(r, n) > 1 both sides of g | c occur: (2,4) in
+        # degree 2 (p12*p34, c = 1) and degree 4, (4,6) in degree 3, and
+        # (3,6) in degree 4 (c = 2)
+        assert {(2, True), (2, False)} <= set(equal_entries)
+    if n == 6:
+        assert (3, False) in equal_entries
 
 
 def test_character_examples():
@@ -161,7 +191,6 @@ def test_invariant_monomials_25():
         return all(sum(c * a for c, a in zip(counts, vec)) % 5 == 0
                    for vec in lattice)
 
-    from grasspencils.poly import monomials_of_degree
     brute = [e for e in monomials_of_degree(len(indices), 5)
              if brute_invariant(e)]
     assert brute == mons
@@ -176,7 +205,7 @@ def test_invariance_agrees_with_random_lattice_elements():
         indices = plucker_indices(r, n)
         for _ in range(50):
             exps = tuple(rng.randint(0, 2) for _ in range(nv))
-            by_generators = is_invariant(exps, group)
+            closed_form = is_invariant(exps, group)
             sample = [lattice[rng.randrange(len(lattice))]
                       for _ in range(200)]
             counts = [0] * n
@@ -186,8 +215,8 @@ def test_invariance_agrees_with_random_lattice_elements():
             by_sample = all(
                 sum(c * a for c, a in zip(counts, vec)) % n == 0
                 for vec in sample)
-            # generator test is exact; sampling can only miss violations
-            if by_generators:
+            # the closed form is exact; sampling can only miss violations
+            if closed_form:
                 assert by_sample
             else:
                 # verify against the full lattice to avoid sampling flake
