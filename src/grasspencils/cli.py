@@ -69,10 +69,21 @@ def _manifest(outdir: Path, experiment: str, parameters: dict,
         json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _integers(flag, text, form, count=None):
+    """The comma-separated integers of one flag; a ValueError names it."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+        if count in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} takes {form}, got {text!r}")
+
+
 def _load_pencil(args) -> PencilSpec:
     if getattr(args, "pencil_json", None):
         return PencilSpec.from_json(Path(args.pencil_json).read_text())
-    r, n = (int(x) for x in args.rn.split(","))
+    r, n = _integers("--rn", args.rn, "two comma-separated integers r,n", 2)
     return build_pencil(r, n, args.variant)
 
 
@@ -175,17 +186,16 @@ def cmd_hodge(args) -> int:
     name = f"hodge_{r}{n}_{spec.variant.replace('+', '-')}"
     timings, outputs = {}, {}
 
-    t_values = tuple(int(x) for x in args.t.split(","))
-    primes = tuple(int(x) for x in args.primes.split(",")) if args.primes \
-        else ()
+    t_values = _integers("--t", args.t, "comma-separated integers")
+    primes = _integers("--primes", args.primes, "comma-separated primes") \
+        if args.primes else ()
     include_q = args.rationals if args.rationals is not None else not primes
     group = build_group(n, r)
 
     t0 = time.perf_counter()
     report = invariant_subspace(
         spec, degree=args.degree,
-        t_values=t_values, primes=primes, include_rationals=include_q,
-        timings=timings)
+        t_values=t_values, primes=primes, include_rationals=include_q)
     timings["invariant_ms"] = (time.perf_counter() - t0) * 1000
 
     doc = {

@@ -16,9 +16,11 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import prod
+from types import MappingProxyType
 
 from .fields import RATIONALS
-from .poly import SparsePolynomial, grlex_key
+from .poly import SparsePolynomial, grlex_key, monomials_of_degree
 
 VARIANTS = ("arrow", "squares", "quads", "squares+quads")
 
@@ -179,6 +181,72 @@ def plucker_relations(r: int, n: int) -> tuple:
             seen.add(key)
             out.append(SparsePolynomial(nv, RATIONALS, terms))
     return tuple(out)
+
+
+def hilbert_function(r: int, n: int, d: int) -> int:
+    """dim of the degree-d part of the Pluecker ring of G(r,n): the hook
+    content count of semistandard r x d tableaux with entries in 1..n."""
+    if d < 0:
+        return 0
+    cells = [(i, j) for i in range(1, r + 1) for j in range(1, d + 1)]
+    return (prod(n + j - i for i, j in cells)  # contents
+            // prod(d - j + r - i + 1 for i, j in cells))  # hook lengths
+
+
+def _leading_pair(e, rules):
+    """The first leading pair (i, j) of rules dividing e, or None."""
+    support = [v for v, k in enumerate(e) if k]
+    return next(((i, j) for a, i in enumerate(support)
+                 for j in support[a + 1:] if (i, j) in rules), None)
+
+
+@lru_cache(maxsize=None)
+def straightening_rules(r: int, n: int) -> MappingProxyType:
+    """Leading pair (i, j) of each Pluecker relation -> its tail over Z.
+
+    A rule reads p_i*p_j = sum of c*p_u*p_w over its tail ((u, w), c).  The
+    leading term, grevlex greatest on the variable order, must be +-p_I*p_J
+    with I != J; the first relation with each leading term is kept.  The
+    certificate counts the monomials of degree 2, 3 and 4 divisible by no
+    leading pair against hilbert_function: degree 2 shows that the rules span
+    the ideal's quadrics, and all S-pairs of quadrics lie in degree <= 4, so
+    by Buchberger's criterion the rules are a Groebner basis."""
+    rules = {}
+    for rel in plucker_relations(r, n):
+        lead = max(rel.terms,
+                   key=lambda e: (sum(e), [-x for x in reversed(e)]))
+        pair, lc = tuple(v for v, k in enumerate(lead) if k), rel.terms[lead]
+        if len(pair) != 2 or abs(lc) != 1:
+            raise ValueError(f"a G({r},{n}) relation leads with "
+                             f"{lc}*{monomial_name(lead, r, n)}")
+        if pair not in rules:
+            rules[pair] = tuple(
+                (tuple(v for v, k in enumerate(e) for _ in range(k)),
+                 int(-c * lc)) for e, c in rel.terms.items() if e != lead)
+    for d in (2, 3, 4):
+        standard = sum(_leading_pair(e, rules) is None for e in
+                       monomials_of_degree(len(plucker_indices(r, n)), d))
+        if standard != hilbert_function(r, n, d):
+            raise ValueError(
+                f"G({r},{n}) straightening rules leave {standard} standard "
+                f"monomials in degree {d}, not {hilbert_function(r, n, d)}")
+    return MappingProxyType(rules)  # cached: shared by every caller
+
+
+@lru_cache(maxsize=None)
+def normal_form(r: int, n: int, e: tuple) -> tuple:
+    """e in standard monomials over Z, as a tuple ((monomial, coeff), ...):
+    the cache hands one object to every caller, so it must be immutable."""
+    pair = _leading_pair(e, straightening_rules(r, n))
+    if pair is None:
+        return ((e, 1),)
+    out = {}
+    for (u, w), c in straightening_rules(r, n)[pair]:
+        for s, k in normal_form(r, n, tuple(
+                x - (v in pair) + (v == u) + (v == w)
+                for v, x in enumerate(e))):
+            out[s] = out.get(s, 0) + c * k
+    return tuple((s, k) for s, k in out.items() if k)
 
 
 @dataclass(frozen=True)

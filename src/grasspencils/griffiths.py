@@ -12,30 +12,25 @@ Two formalisms, one kind of computation:
   space, generated by f_1..f_c and the partials of F = y_1 f_1 +...+ y_c f_c
   with deg(x_i) = (1,0) and deg(y_j) = (-d_j, 1).
 
-Every dimension we need lives in a single graded slice, so no Groebner
-bases appear anywhere: a slice is a finite monomial basis, the ideal cuts
-out a row span, and the quotient dimension is an exact corank.
+Every dimension we need lives in a single graded slice: the ideal cuts out
+a row span, and the quotient dimension is an exact corank.  On G(r,n) the
+rows are written in standard monomials (grassmann.normal_form), a basis of
+the Pluecker ring over Z, so no relation row is ever eliminated.
 
 Generic-parameter answers (coefficients in Q(t)) are obtained by
 specializing t to several rational values and/or several large prime
 fields and demanding unanimity; disagreement raises, it is never averaged
-away.  A slice is built in two parts: the Pluecker relation rows, which do
-not depend on t and are eliminated once per field (_relation_slice), and
-the generator rows of one specialization, added to a copy of that basis
-(_graded_slice).
+away.
 """
 
 import json
-import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from math import comb
-from typing import NamedTuple
 
 from .fields import PrimeField, RATIONALS
-from .grassmann import (PencilSpec, evaluate_pencil, index_position,
-                        monomial_name, plucker_indices, plucker_relations,
-                        sort_with_sign)
+from .grassmann import (PencilSpec, evaluate_pencil, hilbert_function,
+                        index_position, monomial_name, normal_form,
+                        plucker_indices, plucker_relations, sort_with_sign)
 from .linalg import ResourceLimitError, row_basis
 from .poly import SparsePolynomial, grlex_key, monomials_of_degree
 from .symmetry import invariant_monomials
@@ -55,9 +50,9 @@ class SpecializationMismatch(RuntimeError):
 class GradedPieceReport:
     """One graded slice: ambient size, span ranks, quotient dimension.
 
-    relation_rank is the rank of the Pluecker-relation rows alone;
-    ideal_rank is the additional rank contributed by the ideal generators,
-    so quotient_dim = ambient - relation_rank - ideal_rank always holds.
+    relation_rank = ambient - hilbert_function is the rank of the Pluecker
+    relation rows; ideal_rank is the additional rank contributed by the
+    ideal generators, so quotient_dim = ambient - relation_rank - ideal_rank.
     invariant_dim and survivors are filled by invariant-subspace runs.
     """
 
@@ -166,82 +161,52 @@ def _check_ambient_size(nvars, degree):
         _check_slice_size(comb(nvars + degree - 1, degree))
 
 
-class _Relations(NamedTuple):
-    """The part of a graded slice of S^{r,n} that no ideal generator enters."""
-
-    nvars: int
-    degree: int
-    ambient: tuple    # monomials of the slice, canonical order
-    position: dict    # monomial -> column
-    basis: object     # echelon basis of the Pluecker relation rows
-    rank: int
-
-
-def _relation_slice(r, n, degree, fld):
-    """Ambient basis of a slice and its eliminated Pluecker relation rows.
-
-    Nothing here depends on t, so one result serves every specialization
-    over fld; _graded_slice extends copies of its basis and never the basis
-    itself.
-    """
+def _ideal_slice(r, n, degree, generators, fld):
+    """(basis, dims): the echelon basis over fld of the generator multiples
+    in one slice, its columns keyed by standard monomials, and the ambient,
+    relation_rank, ideal_rank and quotient_dim of the slice."""
     nv = len(plucker_indices(r, n))
-    _check_ambient_size(nv, degree)
-    ambient = monomials_of_degree(nv, degree)
-    position = {e: k for k, e in enumerate(ambient)}
-    basis = row_basis(len(ambient), fld)
-    relations = [rel.convert(fld) for rel in plucker_relations(r, n)]
-    rank = basis.add_rows(
-        _slice_row(mult, rel, position)
-        for rel in relations
-        for mult in monomials_of_degree(nv, degree - 2))
-    return _Relations(nv, degree, ambient, position, basis, rank)
-
-
-def _graded_slice(relations, generators):
-    """Echelon basis of the ideal slice on top of the relation rows.
-
-    Returns (basis, ideal_rank): a copy of relations.basis extended by the
-    generator rows, so relations stays reusable.  The basis may then be
-    extended by candidate vectors for invariant counts.
-    """
+    _check_ambient_size(nv, max(degree, 4))  # 4: the rules' certificate
+    generators = [g for g in generators if g]
     for g in generators:
-        if not g:
-            continue
         if not g.is_homogeneous():
             raise ValueError("ideal generators must be homogeneous")
-        d = g.total_degree()
-        if d > relations.degree:
-            raise ValueError(
-                f"generator of degree {d} cannot land in degree "
-                f"{relations.degree}")
-    basis = relations.basis.copy()
+        if g.total_degree() > degree:
+            raise ValueError(f"generator of degree {g.total_degree()} "
+                             f"cannot land in degree {degree}")
+    hf = hilbert_function(r, n, degree)
+    basis = row_basis(hf, fld)
     ideal_rank = basis.add_rows(
-        _slice_row(mult, g, relations.position)
-        for g in generators if g
-        for mult in monomials_of_degree(
-            relations.nvars, relations.degree - g.total_degree()))
-    return basis, ideal_rank
+        _standard_row(r, n, mult, g) for g in generators
+        for mult in monomials_of_degree(nv, degree - g.total_degree()))
+    ambient = comb(nv + degree - 1, degree) if degree >= 0 else 0
+    return basis, {"ambient": ambient, "relation_rank": ambient - hf,
+                   "ideal_rank": ideal_rank, "quotient_dim": hf - ideal_rank}
+
+
+def _standard_row(r, n, mult_exp, poly):
+    """Row of mult * poly in the standard monomials, as {monomial: coeff}."""
+    row = {}
+    for e, c in poly.terms.items():
+        for s, k in normal_form(r, n, tuple(m + x
+                                            for m, x in zip(mult_exp, e))):
+            row[s] = row.get(s, 0) + c * k
+    return row
 
 
 def graded_quotient(r: int, n: int, degree: int,
                     ideal_generators) -> GradedPieceReport:
     """Dimension of one graded piece of S^{r,n} / (ideal generators).
 
-    The span is every multiple of a Pluecker relation landing in the slice
-    together with every multiple of an ideal generator; the quotient
-    dimension is the corank of that span.
+    The quotient dimension is hilbert_function(r, n, degree) minus the rank
+    of every multiple of an ideal generator landing in the slice.
     """
     generators = list(ideal_generators)
     fld = generators[0].field if generators else RATIONALS
-    relations = _relation_slice(r, n, degree, fld)
-    _, ideal_rank = _graded_slice(relations, generators)
-    ambient = len(relations.ambient)
+    _, dims = _ideal_slice(r, n, degree, generators, fld)
     return GradedPieceReport(
         label=f"G({r},{n}) degree {degree}",
-        rn=(r, n), degree=degree, t=None, field=fld.name,
-        ambient=ambient, relation_rank=relations.rank,
-        ideal_rank=ideal_rank,
-        quotient_dim=ambient - relations.rank - ideal_rank)
+        rn=(r, n), degree=degree, t=None, field=fld.name, **dims)
 
 
 # -- complete-intersection Jacobian ring -------------------------------
@@ -368,86 +333,55 @@ def ci_context_for_pencil(spec: PencilSpec, t, field=RATIONALS):
 # -- invariant subspaces across specializations ------------------------
 
 
-def _one_specialization(spec, relations, candidates, span_checks, t):
+def _one_specialization(spec, degree, fld, t, candidates, span_checks):
     r, n = spec.r, spec.n
-    fld = relations.basis.field
-    f = evaluate_pencil(spec, t, fld)
-    gens = grassmann_jacobian_generators(f, r, n)
-    basis, ideal_rank = _graded_slice(relations, gens)
-    position, ambient = relations.position, len(relations.ambient)
-    survivors = []
-    for e in candidates:
-        if basis.add_row({position[e]: 1}):
-            survivors.append(e)
-    checks = {monomial_name(e, r, n): basis.contains({position[e]: 1})
-              for e in span_checks}
-    return {
-        "t": str(t), "field": fld.name,
-        "ambient": ambient,
-        "relation_rank": relations.rank, "ideal_rank": ideal_rank,
-        "quotient_dim": ambient - relations.rank - ideal_rank,
-        "invariant_dim": len(survivors),
-        "survivors": tuple(survivors),
-        "span_checks": checks,
-    }
+    gens = grassmann_jacobian_generators(evaluate_pencil(spec, t, fld), r, n)
+    basis, dims = _ideal_slice(r, n, degree, gens, fld)
+    survivors = tuple(e for e in candidates
+                      if basis.add_row(dict(normal_form(r, n, e))))
+    checks = {monomial_name(e, r, n):
+              basis.contains(dict(normal_form(r, n, e))) for e in span_checks}
+    return {"t": str(t), "field": fld.name, **dims,
+            "invariant_dim": len(survivors), "survivors": survivors,
+            "span_checks": checks}
 
 
 def invariant_subspace(spec: PencilSpec, degree=None,
                        t_values=(2, 3, 5), primes=(),
                        include_rationals=None,
-                       span_check_monomials=(),
-                       timings=None) -> GradedPieceReport:
+                       span_check_monomials=()) -> GradedPieceReport:
     """Consensus dimension of the invariant part of a graded slice.
 
     For every specialization (t over Q, and t mod every given prime) the
-    graded ideal slice is built, and the invariant monomials are fed to the
-    greedy rank extension in canonical order; the surviving monomials span
-    the image of the invariant subspace in the quotient.  The Pluecker
-    relation rows do not depend on t, so they are eliminated once per field
-    and every t of that field extends a copy of that basis; the next field
-    starts only after the last one's basis is dropped, so one relation basis
-    is alive at a time.  All specializations must agree on every reported
-    number, otherwise SpecializationMismatch is raised with the divergent
-    results attached.  A `timings` dict, if given, receives under
-    "relation_ms" the milliseconds spent on each field's relation rows.
+    ideal slice is built and the invariant monomials are fed to the greedy
+    rank extension in canonical order; the survivors span the image of the
+    invariant subspace in the quotient.  Specializations that disagree on
+    any reported number raise SpecializationMismatch with their results.
     """
     r, n = spec.r, spec.n
     if degree is None:
         degree = n
     if include_rationals is None:
         include_rationals = not primes
-    jobs = []
-    if include_rationals:
-        jobs.append((RATIONALS, [Fraction(t) for t in t_values]))
-    for p in primes:
-        fld = PrimeField(p)
-        if n % p == 0:
-            raise ValueError(
-                f"prime {p} divides n = {n}; invariant counts need the "
-                "group order invertible")
-        jobs.append((fld, t_values))
-    if not jobs or not t_values:
+    fields = (([RATIONALS] if include_rationals else [])
+              + [PrimeField(p) for p in primes])
+    if not fields or not t_values:
         raise ValueError("no specializations requested")
-    for fld, ts in jobs:
-        for t in ts:
+    for fld in fields:
+        if fld.modulus and n % fld.modulus == 0:
+            raise ValueError(
+                f"prime {fld.modulus} divides n = {n}; invariant counts need "
+                "the group order invertible")
+        for t in t_values:
             if fld.coerce(t) == 0:
                 raise ValueError(
                     f"t = {t} vanishes in {fld.name}; bad specialization")
 
     _check_ambient_size(len(plucker_indices(r, n)), degree)
     candidates = invariant_monomials(r, n, degree)
-    results, relation_ms = [], {}
-    for fld, ts in jobs:
-        t0 = time.perf_counter()
-        relations = _relation_slice(r, n, degree, fld)
-        relation_ms[fld.name] = (relation_ms.get(fld.name, 0.0)
-                                 + (time.perf_counter() - t0) * 1000)
-        results += [_one_specialization(spec, relations, candidates,
-                                        span_check_monomials, t)
-                    for t in ts]
-        del relations  # before the next field's basis is built
-    if timings is not None:
-        timings["relation_ms"] = relation_ms
+    results = [_one_specialization(spec, degree, fld, t, candidates,
+                                   span_check_monomials)
+               for fld in fields for t in t_values]
 
     keys = ("ambient", "relation_rank", "ideal_rank", "quotient_dim",
             "invariant_dim", "survivors", "span_checks")

@@ -1,7 +1,8 @@
 """Exact linear algebra: echelon row bases over Q and F_p.
 
 Every rank the package reports comes from row_basis(ncols, field), one
-sparse echelon kernel for both fields.  Rows are {column: value} dicts and
+sparse echelon kernel for both fields.  Rows are {column: value} dicts,
+where a column is any hashable, comparable key (an int, or a monomial), and
 the stored rows are kept in a dict keyed by pivot column, where the pivot
 of a row is its smallest column and carries the entry 1.  Reducing a vector
 repeatedly eliminates the smallest of its columns that is a stored pivot;
@@ -28,7 +29,6 @@ class _RowBasis:
     """Incremental echelon row set on sparse {column: value} rows."""
 
     def __init__(self, ncols, field):
-        self.ncols = ncols
         self.field = field
         self.rows = {}    # pivot column -> row, pivot entry 1
         self.entries = 0  # stored nonzeros, bounded by _ENTRY_LIMIT
@@ -85,18 +85,6 @@ class _RowBasis:
 
     def contains(self, row_dict) -> bool:
         return not self.reduce(row_dict)
-
-    def copy(self):
-        """An independent basis holding the same rows.
-
-        Stored rows are never mutated once added, so the copy shares them
-        and only the pivot dict is duplicated.  The shared entries still
-        count against the copy's entry limit.
-        """
-        other = _RowBasis(self.ncols, self.field)
-        other.rows = dict(self.rows)
-        other.entries = self.entries
-        return other
 
 
 def row_basis(ncols, field):

@@ -146,18 +146,48 @@ def test_hodge_25_with_primes(tmp_path):
     assert len(doc["report"]["specializations"]) == 8
 
 
-def test_hodge_manifest_times_relation_rows_per_field(tmp_path):
+def test_hodge_manifest_times_each_step(tmp_path):
     assert run(["hodge", "--rn", "2,4", "--t", "2,3",
                 "--primes", "1048583,2097169", "--rationals",
                 "--outdir", str(tmp_path)]) == 0
     timings = json.loads(
         (tmp_path / "hodge_24_arrow_manifest.json").read_text())["timings_ms"]
-    assert {"invariant_ms", "ci_ms"} <= set(timings)
-    assert set(timings["relation_ms"]) == {"QQ", "GF(1048583)",
-                                           "GF(2097169)"}
-    assert all(ms >= 0 for ms in timings["relation_ms"].values())
-    # timings stay out of the digested report
-    assert "relation_ms" not in (tmp_path / "hodge_24_arrow.json").read_text()
+    assert set(timings) == {"invariant_ms", "ci_ms"}
+
+
+def test_hodge_ci_model_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    # the complete-intersection cross-check must give one answer for all t
+    real = cli.ci_bigraded_quotient
+    calls = []
+
+    def drifting(ctx, bidegree):
+        rep = real(ctx, bidegree)
+        calls.append(bidegree)
+        if len(calls) > 2:  # the second t
+            rep.quotient_dim += 1
+        return rep
+
+    monkeypatch.setattr(cli, "ci_bigraded_quotient", drifting)
+    assert run(["hodge", "--rn", "2,4", "--t", "2,3",
+                "--outdir", str(tmp_path)]) == 3
+    assert ("inconsistent complete-intersection specializations"
+            in capsys.readouterr().err)
+    assert len(calls) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--rn", "2,4,5"), "--rn takes two comma-separated integers r,n, "
+                        "got '2,4,5'"),
+    (("--rn", "x"), "--rn takes two comma-separated integers r,n, got 'x'"),
+    (("--t", "2,x"), "--t takes comma-separated integers, got '2,x'"),
+    (("--primes", "7,,11"), "--primes takes comma-separated primes, "
+                            "got '7,,11'"),
+])
+def test_malformed_integer_flags_exit_2(tmp_path, capsys, args, message):
+    assert run(["hodge", *args, "--outdir", str(tmp_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_hodge_25_over_rationals(tmp_path):
@@ -202,8 +232,8 @@ def test_tables_check_without_fixture_exits_2(tmp_path, capsys):
 
 
 def test_hodge_26_mod_p(tmp_path):
-    # degree 6 on G(2,6): 38,760 columns, a basis of 24,936 rows holding
-    # 96,471 entries
+    # degree 6 on G(2,6): 38,760 monomials, 13,860 of them standard; the
+    # basis stores 36 generator rows and 24 survivors, 346 entries
     assert run(["hodge", "--rn", "2,6", "--t", "2", "--primes", "1048583",
                 "--outdir", str(tmp_path), "--check"]) == 0
     doc = json.loads((tmp_path / "hodge_26_arrow.json").read_text())
@@ -211,9 +241,24 @@ def test_hodge_26_mod_p(tmp_path):
     assert doc["report"]["invariant_dim"] == 24
 
 
+def test_hodge_26_over_rationals_matches_mod_p(tmp_path):
+    reports = []
+    for field in (["--rationals"], ["--primes", "1048583"]):
+        out = tmp_path / field[-1]
+        assert run(["hodge", "--rn", "2,6", "--t", "2", *field,
+                    "--outdir", str(out), "--check"]) == 0
+        reports.append(json.loads(
+            (out / "hodge_26_arrow.json").read_text())["report"])
+    over_q, mod_p = reports
+    assert over_q["specializations"] == [{"t": "2", "field": "QQ"}]
+    assert over_q["invariant_dim"] == 24
+    assert over_q["survivor_names"] == mod_p["survivor_names"]
+
+
 def test_hodge_entry_cap_exits_2(tmp_path, monkeypatch, capsys):
+    # the (2,5) basis stores 165 entries, the (2,4) one only 72
     monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 100)
-    assert run(["hodge", "--rn", "2,4", "--primes", "1048583",
+    assert run(["hodge", "--rn", "2,5", "--primes", "1048583",
                 "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "entry limit" in err

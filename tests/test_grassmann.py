@@ -1,14 +1,18 @@
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
 from grasspencils.fields import PrimeField, RATIONALS
+from grasspencils import grassmann
 from grasspencils.grassmann import (PencilSpec, build_pencil,
                                     enumerate_arrow_partitions,
                                     evaluate_pencil, frozen_variables,
-                                    index_to_partition, monomial_name,
+                                    hilbert_function, index_to_partition,
+                                    monomial_name, normal_form,
                                     normalize_partition, partition_to_index,
-                                    plucker_indices, plucker_relations)
+                                    plucker_indices, plucker_relations,
+                                    straightening_rules)
 from grasspencils.linalg import row_basis
 from grasspencils.poly import SparsePolynomial, monomials_of_degree
 from rank_oracle import _rank_rational
@@ -162,6 +166,78 @@ def test_relations_span_degree_two_kernel(r, n, expected_independent):
 
 
 # -- pencils -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r,n", [(r, n) for n in range(4, 8)
+                                 for r in range(2, n - 1)])
+def test_straightening_rules_are_certified(r, n):
+    # building the rules runs the degree 2..4 certificate; one rule per
+    # independent quadric, led by exactly the incomparable pairs p_I*p_J
+    # of standard monomial theory, with coefficients +-1
+    rules = straightening_rules(r, n)
+    indices = plucker_indices(r, n)
+    assert len(rules) == (comb(len(indices) + 1, 2)
+                          - hilbert_function(r, n, 2))
+
+    def comparable(i, j):
+        pairs = list(zip(indices[i], indices[j]))
+        return all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)
+
+    assert set(rules) == {(i, j)
+                          for i, j in combinations(range(len(indices)), 2)
+                          if not comparable(i, j)}
+    assert {c for tail in rules.values() for _, c in tail} == {1, -1}
+
+
+def test_straightening_certificate_rejects_bad_relations(monkeypatch):
+    real = plucker_relations
+    monkeypatch.setattr(grassmann, "plucker_relations",
+                        lambda r, n: real(r, n)[1:])
+    with pytest.raises(ValueError,
+                       match="51 standard monomials in degree 2, not 50"):
+        straightening_rules.__wrapped__(2, 5)
+    # p12^2 - p13*p14 leads with a square, which no rule may rewrite
+    square = SparsePolynomial(6, RATIONALS, {(2, 0, 0, 0, 0, 0): 1,
+                                             (0, 1, 1, 0, 0, 0): -1})
+    monkeypatch.setattr(grassmann, "plucker_relations", lambda r, n: (square,))
+    with pytest.raises(ValueError, match=r"leads with 1\*p12\^2"):
+        straightening_rules.__wrapped__(2, 4)
+
+
+def test_normal_form_example():
+    # p14*p23 = p13*p24 - p12*p34, then p13*p24 stays: it is a chain
+    assert dict(normal_form(2, 4, (0, 0, 1, 1, 0, 0))) == {
+        (0, 1, 0, 0, 1, 0): 1, (1, 0, 0, 0, 0, 1): -1}
+    assert normal_form(2, 4, (0, 1, 0, 0, 1, 0)) == (((0, 1, 0, 0, 1, 0), 1),)
+
+
+@pytest.mark.parametrize("r,n,d", [(2, 5, 3), (3, 6, 2), (2, 6, 3)])
+def test_normal_form_is_standard_and_congruent(r, n, d):
+    # every monomial equals its normal form modulo the relation rows, and
+    # the normal form has integer coefficients on standard monomials only
+    rules = straightening_rules(r, n)
+    nv = len(plucker_indices(r, n))
+    ambient = monomials_of_degree(nv, d)
+    pos = {e: k for k, e in enumerate(ambient)}
+    basis = row_basis(len(ambient), RATIONALS)
+    basis.add_rows({pos[tuple(m + x for m, x in zip(mult, e))]: c
+                    for e, c in rel.terms.items()}
+                   for rel in plucker_relations(r, n)
+                   for mult in monomials_of_degree(nv, d - 2))
+    standard = 0
+    for e in ambient:
+        nf = normal_form(r, n, e)
+        assert isinstance(nf, tuple) and nf
+        for s, c in nf:
+            assert type(c) is int and c
+            support = [v for v, k in enumerate(s) if k]
+            assert not any((i, j) in rules for i in support for j in support)
+        row = {pos[e]: 1}
+        for s, c in nf:
+            row[pos[s]] = row.get(pos[s], 0) - c
+        assert basis.contains(row), e
+        standard += nf == ((e, 1),)
+    assert standard == hilbert_function(r, n, d) == len(ambient) - basis.rank
 
 
 def test_build_pencil_shapes():

@@ -5,8 +5,8 @@ import pytest
 
 from grasspencils.fields import PrimeField, RATIONALS
 from grasspencils.grassmann import (build_pencil, evaluate_pencil,
-                                    monomial_name, plucker_indices,
-                                    plucker_relations)
+                                    hilbert_function, monomial_name,
+                                    plucker_indices, plucker_relations)
 from grasspencils import griffiths
 from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
                                     apply_derivation,
@@ -144,23 +144,9 @@ def test_graded_quotient_empty_ideal():
     assert rep25.quotient_dim == 1176
 
 
-def _hook_content_dimension(r, n, m):
-    """dim of the degree-m part of the Pluecker ring of G(r,n): the number
-    of semistandard tableaux of the r x m rectangle with entries in 1..n,
-    by the hook content formula (cell (i, j) has content j - i and hook
-    (m - j) + (r - i) + 1)."""
-    num = 1
-    den = 1
-    for i in range(1, r + 1):
-        for j in range(1, m + 1):
-            num *= n + j - i
-            den *= (m - j) + (r - i) + 1
-    return num // den
-
-
 def test_coordinate_ring_dimensions_match_hook_content():
-    assert _hook_content_dimension(2, 4, 4) == 105
-    assert _hook_content_dimension(2, 5, 5) == 1176
+    assert hilbert_function(2, 4, 4) == 105
+    assert hilbert_function(2, 5, 5) == 1176
     assert graded_quotient(2, 4, 4, []).quotient_dim == 105
     assert graded_quotient(2, 5, 5, []).quotient_dim == 1176
 
@@ -172,12 +158,19 @@ BENCH_FIELDS = [RATIONALS, PrimeField(1048583), PrimeField(2097169)]
 @pytest.mark.parametrize("r,n,rank", [(2, 4, 21), (2, 5, 826), (3, 5, 826)])
 def test_relation_rank_is_ambient_minus_hilbert_function(r, n, rank, fld):
     # standard monomial theory: the relation rows cut the slice down to the
-    # Pluecker ring over every field, so the shared basis of each field has
-    # rank ambient - HF(G(r,n), n)
-    relations = griffiths._relation_slice(r, n, n, fld)
-    assert relations.rank == rank
-    assert relations.rank == (len(relations.ambient)
-                              - _hook_content_dimension(r, n, n))
+    # Pluecker ring over every field, so eliminating them gives rank
+    # ambient - HF(G(r,n), n), the relation_rank the slice reports
+    nv = len(plucker_indices(r, n))
+    ambient = monomials_of_degree(nv, n)
+    pos = {e: k for k, e in enumerate(ambient)}
+    basis = row_basis(len(ambient), fld)
+    relation_rank = basis.add_rows(
+        {pos[tuple(m + x for m, x in zip(mult, e))]: c
+         for e, c in rel.convert(fld).terms.items()}
+        for rel in plucker_relations(r, n)
+        for mult in monomials_of_degree(nv, n - 2))
+    assert relation_rank == rank == len(ambient) - hilbert_function(r, n, n)
+    assert graded_quotient(r, n, n, []).relation_rank == rank
 
 
 @pytest.mark.parametrize("t", [2, 3, 5])
@@ -359,76 +352,72 @@ def test_invariant_subspace_25():
     assert len(report.specializations) == 8
 
 
-def _fresh_specialization(spec, fld, t, span_checks):
-    """One degree-n specialization on a basis of its own: relation rows,
-    generator rows, then the invariant monomials in canonical order."""
+def _fresh_specialization(spec, degree, fld, t, span_checks):
+    """One specialization on the full slice: relation rows, generator rows,
+    then the invariant monomials in canonical order, all in the ambient
+    monomial basis."""
     r, n = spec.r, spec.n
     nv = len(plucker_indices(r, n))
-    ambient = list(monomials_of_degree(nv, n))
+    ambient = list(monomials_of_degree(nv, degree))
     pos = {e: k for k, e in enumerate(ambient)}
 
     def rows(polys):
         return [{pos[tuple(m + x for m, x in zip(mult, e))]: c
                  for e, c in g.terms.items()}
                 for g in polys if g
-                for mult in monomials_of_degree(nv, n - g.total_degree())]
+                for mult in monomials_of_degree(nv, degree - g.total_degree())]
 
     basis = row_basis(len(ambient), fld)
     relation_rank = basis.add_rows(rows(
         rel.convert(fld) for rel in plucker_relations(r, n)))
     f = evaluate_pencil(spec, fld.coerce(t), fld)
     ideal_rank = basis.add_rows(rows(grassmann_jacobian_generators(f, r, n)))
-    survivors = tuple(e for e in invariant_monomials(r, n, n)
+    survivors = tuple(e for e in invariant_monomials(r, n, degree)
                       if basis.add_row({pos[e]: 1}))
     checks = {monomial_name(e, r, n): basis.contains({pos[e]: 1})
               for e in span_checks}
-    return {"relation_rank": relation_rank, "ideal_rank": ideal_rank,
+    return {"ambient": len(ambient), "relation_rank": relation_rank,
+            "ideal_rank": ideal_rank,
             "quotient_dim": len(ambient) - relation_rank - ideal_rank,
-            "survivors": survivors, "span_checks": checks}
+            "invariant_dim": len(survivors), "survivors": survivors,
+            "span_checks": checks}
 
 
-@pytest.mark.parametrize("r,n,variant", [
-    (2, 4, "arrow"), (2, 4, "squares"), (2, 4, "quads"),
-    (2, 4, "squares+quads"), (2, 5, "arrow")])
-def test_shared_relation_basis_matches_fresh_slices(r, n, variant,
+@pytest.mark.parametrize("r,n,variant,degree,t_values,fields", [
+    (2, 4, "arrow", 4, (2, 3, 7), ("QQ", "GF(1048583)")),
+    (2, 4, "squares", 4, (2, 3, 7), ("QQ", "GF(1048583)")),
+    (2, 4, "quads", 4, (2, 3, 7), ("QQ", "GF(1048583)")),
+    (2, 4, "squares+quads", 4, (2, 3, 7), ("QQ", "GF(1048583)")),
+    (2, 5, "arrow", 5, (2, 3, 7), ("QQ", "GF(1048583)")),
+    (2, 6, "arrow", 6, (2,), ("GF(1048583)",)),
+    (2, 4, "arrow", 8, (2,), ("QQ", "GF(1048583)")),
+], ids=["2-4-arrow", "2-4-squares", "2-4-quads", "2-4-squares+quads",
+        "2-5-arrow", "2-6-arrow-modp", "2-4-arrow-degree-8"])
+def test_shared_relation_basis_matches_fresh_slices(r, n, variant, degree,
+                                                    t_values, fields,
                                                     monkeypatch):
+    # the standard-monomial route reports what the full slice, relation
+    # rows included, gives for every specialization
     real = griffiths._one_specialization
     recorded = []
 
-    def recording(spec, relations, candidates, span_checks, t):
-        res = real(spec, relations, candidates, span_checks, t)
-        recorded.append((relations.basis.field, t, res))
+    def recording(spec, degree, fld, t, candidates, span_checks):
+        res = real(spec, degree, fld, t, candidates, span_checks)
+        recorded.append((fld, t, res))
         return res
 
     monkeypatch.setattr(griffiths, "_one_specialization", recording)
     spec = build_pencil(r, n, variant)
-    checks = _span_checks(r, n)
-    invariant_subspace(spec, t_values=(2, 3, 7), primes=(1048583,),
-                       include_rationals=True, span_check_monomials=checks)
+    # reference bases ship for G(2,4) and G(2,5) in degree n only
+    checks = _span_checks(r, n) if (n, degree) in ((4, 4), (5, 5)) else ()
+    invariant_subspace(spec, degree=degree, t_values=t_values,
+                       primes=(1048583,), include_rationals="QQ" in fields,
+                       span_check_monomials=checks)
     assert [(fld.name, str(t)) for fld, t, _ in recorded] == [
-        (name, t) for name in ("QQ", "GF(1048583)") for t in "237"]
+        (name, str(t)) for name in fields for t in t_values]
     for fld, t, res in recorded:
-        fresh = _fresh_specialization(spec, fld, t, checks)
+        fresh = _fresh_specialization(spec, degree, fld, t, checks)
         assert {k: res[k] for k in fresh} == fresh, (fld.name, t)
-
-
-def test_relation_rows_eliminated_once_per_field(monkeypatch):
-    real = griffiths._relation_slice
-    built = []
-
-    def counting(r, n, degree, fld):
-        built.append(fld.name)
-        return real(r, n, degree, fld)
-
-    monkeypatch.setattr(griffiths, "_relation_slice", counting)
-    report = invariant_subspace(build_pencil(2, 4), t_values=(2, 3, 5),
-                                primes=(1048583, 2097169),
-                                include_rationals=True)
-    assert len(report.specializations) == 9
-    assert built == ["QQ", "GF(1048583)", "GF(2097169)"]
-    built.clear()
-    invariant_subspace(build_pencil(2, 4), t_values=(2, 3, 5))
-    assert built == ["QQ"]  # once per call: nothing is cached across calls
 
 
 def test_independent_extension_on_ideal_slice():
@@ -502,16 +491,16 @@ def test_invariant_subspace_rejects_bad_inputs(monkeypatch):
         invariant_subspace(spec, t_values=(1048583,), primes=(1048583,),
                            include_rationals=False)
 
-    # a t vanishing in the last field is caught before any field's relation
-    # rows are eliminated, not after the earlier specializations ran
+    # a t vanishing in the last field is caught before any slice is built,
+    # not after the earlier specializations ran
     calls = []
-    real = griffiths._relation_slice
+    real = griffiths._ideal_slice
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(griffiths, "_relation_slice", counting)
+    monkeypatch.setattr(griffiths, "_ideal_slice", counting)
     with pytest.raises(ValueError,
                        match=r"t = 1048583 vanishes in GF\(1048583\)"):
         invariant_subspace(build_pencil(2, 5), t_values=(2, 3, 1048583),
@@ -525,8 +514,8 @@ def test_specialization_mismatch_raised_on_disagreement(monkeypatch):
     real = g._one_specialization
     calls = []
 
-    def wobbly(spec, relations, candidates, span_checks, t):
-        res = real(spec, relations, candidates, span_checks, t)
+    def wobbly(*args):
+        res = real(*args)
         calls.append(res)
         if len(calls) == 2:
             res = dict(res)

@@ -154,23 +154,3 @@ def test_row_basis_refuses_rows_past_entry_cap(field, monkeypatch):
         basis.add_row({5: 1})
     assert basis.rank == 3
     assert basis.contains({0: 1, 1: 2, 4: 5})
-
-
-
-@pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)])
-def test_row_basis_copy_is_independent_and_keeps_the_entry_count(
-        field, monkeypatch):
-    # a copy extends on its own, and the rows it shares with the original
-    # still count against its entry cap
-    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 5)
-    basis = row_basis(8, field)
-    assert basis.add_rows([{0: 1, 1: 2}, {2: 1, 3: 1}]) == 2
-    copy = basis.copy()
-    assert (copy.rank, copy.entries) == (2, 4)
-    assert copy.add_row({4: 1})
-    assert copy.contains({4: 1}) and not basis.contains({4: 1})
-    assert basis.rank == 2 and basis.entries == 4
-    with pytest.raises(ResourceLimitError):
-        basis.copy().add_row({5: 1, 6: 1})
-    assert basis.add_row({0: 1, 1: 2, 5: 1})  # the original extends alone
-    assert not copy.contains({5: 1})
