@@ -5,10 +5,12 @@
    hodge   --rn 2,4 --variant arrow  graded/invariant dimension report
 
 Every run writes a reproducibility manifest next to its outputs: the
-parameters, package version, per-step timings, and a sha256 digest of each
-output file.  Output files are deterministic (fixed iteration orders, no
-timestamps), so re-running an experiment reproduces the digests bit for
-bit; timings live only in the manifest.
+parameters, package version, per-step timings, a sha256 digest of each
+output file and, for tables and search, the order d of the diagonal-group
+orbits the point count was taken over (orbit_order).  Output files are
+deterministic (fixed iteration orders, no timestamps), so re-running an
+experiment reproduces the digests bit for bit; timings live only in the
+manifest.
 
 Exit status: 0 = computed (and matched the expectation when --check was
 given), 2 = computed but mismatched a supplied expectation, 3 = the
@@ -32,7 +34,7 @@ from .griffiths import (SpecializationMismatch, ci_bigraded_quotient,
 from .linalg import ResourceLimitError
 from .periods import (default_kernel, hasse_witt, period_coefficients,
                       truncation_search)
-from .pointcount import count_table, records_to_csv
+from .pointcount import _orbit_order, count_table, records_to_csv
 from .symmetry import build_group
 
 OK = 0
@@ -57,13 +59,14 @@ def _write(outdir: Path, name: str, text: str, outputs: dict) -> Path:
 
 
 def _manifest(outdir: Path, experiment: str, parameters: dict,
-              timings: dict, outputs: dict) -> None:
+              timings: dict, outputs: dict, **facts) -> None:
     doc = {
         "experiment": experiment,
         "parameters": parameters,
         "version": __version__,
         "timings_ms": timings,
         "outputs": outputs,
+        **facts,
     }
     (outdir / f"{experiment}_manifest.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -119,7 +122,8 @@ def cmd_tables(args) -> int:
            json.dumps(doc, sort_keys=True, indent=2) + "\n", outputs)
     _manifest(outdir, name,
               {"p": args.p, "rn": [spec.r, spec.n],
-               "variant": spec.variant}, timings, outputs)
+               "variant": spec.variant}, timings, outputs,
+              orbit_order=_orbit_order(spec, args.p))
     for row in rows:
         print(f"t={row['t']}: count={row['count']} residue={row['residue']}")
 
@@ -168,7 +172,8 @@ def cmd_search(args) -> int:
     }
     _write(outdir, f"{name}.json",
            json.dumps(doc, sort_keys=True, indent=2) + "\n", outputs)
-    _manifest(outdir, name, {"p": args.p}, timings, outputs)
+    _manifest(outdir, name, {"p": args.p}, timings, outputs,
+              orbit_order=_orbit_order(spec, args.p))
     print(f"scanned {(args.p - 1) ** 2} candidate scalings; "
           f"{len(hits)} hit(s)")
 

@@ -17,19 +17,35 @@ cofactors along the last row.  The powers of each form over the inner grid
 on the grid stay scalars, and the products, sums and (sum, product) counts
 over the grid run in map, zip and Counter.update.
 
+The row-0 free entries are visited one orbit of a diagonal group at a time.
+Let d = gcd(n, p - 1) and take z in mu_d^n with prod(z) = 1, an element of
+the lattice L of symmetry.py.  It maps each cell to itself, scaling the
+free entry (i, j) by z_j / z_{P_i} for the pivot P_i of row i; with
+z_{P_0} = 1 and z_{P_1} absorbing the product, the row-0 free columns carry
+independent copies of mu_d.  An L-invariant monomial of degree n is fixed
+exactly, as the echelon renormalization multiplies it by
+det(z_pivots)^(-n) = 1, so the pairs do not change along an orbit.  Each
+row-0 entry therefore runs over 0 and the coset representatives of
+F_p^*/mu_d, and an assignment with k nonzero row-0 entries is weighted by
+d^k.  _orbit_order falls back to d = 1, the full range(p) loop, when r = 1
+or some deforming or frozen monomial is not invariant (a --pencil-json
+pencil may hold one).
+
 iter_plucker_points and count_zeros keep the per-point route, the
 reference for checking the histogram against direct substitution.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, permutations, product, repeat
+from math import gcd
 from operator import add, mod, mul
 
 from .fields import is_prime
 from .grassmann import PencilSpec, plucker_indices, sort_with_sign
 from .linalg import ResourceLimitError
+from .symmetry import build_group, is_invariant
 
 ENUMERATION_GUARD = 10 ** 9  # refuse larger Grassmannians without force
 
@@ -185,13 +201,15 @@ def _monomial(mono, values, p):
     return const, terms
 
 
-def _count_cell(cell, r, n, p, deforming, frozen, tables, hist):
-    """Add the (sum, product) pairs of every point of one cell to hist.
+def _cell_counter(cell, r, n, p, deforming, frozen, tables):
+    """(top entries, count) for one Schubert cell: count(top_values, hist)
+    adds the (sum, product) pairs of the points whose top entries, the
+    free entries above the last row, take top_values.
 
     Each r x r minor is linear in the last echelon row, so once the other
     free entries are fixed, a Pluecker coordinate is an affine form
-    k0 + k1*x1 + k2*x2 in the inner entries, and the cell's points are
-    counted one grid of at most p^2 inner values at a time.
+    k0 + k1*x1 + k2*x2 in the inner entries, and the points are counted
+    one grid of at most p^2 inner values at a time.
     """
     top, mid, inner = _split_cell(cell, r)
     piv = cell.pivots[-1]
@@ -208,7 +226,8 @@ def _count_cell(cell, r, n, p, deforming, frozen, tables, hist):
     upper = [[0] * n for _ in range(r - 1)]
     for i, c in enumerate(cell.pivots[:-1]):
         upper[i][c] = 1
-    for top_values in product(range(p), repeat=len(top)):
+
+    def count(top_values, hist):
         for (i, j), v in zip(top, top_values):
             upper[i][j] = v
         minor = {comp: _det_mod(upper, comp, p) for comp in complements}
@@ -254,19 +273,77 @@ def _count_cell(cell, r, n, p, deforming, frozen, tables, hist):
                 hist.update(zip(repeat(s) if isinstance(s, int) else s,
                                 repeat(f) if isinstance(f, int) else f))
 
+    return top, count
+
+
+def _orbit_order(spec: PencilSpec, p: int) -> int:
+    """The d whose cosets of mu_d weight the row-0 entries in _count_cell.
+
+    d = gcd(n, p - 1) when r >= 2 and every deforming and frozen monomial
+    is invariant under the diagonal group; otherwise 1, the full route.
+    """
+    group = build_group(spec.n, spec.r)
+    if spec.r < 2 or not all(is_invariant(e, group)
+                             for e in spec.deforming + (spec.frozen,)):
+        return 1
+    return gcd(spec.n, p - 1)
+
+
+@lru_cache(maxsize=None)
+def _row0_values(p: int, d: int) -> tuple:
+    """0 and the coset representatives g^0 .. g^((p-1)/d - 1) of
+    F_p^*/mu_d for a primitive root g; all of F_p when d = 1."""
+    if d == 1:
+        return tuple(range(p))
+    m = p - 1
+    primes = [q for q in range(2, m + 1) if m % q == 0 and is_prime(q)]
+    g = next(g for g in range(2, p)
+             if all(pow(g, m // q, p) != 1 for q in primes))
+    return (0,) + tuple(pow(g, i, p) for i in range(m // d))
+
+
+def _count_cell(cell, r, n, p, deforming, frozen, tables, hist, d):
+    """Add the (sum, product) pairs of every point of one cell to hist.
+
+    Each row-0 free entry runs over 0 and the coset representatives of
+    F_p^*/mu_d (d = _orbit_order), every other entry over all of F_p.  An
+    assignment with k nonzero row-0 entries stands for its orbit of d^k
+    points, which share its pairs; the counts are kept per k and folded
+    into hist with weight d^k once the cell is done.
+    """
+    top, count = _cell_counter(cell, r, n, p, deforming, frozen, tables)
+    row0 = sum(1 for i, _ in top if i == 0)  # top is row-major
+    ranges = [_row0_values(p, d)] * row0 + [range(p)] * (len(top) - row0)
+    by_nonzero = defaultdict(Counter)
+    for top_values in product(*ranges):
+        count(top_values, by_nonzero[row0 - top_values[:row0].count(0)])
+    for k, counts in by_nonzero.items():
+        weight = d ** k
+        for key, m in counts.items():
+            hist[key] += weight * m
+
+
+def _sparse_monomials(spec: PencilSpec) -> tuple:
+    """(deforming, frozen) as ((variable, exponent), ...) over the nonzero
+    exponents."""
+    deforming = [tuple((i, e) for i, e in enumerate(mono) if e)
+                 for mono in spec.deforming]
+    frozen = tuple((i, e) for i, e in enumerate(spec.frozen) if e)
+    return deforming, frozen
+
 
 @lru_cache(maxsize=32)
 def _pencil_histogram(spec: PencilSpec, p: int, force: bool = False) -> dict:
     """Histogram of (deforming sum, frozen product) pairs over all points,
     counted one Schubert cell at a time by _count_cell."""
     _check_enumeration_size(spec.r, spec.n, p, force)
-    deforming = [tuple((i, e) for i, e in enumerate(mono) if e)
-                 for mono in spec.deforming]
-    frozen = tuple((i, e) for i, e in enumerate(spec.frozen) if e)
+    deforming, frozen = _sparse_monomials(spec)
+    d = _orbit_order(spec, p)
     tables = _LineTables(p)
     hist = Counter()
     for cell in enumerate_cells(spec.r, spec.n):
-        _count_cell(cell, spec.r, spec.n, p, deforming, frozen, tables, hist)
+        _count_cell(cell, spec.r, spec.n, p, deforming, frozen, tables,
+                    hist, d)
     return hist
 
 

@@ -1,20 +1,28 @@
-"""Per-point histogram oracle for the tests.
+"""Histogram oracles for the tests.
 
-Evaluates every monomial of the pencil at each point yielded by
-iter_plucker_points, through a table of powers mod p.  It never splits a
-Schubert cell or expands a minor along a row, so it checks the per-cell
-kernel that _pencil_histogram uses.
+per_point_histogram evaluates every monomial of the pencil at each point
+yielded by iter_plucker_points, through a table of powers mod p.  It never
+splits a Schubert cell or expands a minor along a row, so it checks the
+per-cell kernel that _pencil_histogram uses.
+
+per_cell_histogram runs that per-cell kernel over every assignment of the
+top entries, row 0 included, each counted once.  It takes no orbit of the
+diagonal group, so it checks the mu_d weighting of _count_cell at primes
+where the per-point route is too slow.
 """
 
+from collections import Counter
+from itertools import product
+
 from grasspencils.grassmann import PencilSpec
-from grasspencils.pointcount import iter_plucker_points
+from grasspencils.pointcount import (_cell_counter, _LineTables,
+                                     _sparse_monomials, enumerate_cells,
+                                     iter_plucker_points)
 
 
 def per_point_histogram(spec: PencilSpec, p: int) -> dict:
     """Histogram of (deforming sum, frozen product) pairs over all points."""
-    deforming = [tuple((i, e) for i, e in enumerate(mono) if e)
-                 for mono in spec.deforming]
-    frozen = tuple((i, e) for i, e in enumerate(spec.frozen) if e)
+    deforming, frozen = _sparse_monomials(spec)
     maxexp = max(max(e for _, e in mono) for mono in deforming)
     maxexp = max(maxexp, max(e for _, e in frozen))
     pow_table = [[pow(v, k, p) for k in range(maxexp + 1)] for v in range(p)]
@@ -31,4 +39,18 @@ def per_point_histogram(spec: PencilSpec, p: int) -> dict:
             f = f * pow_table[coords[i]][e] % p
         key = (s, f)
         hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+def per_cell_histogram(spec: PencilSpec, p: int, cells=None) -> dict:
+    """The same histogram over the given cells (default: all of them),
+    every top assignment visited once and unweighted."""
+    deforming, frozen = _sparse_monomials(spec)
+    tables = _LineTables(p)
+    hist = Counter()
+    for cell in cells or enumerate_cells(spec.r, spec.n):
+        top, count = _cell_counter(cell, spec.r, spec.n, p, deforming,
+                                   frozen, tables)
+        for top_values in product(range(p), repeat=len(top)):
+            count(top_values, hist)
     return hist

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from grasspencils import cli, griffiths, linalg, symmetry
-from grasspencils.grassmann import build_pencil
+from grasspencils.grassmann import PencilSpec, build_pencil
 from grasspencils.griffiths import SpecializationMismatch
 
 
@@ -30,6 +30,18 @@ def test_tables_reproduces_fixture(tmp_path):
     assert set(manifest["outputs"]) == {"tables_p5_arrow.csv",
                                         "tables_p5_arrow.json"}
     assert "count_ms" in manifest["timings_ms"]
+    assert manifest["orbit_order"] == 4  # gcd(4, p - 1)
+    # a pencil with a non-invariant monomial is counted point by point
+    arrow = build_pencil(2, 4)
+    skew = PencilSpec(2, 4, "skew", ((3, 1, 0, 0, 0, 0),)
+                      + arrow.deforming[1:], arrow.frozen)
+    path = tmp_path / "skew.json"
+    path.write_text(skew.to_json())
+    assert run(["tables", "--p", "5", "--pencil-json", str(path),
+                "--outdir", str(tmp_path)]) == 0
+    manifest = json.loads(
+        (tmp_path / "tables_p5_skew_manifest.json").read_text())
+    assert manifest["orbit_order"] == 1
 
 
 def test_tables_check_mismatch_exits_2(tmp_path, monkeypatch):
@@ -85,6 +97,9 @@ def test_search_empty_hits(tmp_path):
     assert doc["coefficients"] == ["1", "0", "12", "0", "492"]
     assert doc["hw"] == {"1": 0, "2": 1, "3": 1, "4": 0}
     assert doc["grid"] == {"a": 4, "b": 4}
+    manifest = json.loads((tmp_path / "search_p5_manifest.json").read_text())
+    assert manifest["orbit_order"] == 4
+    assert "orbit_order" not in doc
 
 
 def test_search_check_fails_on_hits(tmp_path, monkeypatch):

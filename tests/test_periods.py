@@ -19,9 +19,9 @@ C_0_TO_20 = [1, 0, 12, 0, 492, 0, 32880, 0, 2743020, 0, 257986512, 0,
              26170078704, 0, 2797796574144, 0, 310918611526380, 0,
              35596887110962320, 0, 4172909329695526992]
 
-# primes whose congruence and truncation search run in tier-1; p = 37 needs
-# c_0..c_36
-PRIMES_TO_37 = (13, 17, 19, 23, 29, 31, 37)
+# primes whose congruence and truncation search run in tier-1; p = 61 needs
+# c_0..c_60
+PRIMES_TO_61 = (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 def test_kernel_construction_checks():
     kernel = build_period_kernel()
@@ -156,10 +156,10 @@ def test_hasse_witt_congruence_with_counts():
 
 def test_hasse_witt_congruence_beyond_tabulated_primes():
     # the congruence is a theorem about the family, not about three primes;
-    # p = 13..37 need coefficients through c_12..c_36, past the tabulated
+    # p = 13..61 need coefficients through c_12..c_60, past the tabulated
     # range
     spec = build_pencil(2, 4)
-    for p in PRIMES_TO_37:
+    for p in PRIMES_TO_61:
         for rec in count_table(spec, p):
             assert (1 - hasse_witt(p, rec.t)) % p == rec.residue
 
@@ -218,7 +218,7 @@ def test_hypergeometric_rejects_bad_denominator():
 
 def test_truncation_search_empty_for_arrow_pencil():
     spec = build_pencil(2, 4)
-    for p in (5, 7, 11) + PRIMES_TO_37:
+    for p in (5, 7, 11) + PRIMES_TO_61:
         assert truncation_search(p, count_table(spec, p)) == []
 
 

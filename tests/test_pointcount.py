@@ -1,20 +1,23 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
 from grasspencils import pointcount
 from grasspencils.fields import PrimeField
-from grasspencils.grassmann import VARIANTS, build_pencil, evaluate_pencil
+from grasspencils.grassmann import (VARIANTS, PencilSpec, build_pencil,
+                                    evaluate_pencil)
 from grasspencils.linalg import ResourceLimitError
-from grasspencils.pointcount import (PointCountRecord, _det_mod,
-                                     _LineTables, _pencil_histogram,
-                                     _split_cell, count_points, count_table,
-                                     count_zeros, enumerate_cells,
-                                     grassmannian_count, iter_plucker_points,
-                                     records_to_csv)
+from grasspencils.pointcount import (PointCountRecord, _count_cell, _det_mod,
+                                     _LineTables, _orbit_order,
+                                     _pencil_histogram, _row0_values,
+                                     _sparse_monomials, _split_cell,
+                                     count_points, count_table, count_zeros,
+                                     enumerate_cells, grassmannian_count,
+                                     iter_plucker_points, records_to_csv)
 from grasspencils.poly import SparsePolynomial
-from histogram_oracle import per_point_histogram
+from histogram_oracle import per_cell_histogram, per_point_histogram
 
 TABLE_P5 = [(1, 296, 1), (2, 320, 0), (3, 320, 0), (4, 296, 1)]
 TABLE_P7 = [(1, 384, 6), (2, 388, 3), (3, 352, 2), (4, 520, 2), (5, 416, 3),
@@ -219,6 +222,81 @@ def test_histogram_matches_per_point_oracle(rnv, p):
     # entries, and r = 4 takes 3 x 3 cofactors
     spec = build_pencil(*rnv)
     assert _pencil_histogram(spec, p) == per_point_histogram(spec, p)
+
+
+ORBIT_CASES = ([((2, 4, v), p, d) for v in VARIANTS
+                for p, d in ((2, 1), (5, 4), (7, 2), (11, 2), (13, 4))]
+               + [((2, 5, "arrow"), 3, 1), ((2, 5, "arrow"), 11, 5)]
+               + [((3, 4, "arrow"), 13, 4), ((3, 6, "arrow"), 3, 2)])
+
+
+@pytest.mark.parametrize(
+    "rnv, p, d", ORBIT_CASES,
+    ids=[f"{r}-{n}-{v}-p{p}-d{d}" for (r, n, v), p, d in ORBIT_CASES])
+def test_weighted_histogram_matches_per_cell_oracle(rnv, p, d):
+    # the row-0 entries run over cosets of mu_d, weighted by d^k; the
+    # oracle visits every row-0 value once.  r = 3 has top entries in row 1
+    # as well, which keep the full range
+    spec = build_pencil(*rnv)
+    assert _orbit_order(spec, p) == d
+    assert _pencil_histogram(spec, p) == per_cell_histogram(spec, p)
+
+
+def test_count_cell_matches_per_cell_oracle_at_d6():
+    # d = gcd(6, 6) = 6; the whole of G(2,6)(F_7) is too slow for the
+    # oracle, so compare cell by cell up to dimension 6
+    spec, p = build_pencil(2, 6), 7
+    d = _orbit_order(spec, p)
+    assert d == 6
+    deforming, frozen = _sparse_monomials(spec)
+    tables = _LineTables(p)
+    cells = [c for c in enumerate_cells(2, 6) if c.dimension <= 6]
+    assert max(c.dimension for c in cells) == 6
+    for cell in cells:
+        hist = Counter()
+        _count_cell(cell, 2, 6, p, deforming, frozen, tables, hist, d)
+        assert hist == per_cell_histogram(spec, p, [cell]), cell
+
+
+def _non_invariant_pencil():
+    """The (2,4) arrow pencil with p12^4 replaced by p12^3*p13, whose
+    character (0,3,1,0) mod 4 is not a multiple of (1,1,1,1)."""
+    arrow = build_pencil(2, 4)
+    return PencilSpec(2, 4, "skew", ((3, 1, 0, 0, 0, 0),)
+                      + arrow.deforming[1:], arrow.frozen)
+
+
+def test_non_invariant_pencil_keeps_the_full_route():
+    spec, p = _non_invariant_pencil(), 5
+    assert _orbit_order(build_pencil(2, 4), p) == 4
+    assert _orbit_order(spec, p) == 1
+    oracle = per_point_histogram(spec, p)
+    assert _pencil_histogram(spec, p) == oracle
+    # the guard is not vacuous: weighting this pencil by mu_4 is wrong
+    deforming, frozen = _sparse_monomials(spec)
+    tables, forced = _LineTables(p), Counter()
+    for cell in enumerate_cells(2, 4):
+        _count_cell(cell, 2, 4, p, deforming, frozen, tables, forced, 4)
+    assert forced != oracle
+
+
+def test_orbit_order_is_one_without_a_second_row():
+    # r = 1 leaves no pivot to absorb the product of the row-0 scalings
+    spec = build_pencil(1, 4)
+    assert all(_orbit_order(spec, p) == 1 for p in (5, 13))
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (5, 1), (5, 4), (7, 6), (13, 4),
+                                  (31, 5), (61, 4)])
+def test_row0_values_are_zero_and_coset_representatives(p, d):
+    values = _row0_values(p, d)
+    assert values[0] == 0 and len(values) == 1 + (p - 1) // d
+    mu = {x for x in range(1, p) if pow(x, d, p) == 1}
+    assert len(mu) == d
+    orbits = [v * z % p for v in values[1:] for z in mu]
+    assert sorted(orbits) == list(range(1, p))
+    if d == 1:
+        assert values == tuple(range(p))
 
 
 @pytest.mark.parametrize("r, n", [(2, 6), (3, 6), (2, 7)])
