@@ -194,14 +194,15 @@ def cmd_hodge(args) -> int:
     t_values = _integers("--t", args.t, "comma-separated integers")
     primes = _integers("--primes", args.primes, "comma-separated primes") \
         if args.primes else ()
-    include_q = args.rationals if args.rationals is not None else not primes
     group = build_group(n, r)
 
     t0 = time.perf_counter()
     report = invariant_subspace(
         spec, degree=args.degree,
-        t_values=t_values, primes=primes, include_rationals=include_q)
+        t_values=t_values, primes=primes, include_rationals=args.rationals)
     timings["invariant_ms"] = (time.perf_counter() - t0) * 1000
+    include_q = any(s["field"] == RATIONALS.name
+                    for s in report.specializations)
 
     doc = {
         "report": json.loads(report.to_json()),
@@ -215,7 +216,7 @@ def cmd_hodge(args) -> int:
         t0 = time.perf_counter()
         ci_dims = set()
         for t in t_values:
-            ctx = ci_context_for_pencil(spec, Fraction(t), RATIONALS)
+            ctx = ci_context_for_pencil(spec, Fraction(t))
             dims = (ci_bigraded_quotient(ctx, (0, 0)).quotient_dim,
                     ci_bigraded_quotient(ctx, (0, 1)).quotient_dim)
             ci_dims.add(dims)

@@ -31,11 +31,9 @@ from .fields import PrimeField, RATIONALS
 from .grassmann import (PencilSpec, evaluate_pencil, hilbert_function,
                         index_position, monomial_name, normal_form,
                         plucker_indices, plucker_relations, sort_with_sign)
-from .linalg import ResourceLimitError, row_basis
-from .poly import SparsePolynomial, grlex_key, monomials_of_degree
+from .linalg import row_basis
+from .poly import SparsePolynomial, check_listing_size, monomials_of_degree
 from .symmetry import invariant_monomials
-
-AMBIENT_GUARD = 10 ** 6  # largest graded slice we agree to materialize
 
 
 class SpecializationMismatch(RuntimeError):
@@ -139,34 +137,11 @@ def grassmann_jacobian_generators(f: SparsePolynomial, r: int,
 # -- graded slices of the generalized Jacobian ring --------------------
 
 
-def _slice_row(mult_exp, poly, position):
-    """Row of mult * poly in the ambient monomial basis, as {col: coeff}.
-
-    Multiplying by a fixed monomial maps distinct exponents to distinct
-    columns, so no coefficient merging can occur.
-    """
-    return {position[tuple(m + x for m, x in zip(mult_exp, e))]: c
-            for e, c in poly.terms.items()}
-
-
-def _check_slice_size(size, kind="graded"):
-    """Raise before a slice of `size` monomials above the guard is built."""
-    if size > AMBIENT_GUARD:
-        raise ResourceLimitError(
-            f"{kind} slice with {size} monomials exceeds the guard")
-
-
-def _check_ambient_size(nvars, degree):
-    if degree >= 0:
-        _check_slice_size(comb(nvars + degree - 1, degree))
-
-
 def _ideal_slice(r, n, degree, generators, fld):
     """(basis, dims): the echelon basis over fld of the generator multiples
     in one slice, its columns keyed by standard monomials, and the ambient,
     relation_rank, ideal_rank and quotient_dim of the slice."""
     nv = len(plucker_indices(r, n))
-    _check_ambient_size(nv, max(degree, 4))  # 4: the rules' certificate
     generators = [g for g in generators if g]
     for g in generators:
         if not g.is_homogeneous():
@@ -278,19 +253,17 @@ def _poly_bidegree(poly, nx, degrees):
 
 
 def bigraded_monomials(ctx: CIJacobianContext, bidegree) -> list:
-    """All monomials x^a y^b of the given bidegree, canonical order."""
+    """All monomials x^a y^b of the given bidegree, grouped by y^b."""
     a, b = bidegree
     if b < 0:
         return []
     ys = [(ybeta, a + sum(d * e for d, e in zip(ctx.degrees, ybeta)))
           for ybeta in monomials_of_degree(len(ctx.degrees), b)]
     ys = [(ybeta, xdeg) for ybeta, xdeg in ys if xdeg >= 0]
-    _check_slice_size(sum(comb(ctx.nx + xdeg - 1, xdeg) for _, xdeg in ys),
-                      "bigraded")
-    out = [xalpha + ybeta for ybeta, xdeg in ys
-           for xalpha in monomials_of_degree(ctx.nx, xdeg)]
-    out.sort(key=grlex_key, reverse=True)
-    return out
+    check_listing_size(
+        sum(comb(ctx.nx + xdeg - 1, xdeg) for _, xdeg in ys), "bigraded")
+    return [xalpha + ybeta for ybeta, xdeg in ys
+            for xalpha in monomials_of_degree(ctx.nx, xdeg)]
 
 
 def ci_bigraded_quotient(ctx: CIJacobianContext,
@@ -298,36 +271,36 @@ def ci_bigraded_quotient(ctx: CIJacobianContext,
     """Dimension of one bigraded piece of the Jacobian ring.
 
     The span is every product (monomial) * (generator) landing in the
-    requested bidegree.
+    requested bidegree, its columns keyed by the product monomials.
+    Multiplying by a fixed monomial maps distinct exponents to distinct
+    monomials, so no coefficient merging can occur.
     """
     a, b = bidegree
-    ambient = bigraded_monomials(ctx, bidegree)
-    position = {e: k for k, e in enumerate(ambient)}
+    ambient = len(bigraded_monomials(ctx, bidegree))
     fld = ctx.field
-    basis = row_basis(len(ambient), fld)
+    basis = row_basis(ambient, fld)
     ideal_rank = basis.add_rows(
-        _slice_row(mult, g, position)
+        {tuple(m + x for m, x in zip(mult, e)): c
+         for e, c in g.terms.items()}
         for g in _ci_generators(ctx) if g
         for ga, gb in [_poly_bidegree(g, ctx.nx, ctx.degrees)]
         for mult in bigraded_monomials(ctx, (a - ga, b - gb)))
     return GradedPieceReport(
         label=f"CI in P^{ctx.nx - 1} bidegree {bidegree}",
         rn=None, degree=(a, b), t=None, field=fld.name,
-        ambient=len(ambient), relation_rank=0, ideal_rank=ideal_rank,
-        quotient_dim=len(ambient) - ideal_rank)
+        ambient=ambient, relation_rank=0, ideal_rank=ideal_rank,
+        quotient_dim=ambient - ideal_rank)
 
 
-def ci_context_for_pencil(spec: PencilSpec, t, field=RATIONALS):
-    """The P^5 complete-intersection model of a (2,4) pencil member.
+def ci_context_for_pencil(spec: PencilSpec, t):
+    """The P^5 complete-intersection model of a (2,4) pencil member over Q.
 
     The six Pluecker coordinates become projective coordinates; the member
     is cut out by the quartic pencil polynomial and the Pluecker quadric.
     """
     if (spec.r, spec.n) != (2, 4):
         raise ValueError("the projective-space model is specific to (2,4)")
-    f1 = evaluate_pencil(spec, t, field)
-    f2 = plucker_relations(2, 4)[0].convert(field)
-    return ci_context([f1, f2])
+    return ci_context([evaluate_pencil(spec, t), plucker_relations(2, 4)[0]])
 
 
 # -- invariant subspaces across specializations ------------------------
@@ -377,7 +350,7 @@ def invariant_subspace(spec: PencilSpec, degree=None,
                 raise ValueError(
                     f"t = {t} vanishes in {fld.name}; bad specialization")
 
-    _check_ambient_size(len(plucker_indices(r, n)), degree)
+    # the first listing: a slice past the size guard stops here
     candidates = invariant_monomials(r, n, degree)
     results = [_one_specialization(spec, degree, fld, t, candidates,
                                    span_check_monomials)

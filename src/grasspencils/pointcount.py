@@ -43,7 +43,7 @@ from math import gcd
 from operator import add, mod, mul
 
 from .fields import is_prime
-from .grassmann import PencilSpec, plucker_indices, sort_with_sign
+from .grassmann import PencilSpec, _check_rn, plucker_indices, sort_with_sign
 from .linalg import ResourceLimitError
 from .symmetry import build_group, is_invariant
 
@@ -75,8 +75,7 @@ class PointCountRecord:
 def enumerate_cells(r: int, n: int) -> tuple:
     """One cell per pivot set; free entries sit right of their pivot and
     outside the other pivot columns."""
-    if not (1 <= r <= n - 1):
-        raise ValueError(f"need 1 <= r <= n-1, got ({r}, {n})")
+    _check_rn(r, n)
     cells = []
     for pivots in combinations(range(n), r):
         pivot_set = set(pivots)
@@ -333,10 +332,10 @@ def _sparse_monomials(spec: PencilSpec) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _pencil_histogram(spec: PencilSpec, p: int, force: bool = False) -> dict:
+def _pencil_histogram(spec: PencilSpec, p: int) -> dict:
     """Histogram of (deforming sum, frozen product) pairs over all points,
-    counted one Schubert cell at a time by _count_cell."""
-    _check_enumeration_size(spec.r, spec.n, p, force)
+    counted one Schubert cell at a time by _count_cell.  Cached on
+    (pencil, p) alone; callers check the enumeration size first."""
     deforming, frozen = _sparse_monomials(spec)
     d = _orbit_order(spec, p)
     tables = _LineTables(p)
@@ -358,7 +357,8 @@ def count_points(spec: PencilSpec, p: int, t: int,
     t = t % p
     if t == 0:
         raise ValueError("t = 0 is excluded")
-    hist = _pencil_histogram(spec, p, force)
+    _check_enumeration_size(spec.r, spec.n, p, force)
+    hist = _pencil_histogram(spec, p)
     count = sum(m for (s, f), m in hist.items() if (t * s + f) % p == 0)
     return PointCountRecord(p=p, t=t, count=count, residue=count % p)
 

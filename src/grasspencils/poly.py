@@ -14,13 +14,25 @@ x5^4).
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .fields import RATIONALS
+from .linalg import ResourceLimitError
+
+LISTING_GUARD = 10 ** 6  # the most monomials one listing may hold
 
 
 def grlex_key(exponents):
     """Sort key realizing the graded-lexicographic order."""
     return (sum(exponents), exponents)
+
+
+def check_listing_size(size, kind="graded"):
+    """Raise before a slice of `size` monomials above LISTING_GUARD is
+    listed."""
+    if size > LISTING_GUARD:
+        raise ResourceLimitError(
+            f"{kind} slice with {size} monomials exceeds the guard")
 
 
 @lru_cache(maxsize=None)
@@ -29,8 +41,12 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple:
 
     Canonical order within a fixed degree is descending lexicographic:
     (degree, 0, ..., 0) first, (0, ..., 0, degree) last.  Negative degrees
-    give the empty tuple.  Cached: every caller shares one listing.
+    give the empty tuple.  Cached: every caller shares one listing.  A
+    listing of more than LISTING_GUARD monomials raises ResourceLimitError
+    before anything is built.
     """
+    if degree >= 0:
+        check_listing_size(comb(nvars + degree - 1, degree))
     return tuple(_monomials(nvars, degree))
 
 

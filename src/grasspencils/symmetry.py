@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .grassmann import plucker_indices
+from .grassmann import _check_rn, plucker_indices
 from .poly import monomials_of_degree
 
 
@@ -70,8 +70,7 @@ def build_group(n: int, r: int) -> SymmetryGroup:
     L / <(1,...,1)> = Z/g x (Z/n)^(n-2).  As g | n, that list with its
     trivial factors dropped is already the chain d1 | d2 | ...
     """
-    if n < 2 or not (1 <= r <= n - 1):
-        raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got ({n}, {r})")
+    _check_rn(r, n)
     g = gcd(r, n)
     order = n ** (n - 1) * g
     factors = tuple(d for d in (g,) + (n,) * (n - 2) if d != 1)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from grasspencils import cli, griffiths, linalg, symmetry
+from grasspencils import cli, linalg, poly
 from grasspencils.grassmann import PencilSpec, build_pencil
 from grasspencils.griffiths import SpecializationMismatch
 
@@ -170,6 +170,20 @@ def test_hodge_manifest_times_each_step(tmp_path):
     assert set(timings) == {"invariant_ms", "ci_ms"}
 
 
+def test_hodge_fields_follow_rationals_flag(tmp_path):
+    # with primes given, Q runs only under --rationals, and so does the
+    # complete-intersection cross-check
+    base = ["hodge", "--rn", "2,4", "--t", "2", "--primes", "1048583"]
+    for flags, over_q in (([], False), (["--rationals"], True)):
+        outdir = tmp_path / str(over_q)
+        assert run(base + flags + ["--outdir", str(outdir)]) == 0
+        doc = json.loads((outdir / "hodge_24_arrow.json").read_text())
+        manifest = json.loads(
+            (outdir / "hodge_24_arrow_manifest.json").read_text())
+        assert ("ci_model" in doc) == over_q
+        assert manifest["parameters"]["rationals"] is over_q
+
+
 def test_hodge_ci_model_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     # the complete-intersection cross-check must give one answer for all t
     real = cli.ci_bigraded_quotient
@@ -300,13 +314,13 @@ def test_hodge_check_in_other_degree_exits_2(tmp_path, capsys):
 def test_hodge_slice_guard_exits_2_before_enumerating(tmp_path, monkeypatch,
                                                       capsys):
     # degree 5 on G(2,5) has C(14, 5) = 2002 monomials; the guard counts
-    # them before the slice or its invariant monomials are enumerated
+    # them before the invariant scan lists the slice
     def refuse(*args):
         raise AssertionError("slice enumerated before the size guard")
 
-    monkeypatch.setattr(griffiths, "AMBIENT_GUARD", 1000)
-    monkeypatch.setattr(griffiths, "monomials_of_degree", refuse)
-    monkeypatch.setattr(symmetry, "monomials_of_degree", refuse)
+    monkeypatch.setattr(poly, "LISTING_GUARD", 1000)
+    monkeypatch.setattr(poly, "_monomials", refuse)
+    poly.monomials_of_degree.cache_clear()
     assert run(["hodge", "--rn", "2,5", "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "error: graded slice with 2002 monomials exceeds the guard" in err

@@ -7,7 +7,7 @@ from grasspencils.fields import PrimeField, RATIONALS
 from grasspencils.grassmann import (build_pencil, evaluate_pencil,
                                     hilbert_function, monomial_name,
                                     plucker_indices, plucker_relations)
-from grasspencils import griffiths
+from grasspencils import griffiths, poly
 from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
                                     apply_derivation,
                                     ci_bigraded_quotient, ci_context,
@@ -240,7 +240,7 @@ def test_bigraded_guard_counts_before_building(monkeypatch):
         assert nvars == 2, "x-monomials built before the size guard"
         return real(nvars, degree)
 
-    monkeypatch.setattr(griffiths, "AMBIENT_GUARD", 146)
+    monkeypatch.setattr(poly, "LISTING_GUARD", 146)
     monkeypatch.setattr(griffiths, "monomials_of_degree", y_only)
     with pytest.raises(ResourceLimitError,
                        match="bigraded slice with 147 monomials"):
@@ -265,7 +265,23 @@ def test_ci_rows_stream_and_each_generator_is_checked_first(monkeypatch):
     ctx = CIJacobianContext(2, (2, 1), (x0 * x0, x0 + x0 * x1))
     with pytest.raises(ValueError, match="bihomogeneous"):
         ci_bigraded_quotient(ctx, (0, 1))
-    assert added == [{0: 1}]
+    assert added == [{(2, 0, 1, 0): 1}]  # x0^2 * y1, keyed by monomial
+
+
+def test_listing_guard_bounds_only_what_is_listed(monkeypatch):
+    # degree 5 on G(2,5) has C(14, 5) = 2002 monomials; the Jacobian rows
+    # list only degree-0 multipliers and the straightening certificate at
+    # most C(13, 4) = 715 monomials, so the slice fits a guard of 1000,
+    # while the invariant scan would list all 2002 and is refused
+    monkeypatch.setattr(poly, "LISTING_GUARD", 1000)
+    poly.monomials_of_degree.cache_clear()
+    spec = build_pencil(2, 5)
+    fld = PrimeField(1048583)
+    gens = grassmann_jacobian_generators(evaluate_pencil(spec, 2, fld), 2, 5)
+    assert graded_quotient(2, 5, 5, gens).quotient_dim == 1151
+    with pytest.raises(ResourceLimitError,
+                       match="graded slice with 2002 monomials"):
+        invariant_subspace(spec, t_values=(2,), primes=(1048583,))
 
 
 def test_ci_model_only_for_24():

@@ -7,7 +7,7 @@ import pytest
 from grasspencils import pointcount
 from grasspencils.fields import PrimeField
 from grasspencils.grassmann import (VARIANTS, PencilSpec, build_pencil,
-                                    evaluate_pencil)
+                                    evaluate_pencil, plucker_indices)
 from grasspencils.linalg import ResourceLimitError
 from grasspencils.pointcount import (PointCountRecord, _count_cell, _det_mod,
                                      _LineTables, _orbit_order,
@@ -17,6 +17,7 @@ from grasspencils.pointcount import (PointCountRecord, _count_cell, _det_mod,
                                      enumerate_cells, grassmannian_count,
                                      iter_plucker_points, records_to_csv)
 from grasspencils.poly import SparsePolynomial
+from grasspencils.symmetry import build_group
 from histogram_oracle import per_cell_histogram, per_point_histogram
 
 TABLE_P5 = [(1, 296, 1), (2, 320, 0), (3, 320, 0), (4, 296, 1)]
@@ -111,6 +112,27 @@ def test_enumeration_guard(monkeypatch):
     spec = build_pencil(2, 7)
     with pytest.raises(ResourceLimitError):
         count_points(spec, 31, 1)
+
+
+def test_one_histogram_per_pencil_and_prime():
+    spec = build_pencil(2, 4)
+    _pencil_histogram.cache_clear()
+    _pencil_histogram(spec, 13)
+    count_points(spec, 13, 1)
+    count_points(spec, 13, 2, False)
+    count_table(spec, 13)
+    count_table(spec, 13, force=True)
+    assert _pencil_histogram.cache_info().misses == 1
+
+
+def test_one_rn_check_for_cells_group_and_coordinates():
+    messages = set()
+    for call in (lambda: enumerate_cells(4, 4), lambda: build_group(4, 4),
+                 lambda: plucker_indices(4, 4)):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"need 1 <= r <= n-1, got r=4, n=4"}
 
 
 def test_record_residue_invariant():
