@@ -90,6 +90,18 @@ def _load_pencil(args) -> PencilSpec:
     return build_pencil(r, n, args.variant)
 
 
+def _matches_label(spec: PencilSpec) -> bool:
+    """Whether spec has the monomials of the shipped pencil its label names:
+    the deforming set and frozen product of build_pencil(r, n, variant).
+    Only such a pencil has a period kernel or a shipped expectation."""
+    try:
+        shipped = build_pencil(spec.r, spec.n, spec.variant)
+    except ValueError:
+        return False
+    return ((set(spec.deforming), spec.frozen)
+            == (set(shipped.deforming), shipped.frozen))
+
+
 def cmd_tables(args) -> int:
     spec = _load_pencil(args)
     outdir = Path(args.outdir)
@@ -103,10 +115,8 @@ def cmd_tables(args) -> int:
 
     csv_text = records_to_csv(records)
     rows = []
-    # the period kernel belongs to the (2,4) arrow monomials, not its label
-    arrow = build_pencil(2, 4)
-    with_hw = ((set(spec.deforming), spec.frozen)
-               == (set(arrow.deforming), arrow.frozen))
+    with_hw = ((spec.r, spec.n, spec.variant) == (2, 4, "arrow")
+               and _matches_label(spec))
     for rec in records:
         row = {"t": rec.t, "count": rec.count, "residue": rec.residue}
         if with_hw:
@@ -129,7 +139,8 @@ def cmd_tables(args) -> int:
 
     if args.check:
         expected = None
-        if (spec.r, spec.n) == (2, 4):  # the shipped tables are for G(2,4)
+        # the shipped tables are for the labelled pencils of G(2,4)
+        if (spec.r, spec.n) == (2, 4) and _matches_label(spec):
             try:
                 expected = _fixture_text(f"table_p{args.p}_{spec.variant}.csv")
             except FileNotFoundError:
@@ -214,18 +225,20 @@ def cmd_hodge(args) -> int:
     if (r, n) == (2, 4) and include_q:
         # cross-check against the projective complete-intersection model
         t0 = time.perf_counter()
-        ci_dims = set()
+        ci_dims = {}
         for t in t_values:
             ctx = ci_context_for_pencil(spec, Fraction(t))
-            dims = (ci_bigraded_quotient(ctx, (0, 0)).quotient_dim,
-                    ci_bigraded_quotient(ctx, (0, 1)).quotient_dim)
-            ci_dims.add(dims)
+            ci_dims[t] = (ci_bigraded_quotient(ctx, (0, 0)).quotient_dim,
+                          ci_bigraded_quotient(ctx, (0, 1)).quotient_dim)
         timings["ci_ms"] = (time.perf_counter() - t0) * 1000
-        if len(ci_dims) != 1:
+        if len(set(ci_dims.values())) != 1:
             print("inconsistent complete-intersection specializations",
                   file=sys.stderr)
+            for t, (d00, d01) in ci_dims.items():
+                print(f"  t={t} over {RATIONALS.name}: dim_0_0={d00} "
+                      f"dim_0_1={d01}", file=sys.stderr)
             return INCONSISTENT
-        d00, d01 = ci_dims.pop()
+        d00, d01 = ci_dims[t_values[0]]
         doc["ci_model"] = {"dim_0_0": d00, "dim_0_1": d01,
                            "agrees": d01 == report.quotient_dim}
 
@@ -241,9 +254,9 @@ def cmd_hodge(args) -> int:
 
     if args.check:
         expected = json.loads(_fixture_text("dimensions.json"))
-        # the shipped dimensions are all for degree n
+        # the shipped dimensions are all for the labelled pencils in degree n
         want = (expected.get(f"{r},{n}", {}).get(spec.variant)
-                if report.degree == n else None)
+                if report.degree == n and _matches_label(spec) else None)
         if want is None:
             print(f"check FAILED: no expected dimensions ship for "
                   f"G({r},{n}) {spec.variant} in degree {report.degree}",

@@ -8,14 +8,16 @@ in the package-wide sign convention, and the pair (deforming sum, frozen
 product) is recorded; the histogram of those pairs answers the count for
 every parameter value t without re-enumerating.
 
-The histogram is built one cell at a time.  Every minor is linear in the
-last echelon row, so the trailing two (at most) free entries of that row
-form an inner block: with the other free entries fixed, each Pluecker
+The histogram is built one cell at a time, in one loop over the outer
+entries.  Every minor is linear in the last echelon row, so the trailing
+two (at most) free entries of that row form an inner block and every other
+free entry is an outer entry: with the outer entries fixed, each Pluecker
 coordinate is an affine form in the inner entries whose coefficients are
-cofactors along the last row.  The powers of each form over the inner grid
-(at most p^2 points) come from memoized line tables, coordinates constant
-on the grid stay scalars, and the products, sums and (sum, product) counts
-over the grid run in map, zip and Counter.update.
+cofactors along the last row: (r-1)-minors of the rows above, recomputed
+only when an entry above the last row changes.  The powers of each form
+over the inner grid (at most p^2 points) come from memoized line tables,
+coordinates constant on the grid stay scalars, and the products, sums and
+(sum, product) counts over the grid run in map, zip and Counter.update.
 
 The row-0 free entries are visited one orbit of a diagonal group at a time.
 Let d = gcd(n, p - 1) and take z in mu_d^n with prod(z) = 1, an element of
@@ -115,8 +117,8 @@ def _check_enumeration_size(r, n, p, force):
     total = grassmannian_count(r, n, p)
     if total > ENUMERATION_GUARD and not force:
         raise ResourceLimitError(
-            f"G({r},{n})(F_{p}) has {total} points; "
-            "pass force=True to enumerate anyway")
+            f"G({r},{n})(F_{p}) has {total} points, more than the 10^9 "
+            "guard; pass force=True (tables --force) to enumerate anyway")
 
 
 def iter_plucker_points(r: int, n: int, p: int, force: bool = False):
@@ -149,11 +151,11 @@ def count_zeros(poly, r: int, n: int, p: int, force: bool = False) -> int:
 
 
 def _split_cell(cell: SchubertCell, r: int) -> tuple:
-    """(entries above the last row, leading free columns of the last row,
-    its trailing two free columns at most: the inner block)."""
-    top = tuple((i, j) for i, j in cell.free_positions if i < r - 1)
-    last = tuple(j for i, j in cell.free_positions if i == r - 1)
-    return top, last[:-2], last[-2:]
+    """(outer entries, inner columns): the inner block is the last row's
+    trailing two free columns at most, and the outer entries are the other
+    free entries, row-major as in free_positions."""
+    inner = tuple(j for i, j in cell.free_positions if i == r - 1)[-2:]
+    return cell.free_positions[:cell.dimension - len(inner)], inner
 
 
 class _LineTables:
@@ -200,81 +202,6 @@ def _monomial(mono, values, p):
     return const, terms
 
 
-def _cell_counter(cell, r, n, p, deforming, frozen, tables):
-    """(top entries, count) for one Schubert cell: count(top_values, hist)
-    adds the (sum, product) pairs of the points whose top entries, the
-    free entries above the last row, take top_values.
-
-    Each r x r minor is linear in the last echelon row, so once the other
-    free entries are fixed, a Pluecker coordinate is an affine form
-    k0 + k1*x1 + k2*x2 in the inner entries, and the points are counted
-    one grid of at most p^2 inner values at a time.
-    """
-    top, mid, inner = _split_cell(cell, r)
-    piv = cell.pivots[-1]
-    slot = {c: k for k, c in enumerate(mid + inner)}
-    col_sets = [tuple(i - 1 for i in idx) for idx in plucker_indices(r, n)]
-    # cofactor expansion along the last row, which vanishes left of its
-    # pivot: (sign, column, complementary columns) per coordinate
-    expansion = [[(-1 if (r - 1 + k) % 2 else 1, c, cols[:k] + cols[k + 1:])
-                  for k, c in enumerate(cols) if c >= piv]
-                 for cols in col_sets]
-    complements = {comp for terms in expansion for _, _, comp in terms}
-    powers = {qe for mono in deforming + [frozen] for qe in mono}
-    grid = p ** len(inner)
-    upper = [[0] * n for _ in range(r - 1)]
-    for i, c in enumerate(cell.pivots[:-1]):
-        upper[i][c] = 1
-
-    def count(top_values, hist):
-        for (i, j), v in zip(top, top_values):
-            upper[i][j] = v
-        minor = {comp: _det_mod(upper, comp, p) for comp in complements}
-        forms = []  # (pivot cofactor, mid cofactors, inner cofactors or ())
-        for terms in expansion:
-            k0, coeffs = 0, [0] * len(slot)
-            for sign, c, comp in terms:
-                if c == piv:
-                    k0 = sign * minor[comp] % p
-                else:
-                    coeffs[slot[c]] = sign * minor[comp] % p
-            slopes = coeffs[len(mid):] if any(coeffs[len(mid):]) else ()
-            forms.append((k0, coeffs[:len(mid)], slopes))
-        for mid_values in product(range(p), repeat=len(mid)):
-            values = {}  # p_q^e: an int if constant on the grid, else a vector
-            for q, e in powers:
-                k0, mid_coeffs, slopes = forms[q]
-                if mid_values:
-                    k0 = (k0 + sum(map(mul, mid_coeffs, mid_values))) % p
-                if not slopes:
-                    values[q, e] = pow(k0, e, p)
-                elif len(slopes) == 1:
-                    values[q, e] = tables.rows(slopes[0], e)[k0]
-                else:
-                    values[q, e] = tables.plane(k0, *slopes, e)
-            s, s_terms = 0, []
-            for mono in deforming:
-                const, terms = _monomial(mono, values, p)
-                if terms is None:
-                    s += const
-                else:
-                    s_terms.append(terms)
-            s %= p
-            f, f_terms = _monomial(frozen, values, p)
-            if s_terms:
-                s = map(mod, reduce(partial(map, add), s_terms, repeat(s)),
-                        repeat(p))
-            if f_terms is not None:
-                f = map(mod, f_terms, repeat(p))
-            if isinstance(s, int) and isinstance(f, int):
-                hist[s, f] += grid
-            else:
-                hist.update(zip(repeat(s) if isinstance(s, int) else s,
-                                repeat(f) if isinstance(f, int) else f))
-
-    return top, count
-
-
 def _orbit_order(spec: PencilSpec, p: int) -> int:
     """The d whose cosets of mu_d weight the row-0 entries in _count_cell.
 
@@ -304,18 +231,85 @@ def _row0_values(p: int, d: int) -> tuple:
 def _count_cell(cell, r, n, p, deforming, frozen, tables, hist, d):
     """Add the (sum, product) pairs of every point of one cell to hist.
 
+    Each r x r minor is linear in the last echelon row, so once the outer
+    entries are fixed, a Pluecker coordinate is an affine form
+    k0 + k1*x1 + k2*x2 in the inner entries, and the points are counted
+    one grid of at most p^2 inner values at a time.
+
     Each row-0 free entry runs over 0 and the coset representatives of
-    F_p^*/mu_d (d = _orbit_order), every other entry over all of F_p.  An
-    assignment with k nonzero row-0 entries stands for its orbit of d^k
-    points, which share its pairs; the counts are kept per k and folded
-    into hist with weight d^k once the cell is done.
+    F_p^*/mu_d (d = _orbit_order), every other outer entry over all of
+    F_p.  An assignment with k nonzero row-0 entries stands for its orbit
+    of d^k points, which share its pairs; the counts are kept per k and
+    folded into hist with weight d^k once the cell is done.
     """
-    top, count = _cell_counter(cell, r, n, p, deforming, frozen, tables)
-    row0 = sum(1 for i, _ in top if i == 0)  # top is row-major
-    ranges = [_row0_values(p, d)] * row0 + [range(p)] * (len(top) - row0)
+    outer, inner = _split_cell(cell, r)
+    piv = cell.pivots[-1]
+    col_sets = [tuple(i - 1 for i in idx) for idx in plucker_indices(r, n)]
+    # cofactor expansion along the last row, which vanishes left of its
+    # pivot: (sign, column, complementary columns) per coordinate
+    expansion = [[(-1 if (r - 1 + k) % 2 else 1, c, cols[:k] + cols[k + 1:])
+                  for k, c in enumerate(cols) if c >= piv]
+                 for cols in col_sets]
+    complements = {comp for terms in expansion for _, _, comp in terms}
+    powers = {qe for mono in deforming + [frozen] for qe in mono}
+    grid = p ** len(inner)
+    upper = [[0] * n for _ in range(r - 1)]
+    for i, c in enumerate(cell.pivots[:-1]):
+        upper[i][c] = 1
+    above = sum(1 for i, _ in outer if i < r - 1)  # outer is row-major
+    row0 = sum(1 for i, _ in outer[:above] if i == 0)
+    # no pivot lies right of piv, so the last row from piv on is its pivot
+    # entry 1, then its outer entries, then the inner block
+    width = n - piv - len(inner)
+    ranges = [_row0_values(p, d)] * row0 + [range(p)] * (len(outer) - row0)
     by_nonzero = defaultdict(Counter)
-    for top_values in product(*ranges):
-        count(top_values, by_nonzero[row0 - top_values[:row0].count(0)])
+    upper_values = None
+    for outer_values in product(*ranges):
+        # the entries above the last row vary slowest: their minors are
+        # recomputed only when they change
+        if outer_values[:above] != upper_values:
+            upper_values = outer_values[:above]
+            for (i, j), v in zip(outer, upper_values):
+                upper[i][j] = v
+            minor = {comp: _det_mod(upper, comp, p) for comp in complements}
+            forms = []  # (cofactors left of the inner block, slopes or ())
+            for terms in expansion:
+                coeffs = [0] * (n - piv)
+                for sign, c, comp in terms:
+                    coeffs[c - piv] = sign * minor[comp] % p
+                slopes = coeffs[width:]
+                forms.append((coeffs[:width], slopes if any(slopes) else ()))
+            counts = by_nonzero[row0 - upper_values[:row0].count(0)]
+        last = (1,) + outer_values[above:]
+        values = {}  # p_q^e: an int if constant on the grid, else a vector
+        for q, e in powers:
+            cofactors, slopes = forms[q]
+            k0 = sum(map(mul, cofactors, last)) % p
+            if not slopes:
+                values[q, e] = pow(k0, e, p)
+            elif len(slopes) == 1:
+                values[q, e] = tables.rows(slopes[0], e)[k0]
+            else:
+                values[q, e] = tables.plane(k0, *slopes, e)
+        s, s_terms = 0, []
+        for mono in deforming:
+            const, terms = _monomial(mono, values, p)
+            if terms is None:
+                s += const
+            else:
+                s_terms.append(terms)
+        s %= p
+        f, f_terms = _monomial(frozen, values, p)
+        if s_terms:
+            s = map(mod, reduce(partial(map, add), s_terms, repeat(s)),
+                    repeat(p))
+        if f_terms is not None:
+            f = map(mod, f_terms, repeat(p))
+        if isinstance(s, int) and isinstance(f, int):
+            counts[s, f] += grid
+        else:
+            counts.update(zip(repeat(s) if isinstance(s, int) else s,
+                              repeat(f) if isinstance(f, int) else f))
     for k, counts in by_nonzero.items():
         weight = d ** k
         for key, m in counts.items():

@@ -5,17 +5,16 @@ yielded by iter_plucker_points, through a table of powers mod p.  It never
 splits a Schubert cell or expands a minor along a row, so it checks the
 per-cell kernel that _pencil_histogram uses.
 
-per_cell_histogram runs that per-cell kernel over every assignment of the
-top entries, row 0 included, each counted once.  It takes no orbit of the
-diagonal group, so it checks the mu_d weighting of _count_cell at primes
-where the per-point route is too slow.
+per_cell_histogram runs that per-cell kernel with d = 1: every outer
+entry, row 0 included, runs over all of F_p and each assignment counts
+once.  It takes no orbit of the diagonal group, so it checks the mu_d
+weighting of _count_cell at primes where the per-point route is too slow.
 """
 
 from collections import Counter
-from itertools import product
 
 from grasspencils.grassmann import PencilSpec
-from grasspencils.pointcount import (_cell_counter, _LineTables,
+from grasspencils.pointcount import (_count_cell, _LineTables,
                                      _sparse_monomials, enumerate_cells,
                                      iter_plucker_points)
 
@@ -44,13 +43,11 @@ def per_point_histogram(spec: PencilSpec, p: int) -> dict:
 
 def per_cell_histogram(spec: PencilSpec, p: int, cells=None) -> dict:
     """The same histogram over the given cells (default: all of them),
-    every top assignment visited once and unweighted."""
+    every outer assignment visited once and unweighted."""
     deforming, frozen = _sparse_monomials(spec)
     tables = _LineTables(p)
     hist = Counter()
     for cell in cells or enumerate_cells(spec.r, spec.n):
-        top, count = _cell_counter(cell, spec.r, spec.n, p, deforming,
-                                   frozen, tables)
-        for top_values in product(range(p), repeat=len(top)):
-            count(top_values, hist)
+        _count_cell(cell, spec.r, spec.n, p, deforming, frozen, tables,
+                    hist, 1)
     return hist

@@ -89,6 +89,32 @@ def test_tables_hw_column_follows_the_monomials(tmp_path):
         assert all(row.get("congruence_ok", True) for row in rows)
 
 
+def test_check_follows_the_monomials_not_the_label(tmp_path, capsys):
+    # the squares pencil labelled arrow has no shipped expectation; the
+    # arrow monomials in another order still match theirs
+    doc = json.loads(build_pencil(2, 4, "squares").to_json())
+    doc["variant"] = "arrow"
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(doc))
+    assert run(["hodge", "--pencil-json", str(path), "--t", "2",
+                "--primes", "1048583", "--outdir", str(tmp_path / "h"),
+                "--check"]) == 2
+    assert ("no expected dimensions ship for G(2,4) arrow in degree 4"
+            in capsys.readouterr().err)
+    doc = json.loads(build_pencil(2, 4).to_json())
+    doc["monomials"].reverse()
+    path.write_text(json.dumps(doc))
+    assert run(["tables", "--p", "5", "--pencil-json", str(path),
+                "--outdir", str(tmp_path / "t"), "--check"]) == 0
+
+
+def test_tables_enumeration_guard_names_the_flag(tmp_path, capsys):
+    # |G(2,4)(F_181)| = 1,079,278,566 is past the 10^9 guard
+    assert run(["tables", "--p", "181", "--outdir", str(tmp_path)]) == 2
+    assert "pass force=True (tables --force)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_empty_hits(tmp_path):
     assert run(["search", "--p", "5", "--outdir", str(tmp_path),
                 "--check"]) == 0
@@ -199,8 +225,10 @@ def test_hodge_ci_model_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "ci_bigraded_quotient", drifting)
     assert run(["hodge", "--rn", "2,4", "--t", "2,3",
                 "--outdir", str(tmp_path)]) == 3
-    assert ("inconsistent complete-intersection specializations"
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert "inconsistent complete-intersection specializations" in err
+    assert "  t=2 over QQ: dim_0_0=1 dim_0_1=89\n" in err
+    assert "  t=3 over QQ: dim_0_0=2 dim_0_1=90\n" in err
     assert len(calls) == 4
     assert list(tmp_path.iterdir()) == []
 

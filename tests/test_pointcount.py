@@ -257,7 +257,7 @@ ORBIT_CASES = ([((2, 4, v), p, d) for v in VARIANTS
     ids=[f"{r}-{n}-{v}-p{p}-d{d}" for (r, n, v), p, d in ORBIT_CASES])
 def test_weighted_histogram_matches_per_cell_oracle(rnv, p, d):
     # the row-0 entries run over cosets of mu_d, weighted by d^k; the
-    # oracle visits every row-0 value once.  r = 3 has top entries in row 1
+    # oracle visits every row-0 value once.  r = 3 has outer entries in row 1
     # as well, which keep the full range
     spec = build_pencil(*rnv)
     assert _orbit_order(spec, p) == d
@@ -325,13 +325,29 @@ def test_row0_values_are_zero_and_coset_representatives(p, d):
 def test_inner_block_holds_at_most_two_entries(r, n):
     wide = 0
     for cell in enumerate_cells(r, n):
-        top, mid, inner = _split_cell(cell, r)
+        outer, inner = _split_cell(cell, r)
         assert len(inner) <= 2
-        last = tuple((r - 1, j) for j in mid + inner)
-        assert sorted(top + last) == sorted(cell.free_positions)
-        assert all(j > cell.pivots[-1] for j in mid + inner)
-        wide += bool(mid)
-    assert wide  # some cells split their last row
+        assert outer + tuple((r - 1, j) for j in inner) == cell.free_positions
+        assert all(j > cell.pivots[-1] for j in inner)
+        wide += any(i == r - 1 for i, _ in outer)
+    assert wide  # some cells keep leading last-row entries among the outer
+
+
+@pytest.mark.parametrize("r, n, p, calls", [(2, 5, 11, 670), (2, 6, 7, 743),
+                                            (3, 6, 3, 17034)])
+def test_upper_minors_follow_only_the_rows_above(monkeypatch, r, n, p, calls):
+    # the (r-1)-minors are recomputed when an entry above the last row
+    # changes, not for every outer assignment (2,020, 6,215 and 23,514)
+    real, counted = pointcount._det_mod, []
+
+    def counting(*args):
+        counted.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(pointcount, "_det_mod", counting)
+    _pencil_histogram.cache_clear()
+    _pencil_histogram(build_pencil(r, n), p)
+    assert len(counted) == calls
 
 
 def test_line_tables_hold_at_most_p_squared_values():
