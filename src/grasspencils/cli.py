@@ -12,9 +12,10 @@ deterministic (fixed iteration orders, no timestamps), so re-running an
 experiment reproduces the digests bit for bit; timings live only in the
 manifest.
 
-Exit status: 0 = computed (and matched the expectation when --check was
-given), 2 = computed but mismatched a supplied expectation, 3 = the
-specializations of a generic-parameter computation disagreed.
+Exit status: 0 = computed (and passed --check); 2 = failed --check, or
+refused a malformed or oversized input; 3 = the specializations of either
+hodge route disagreed: nothing is written, and the message names the keys
+that differed for each t and field.
 """
 
 import argparse
@@ -30,7 +31,7 @@ from . import __version__
 from .fields import RATIONALS
 from .grassmann import PencilSpec, build_pencil
 from .griffiths import (SpecializationMismatch, ci_bigraded_quotient,
-                        ci_context_for_pencil, invariant_subspace)
+                        ci_context_for_pencil, consensus, invariant_subspace)
 from .linalg import ResourceLimitError
 from .periods import (default_kernel, hasse_witt, period_coefficients,
                       truncation_search)
@@ -42,34 +43,44 @@ MISMATCH = 2
 INCONSISTENT = 3
 
 
-def _fixture_text(name: str) -> str:
-    return resources.files("grasspencils").joinpath(
-        f"fixtures/{name}").read_text()
+def _fixture_text(name: str) -> str | None:
+    """A shipped fixture's text, or None if none ships by that name."""
+    path = resources.files("grasspencils").joinpath(f"fixtures/{name}")
+    return path.read_text() if path.is_file() else None
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _write(outdir: Path, name: str, text: str, outputs: dict) -> Path:
-    path = outdir / name
-    path.write_text(text)
-    outputs[name] = _digest(path)
-    return path
+class _Experiment:
+    """One run's output directory, step timings, output digests and
+    manifest; every file is named after the experiment.  The directory is
+    made by the first write, so a run that fails before it leaves none."""
 
+    def __init__(self, outdir, name):
+        self.outdir, self.name = Path(outdir), name
+        self.timings, self.outputs = {}, {}
 
-def _manifest(outdir: Path, experiment: str, parameters: dict,
-              timings: dict, outputs: dict, **facts) -> None:
-    doc = {
-        "experiment": experiment,
-        "parameters": parameters,
-        "version": __version__,
-        "timings_ms": timings,
-        "outputs": outputs,
-        **facts,
-    }
-    (outdir / f"{experiment}_manifest.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    def timed(self, key, fn, *args, **kwargs):
+        """fn(*args, **kwargs), its wall time recorded under key."""
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        self.timings[key] = (time.perf_counter() - t0) * 1000
+        return out
+
+    def write(self, suffix, text):
+        name = self.name + suffix
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        path = self.outdir / name
+        path.write_text(text)
+        self.outputs[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def manifest(self, parameters, **facts):
+        doc = {"experiment": self.name, "parameters": parameters,
+               "version": __version__, "timings_ms": self.timings,
+               "outputs": self.outputs, **facts}
+        (self.outdir / f"{self.name}_manifest.json").write_text(_json(doc))
 
 
 def _integers(flag, text, form, count=None):
@@ -102,17 +113,21 @@ def _matches_label(spec: PencilSpec) -> bool:
             == (set(shipped.deforming), shipped.frozen))
 
 
+def _verdict(failure, passed=None) -> int:
+    """Print the outcome of --check: MISMATCH if it failed, else OK."""
+    if failure:
+        print(f"check FAILED: {failure}", file=sys.stderr)
+        return MISMATCH
+    if passed:
+        print(f"check passed: {passed}")
+    return OK
+
+
 def cmd_tables(args) -> int:
     spec = _load_pencil(args)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    name = f"tables_p{args.p}_{spec.variant}"
-    timings, outputs = {}, {}
-
-    t0 = time.perf_counter()
-    records = count_table(spec, args.p, force=args.force)
-    timings["count_ms"] = (time.perf_counter() - t0) * 1000
-
+    run = _Experiment(args.outdir, f"tables_p{args.p}_{spec.variant}")
+    records = run.timed("count_ms", count_table, spec, args.p,
+                       force=args.force)
     csv_text = records_to_csv(records)
     rows = []
     with_hw = ((spec.r, spec.n, spec.variant) == (2, 4, "arrow")
@@ -127,50 +142,33 @@ def cmd_tables(args) -> int:
     doc = {"r": spec.r, "n": spec.n, "p": args.p, "variant": spec.variant,
            "rows": rows}
 
-    _write(outdir, f"{name}.csv", csv_text, outputs)
-    _write(outdir, f"{name}.json",
-           json.dumps(doc, sort_keys=True, indent=2) + "\n", outputs)
-    _manifest(outdir, name,
-              {"p": args.p, "rn": [spec.r, spec.n],
-               "variant": spec.variant}, timings, outputs,
-              orbit_order=_orbit_order(spec, args.p))
+    run.write(".csv", csv_text)
+    run.write(".json", _json(doc))
+    run.manifest({"p": args.p, "rn": [spec.r, spec.n],
+                  "variant": spec.variant},
+                 orbit_order=_orbit_order(spec, args.p))
     for row in rows:
         print(f"t={row['t']}: count={row['count']} residue={row['residue']}")
 
-    if args.check:
-        expected = None
-        # the shipped tables are for the labelled pencils of G(2,4)
-        if (spec.r, spec.n) == (2, 4) and _matches_label(spec):
-            try:
-                expected = _fixture_text(f"table_p{args.p}_{spec.variant}.csv")
-            except FileNotFoundError:
-                pass
-        if expected is None:
-            print(f"check FAILED: no expected table ships for p={args.p} "
-                  f"{spec.variant} on G({spec.r},{spec.n})", file=sys.stderr)
-            return MISMATCH
-        if csv_text != expected:
-            print("check FAILED: computed table differs from the expected "
-                  "fixture", file=sys.stderr)
-            return MISMATCH
-        print("check passed: table matches the expected fixture")
-    return OK
+    if not args.check:
+        return OK
+    # the shipped tables are for the labelled pencils of G(2,4)
+    expected = (_fixture_text(f"table_p{args.p}_{spec.variant}.csv")
+                if (spec.r, spec.n) == (2, 4) and _matches_label(spec)
+                else None)
+    if expected is None:
+        return _verdict(f"no expected table ships for p={args.p} "
+                        f"{spec.variant} on G({spec.r},{spec.n})")
+    return _verdict("computed table differs from the expected fixture"
+                    if csv_text != expected else None,
+                    "table matches the expected fixture")
 
 
 def cmd_search(args) -> int:
     spec = build_pencil(2, 4, "arrow")
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    name = f"search_p{args.p}"
-    timings, outputs = {}, {}
-
-    t0 = time.perf_counter()
-    records = count_table(spec, args.p)
-    timings["count_ms"] = (time.perf_counter() - t0) * 1000
-
-    t0 = time.perf_counter()
-    hits = truncation_search(args.p, records)
-    timings["search_ms"] = (time.perf_counter() - t0) * 1000
+    run = _Experiment(args.outdir, f"search_p{args.p}")
+    records = run.timed("count_ms", count_table, spec, args.p)
+    hits = run.timed("search_ms", truncation_search, args.p, records)
 
     kernel = default_kernel()
     coeffs = period_coefficients(kernel, args.p - 1)
@@ -181,94 +179,83 @@ def cmd_search(args) -> int:
         "search_hits": [list(h) for h in hits],
         "grid": {"a": args.p - 1, "b": args.p - 1},
     }
-    _write(outdir, f"{name}.json",
-           json.dumps(doc, sort_keys=True, indent=2) + "\n", outputs)
-    _manifest(outdir, name, {"p": args.p}, timings, outputs,
-              orbit_order=_orbit_order(spec, args.p))
+    run.write(".json", _json(doc))
+    run.manifest({"p": args.p}, orbit_order=_orbit_order(spec, args.p))
     print(f"scanned {(args.p - 1) ** 2} candidate scalings; "
           f"{len(hits)} hit(s)")
 
     if args.check and hits:
-        print("check FAILED: expected an empty hit list", file=sys.stderr)
-        return MISMATCH
+        return _verdict("expected an empty hit list")
     return OK
+
+
+def _ci_model(spec, t_values, quotient_dim):
+    """The (0,0) and (0,1) dimensions of the complete-intersection model
+    over Q, agreed on by every t, and whether (0,1) is quotient_dim."""
+    records = []
+    for t in t_values:
+        ctx = ci_context_for_pencil(spec, Fraction(t))
+        records.append({"t": str(t), "field": RATIONALS.name, **{
+            f"dim_0_{b}": ci_bigraded_quotient(ctx, (0, b)).quotient_dim
+            for b in (0, 1)}})
+    ci = consensus(records, ("dim_0_0", "dim_0_1"),
+                   f"the complete-intersection model of {spec.variant} "
+                   "on G(2,4)")
+    return {"dim_0_0": ci["dim_0_0"], "dim_0_1": ci["dim_0_1"],
+            "agrees": ci["dim_0_1"] == quotient_dim}
+
+
+def _hodge_failure(spec, report, ci):
+    """Why hodge --check fails, or None if it passes."""
+    if ci and not ci["agrees"]:
+        return (f"complete-intersection dim_0_1={ci['dim_0_1']}, "
+                f"Griffiths quotient_dim={report.quotient_dim}")
+    expected = json.loads(_fixture_text("dimensions.json"))
+    # the shipped dimensions are all for the labelled pencils in degree n
+    want = (expected.get(f"{spec.r},{spec.n}", {}).get(spec.variant)
+            if report.degree == spec.n and _matches_label(spec) else None)
+    if want is None:
+        return (f"no expected dimensions ship for G({spec.r},{spec.n}) "
+                f"{spec.variant} in degree {report.degree}")
+    if want != {k: getattr(report, k) for k in want}:
+        return f"expected {want}"
+    return None
 
 
 def cmd_hodge(args) -> int:
     spec = _load_pencil(args)
     r, n = spec.r, spec.n
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    name = f"hodge_{r}{n}_{spec.variant.replace('+', '-')}"
-    timings, outputs = {}, {}
-
+    run = _Experiment(args.outdir,
+                      f"hodge_{r}{n}_{spec.variant.replace('+', '-')}")
     t_values = _integers("--t", args.t, "comma-separated integers")
     primes = _integers("--primes", args.primes, "comma-separated primes") \
         if args.primes else ()
     group = build_group(n, r)
 
-    t0 = time.perf_counter()
-    report = invariant_subspace(
-        spec, degree=args.degree,
-        t_values=t_values, primes=primes, include_rationals=args.rationals)
-    timings["invariant_ms"] = (time.perf_counter() - t0) * 1000
+    report = run.timed("invariant_ms", invariant_subspace, spec,
+                       degree=args.degree, t_values=t_values, primes=primes,
+                       include_rationals=args.rationals)
     include_q = any(s["field"] == RATIONALS.name
                     for s in report.specializations)
-
-    doc = {
-        "report": json.loads(report.to_json()),
-        "group": {"order": group.effective_order,
-                  "structure": group.structure},
-        "verdict": "unanimous",
-    }
-
+    doc = {"report": json.loads(report.to_json()), "verdict": "unanimous",
+           "group": {"order": group.effective_order,
+                     "structure": group.structure}}
     if (r, n) == (2, 4) and include_q:
         # cross-check against the projective complete-intersection model
-        t0 = time.perf_counter()
-        ci_dims = {}
-        for t in t_values:
-            ctx = ci_context_for_pencil(spec, Fraction(t))
-            ci_dims[t] = (ci_bigraded_quotient(ctx, (0, 0)).quotient_dim,
-                          ci_bigraded_quotient(ctx, (0, 1)).quotient_dim)
-        timings["ci_ms"] = (time.perf_counter() - t0) * 1000
-        if len(set(ci_dims.values())) != 1:
-            print("inconsistent complete-intersection specializations",
-                  file=sys.stderr)
-            for t, (d00, d01) in ci_dims.items():
-                print(f"  t={t} over {RATIONALS.name}: dim_0_0={d00} "
-                      f"dim_0_1={d01}", file=sys.stderr)
-            return INCONSISTENT
-        d00, d01 = ci_dims[t_values[0]]
-        doc["ci_model"] = {"dim_0_0": d00, "dim_0_1": d01,
-                           "agrees": d01 == report.quotient_dim}
+        doc["ci_model"] = run.timed("ci_ms", _ci_model, spec, t_values,
+                                    report.quotient_dim)
 
-    _write(outdir, f"{name}.json",
-           json.dumps(doc, sort_keys=True, indent=2) + "\n", outputs)
-    _manifest(outdir, name,
-              {"rn": [r, n], "variant": spec.variant, "degree": args.degree,
-               "t": list(t_values), "primes": list(primes),
-               "rationals": include_q}, timings, outputs)
+    run.write(".json", _json(doc))
+    run.manifest({"rn": [r, n], "variant": spec.variant,
+                  "degree": args.degree, "t": list(t_values),
+                  "primes": list(primes), "rationals": include_q})
     print(f"quotient dimension {report.quotient_dim}, "
           f"invariant dimension {report.invariant_dim}")
     print("survivors:", ", ".join(report.survivor_names))
-
-    if args.check:
-        expected = json.loads(_fixture_text("dimensions.json"))
-        # the shipped dimensions are all for the labelled pencils in degree n
-        want = (expected.get(f"{r},{n}", {}).get(spec.variant)
-                if report.degree == n and _matches_label(spec) else None)
-        if want is None:
-            print(f"check FAILED: no expected dimensions ship for "
-                  f"G({r},{n}) {spec.variant} in degree {report.degree}",
-                  file=sys.stderr)
-            return MISMATCH
-        ok = (report.quotient_dim == want["quotient_dim"]
-              and report.invariant_dim == want["invariant_dim"])
-        if not ok:
-            print(f"check FAILED: expected {want}", file=sys.stderr)
-            return MISMATCH
-        print("check passed: dimensions match the expected fixture")
-    return OK
+    if not args.check:
+        return OK
+    return _verdict(_hodge_failure(spec, report, doc.get("ci_model")),
+                    "dimensions match the expected fixture")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,9 +322,10 @@ def main(argv=None) -> int:
     except SpecializationMismatch as exc:
         print(f"inconsistent specializations: {exc}", file=sys.stderr)
         for res in exc.results:
-            print(f"  t={res['t']} over {res['field']}: "
-                  f"quotient={res['quotient_dim']} "
-                  f"invariant={res['invariant_dim']}", file=sys.stderr)
+            entries = " ".join(f"{k}={v}" for k, v in res.items()
+                               if isinstance(v, int))
+            print(f"  t={res['t']} over {res['field']}: {entries}",
+                  file=sys.stderr)
         return INCONSISTENT
 
 

@@ -16,11 +16,12 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from types import MappingProxyType
 
 from .fields import RATIONALS
-from .poly import SparsePolynomial, grlex_key, monomials_of_degree
+from .poly import (SparsePolynomial, check_listing_size, grlex_key,
+                   monomials_of_degree)
 
 VARIANTS = ("arrow", "squares", "quads", "squares+quads")
 
@@ -255,7 +256,8 @@ class PencilSpec:
 
     Monomials are stored as exponent vectors over the Pluecker variables of
     G(r,n) in their canonical (lexicographic index) order.  Every monomial
-    has total degree n and the deforming monomials carry coefficient 1.
+    has nonnegative exponents and total degree n, and the deforming
+    monomials carry coefficient 1.
     """
 
     r: int
@@ -267,12 +269,16 @@ class PencilSpec:
     def __post_init__(self):
         if len(set(self.deforming)) != len(self.deforming):
             raise ValueError("deforming monomials must be pairwise distinct")
-        nv = len(plucker_indices(self.r, self.n))
+        _check_rn(self.r, self.n)
+        nv = comb(self.n, self.r)  # not plucker_indices: that lists them
         for e in self.deforming + (self.frozen,):
             if len(e) != nv:
                 raise ValueError(
                     f"pencil monomial {e} does not live on G({self.r},"
                     f"{self.n})")
+            if min(e) < 0:
+                raise ValueError(
+                    f"pencil monomial {e} has a negative exponent")
             if sum(e) != self.n:
                 raise ValueError(
                     f"pencil monomial {e} does not have degree {self.n}")
@@ -357,16 +363,20 @@ def build_pencil(r: int, n: int, variant: str = "arrow") -> PencilSpec:
                          f"choose from {VARIANTS}")
     if variant != "arrow" and (r, n) != (2, 4):
         raise ValueError(f"variant {variant!r} is only defined for (2,4)")
-    deforming = [
-        _exponent_of((partition_to_index(lam, r, n),) * n, r, n)
-        for lam in enumerate_arrow_partitions(r, n)
-    ]
     extras = {
         "arrow": (),
         "squares": _SQUARES_24,
         "quads": _QUADS_24,
         "squares+quads": _SQUARES_QUADS_24,
     }[variant]
+    # a dense C(n, r)-vector per monomial: the 2(r-1)(n-r-1) + n arrow
+    # partitions, the extras and the frozen product
+    check_listing_size((2 * (r - 1) * (n - r - 1) + n + len(extras) + 1)
+                       * comb(n, r), f"pencil on G({r},{n})", "exponents")
+    deforming = [
+        _exponent_of((partition_to_index(lam, r, n),) * n, r, n)
+        for lam in enumerate_arrow_partitions(r, n)
+    ]
     deforming += [_exponent_of(factors, r, n) for factors in extras]
     frozen = _exponent_of(frozen_variables(r, n), r, n)
     return PencilSpec(r, n, variant, tuple(deforming), frozen)

@@ -261,7 +261,7 @@ def bigraded_monomials(ctx: CIJacobianContext, bidegree) -> list:
           for ybeta in monomials_of_degree(len(ctx.degrees), b)]
     ys = [(ybeta, xdeg) for ybeta, xdeg in ys if xdeg >= 0]
     check_listing_size(
-        sum(comb(ctx.nx + xdeg - 1, xdeg) for _, xdeg in ys), "bigraded")
+        sum(comb(ctx.nx + xdeg - 1, xdeg) for _, xdeg in ys), "bigraded slice")
     return [xalpha + ybeta for ybeta, xdeg in ys
             for xalpha in monomials_of_degree(ctx.nx, xdeg)]
 
@@ -304,6 +304,23 @@ def ci_context_for_pencil(spec: PencilSpec, t):
 
 
 # -- invariant subspaces across specializations ------------------------
+
+
+def consensus(results, keys, what):
+    """The first of the specialization results, if every other one agrees
+    with it on keys.  Otherwise raise SpecializationMismatch, naming for
+    each (t, field) that differs the keys it differs on; `what` names the
+    computation.  Each result is a dict with "t" and "field" entries."""
+    first = results[0]
+    differences = [f"t={res['t']} over {res['field']}: " + ", ".join(diff)
+                   for res in results[1:]
+                   if (diff := [k for k in keys if res[k] != first[k]])]
+    if differences:
+        raise SpecializationMismatch(
+            f"{len(differences)} of {len(results)} specializations disagree "
+            f"for {what} with t={first['t']} over {first['field']} "
+            f"({'; '.join(differences)})", results)
+    return first
 
 
 def _one_specialization(spec, degree, fld, t, candidates, span_checks):
@@ -357,31 +374,15 @@ def invariant_subspace(spec: PencilSpec, degree=None,
                for fld in fields for t in t_values]
 
     keys = ("ambient", "relation_rank", "ideal_rank", "quotient_dim",
-            "invariant_dim", "survivors", "span_checks")
-    consensus = results[0]
-    differences = []
-    for res in results[1:]:
-        differing = [k for k in keys if res[k] != consensus[k]]
-        if differing:
-            differences.append(f"t={res['t']} over {res['field']}: "
-                               + ", ".join(differing))
-    if differences:
-        raise SpecializationMismatch(
-            f"{len(differences)} of {len(results)} specializations disagree "
-            f"for {spec.variant} on G({r},{n}) with t={consensus['t']} over "
-            f"{consensus['field']} ({'; '.join(differences)})", results)
-
+            "invariant_dim", "survivors")
+    agreed = consensus(results, keys + ("span_checks",),
+                       f"{spec.variant} on G({r},{n})")
     return GradedPieceReport(
         label=f"G({r},{n}) {spec.variant} invariant slice, degree {degree}",
         rn=(r, n), degree=degree, t=None, field="consensus",
-        ambient=consensus["ambient"],
-        relation_rank=consensus["relation_rank"],
-        ideal_rank=consensus["ideal_rank"],
-        quotient_dim=consensus["quotient_dim"],
-        invariant_dim=consensus["invariant_dim"],
-        survivors=consensus["survivors"],
+        **{k: agreed[k] for k in keys},
+        span_checks=agreed["span_checks"] or None,
         survivor_names=tuple(monomial_name(e, r, n)
-                             for e in consensus["survivors"]),
+                             for e in agreed["survivors"]),
         specializations=tuple(
-            {"t": res["t"], "field": res["field"]} for res in results),
-        span_checks=consensus["span_checks"] or None)
+            {"t": res["t"], "field": res["field"]} for res in results))

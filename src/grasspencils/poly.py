@@ -27,12 +27,12 @@ def grlex_key(exponents):
     return (sum(exponents), exponents)
 
 
-def check_listing_size(size, kind="graded"):
-    """Raise before a slice of `size` monomials above LISTING_GUARD is
-    listed."""
+def check_listing_size(size, what="graded slice", unit="monomials"):
+    """Raise before a listing of `size` items above LISTING_GUARD is
+    built."""
     if size > LISTING_GUARD:
         raise ResourceLimitError(
-            f"{kind} slice with {size} monomials exceeds the guard")
+            f"{what} with {size} {unit} exceeds the guard")
 
 
 @lru_cache(maxsize=None)

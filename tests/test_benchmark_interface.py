@@ -61,13 +61,37 @@ def test_probe_calls_bind_to_the_package_signatures():
     assert calls
 
 
+def _traced():
+    """{layer: names} of the worker's TRACED table."""
+    return next(ast.literal_eval(node.value)
+                for node in _tree("worker.py").body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["TRACED"])
+
+
 def test_traced_names_are_callables_of_cli():
-    traced = next(ast.literal_eval(node.value)
-                  for node in _tree("worker.py").body
-                  if isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets]
-                  == ["TRACED"])
-    for layer, names in traced.items():
+    for layer, names in _traced().items():
         for name in names:
             assert callable(getattr(cli, name, None)), \
                 f"cli has no callable {name} ({layer})"
+
+
+def test_traced_names_are_looked_up_when_called(tmp_path, monkeypatch):
+    # the worker replaces these cli globals before it runs a workload, so
+    # cli must call each one through its global name, not an early binding
+    called = set()
+
+    def recorder(name, fn):
+        def record(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return record
+
+    traced = {name for names in _traced().values() for name in names}
+    for name in traced:
+        monkeypatch.setattr(cli, name, recorder(name, getattr(cli, name)))
+    for argv in (["tables", "--p", "5"], ["search", "--p", "5"],
+                 ["hodge", "--rn", "2,4", "--t", "2"]):
+        assert cli.main([*argv, "--outdir", str(tmp_path)]) == 0
+    assert called == traced

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -42,6 +43,36 @@ def test_tables_reproduces_fixture(tmp_path):
     manifest = json.loads(
         (tmp_path / "tables_p5_skew_manifest.json").read_text())
     assert manifest["orbit_order"] == 1
+
+
+@pytest.mark.parametrize("argv,name,timings,orbit_order", [
+    (("tables", "--p", "5"), "tables_p5_arrow", {"count_ms"}, 4),
+    (("search", "--p", "5"), "search_p5", {"count_ms", "search_ms"}, 4),
+    (("hodge", "--rn", "2,4", "--t", "2"), "hodge_24_arrow",
+     {"invariant_ms", "ci_ms"}, None),
+])
+def test_manifest_times_steps_and_digests_outputs(tmp_path, argv, name,
+                                                  timings, orbit_order):
+    assert run([*argv, "--outdir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+    keys = {"experiment", "parameters", "version", "timings_ms", "outputs"}
+    assert set(manifest) == keys | ({"orbit_order"} if orbit_order else set())
+    assert manifest["experiment"] == name
+    assert manifest.get("orbit_order") == orbit_order
+    assert set(manifest["timings_ms"]) == timings
+    assert all(ms >= 0 for ms in manifest["timings_ms"].values())
+    assert {path.name for path in tmp_path.iterdir()} == {
+        f"{name}_manifest.json", *manifest["outputs"]}
+    for output, digest in manifest["outputs"].items():
+        assert digest == hashlib.sha256(
+            (tmp_path / output).read_bytes()).hexdigest()
+
+
+def test_failed_run_makes_no_outdir(tmp_path):
+    out = tmp_path / "out"
+    assert run(["hodge", "--t", "x", "--outdir", str(out)]) == 2
+    assert run(["tables", "--p", "181", "--outdir", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_tables_check_mismatch_exits_2(tmp_path, monkeypatch):
@@ -174,7 +205,7 @@ def test_hodge_inconsistency_exits_3(tmp_path, monkeypatch, capsys):
     assert run(["hodge", "--rn", "2,4", "--outdir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "inconsistent specializations: simulated" in err
-    assert "  t=2 over QQ: quotient=89 invariant=5" in err
+    assert "  t=2 over QQ: quotient_dim=89 invariant_dim=5\n" in err
 
 
 def test_hodge_25_with_primes(tmp_path):
@@ -226,11 +257,57 @@ def test_hodge_ci_model_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert run(["hodge", "--rn", "2,4", "--t", "2,3",
                 "--outdir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "inconsistent complete-intersection specializations" in err
+    assert ("inconsistent specializations: 1 of 2 specializations disagree "
+            "for the complete-intersection model of arrow on G(2,4)") in err
+    assert "(t=3 over QQ: dim_0_0, dim_0_1)" in err
     assert "  t=2 over QQ: dim_0_0=1 dim_0_1=89\n" in err
     assert "  t=3 over QQ: dim_0_0=2 dim_0_1=90\n" in err
     assert len(calls) == 4
     assert list(tmp_path.iterdir()) == []
+
+
+def test_hodge_check_fails_when_the_two_routes_disagree(tmp_path, monkeypatch,
+                                                       capsys):
+    real = cli.ci_bigraded_quotient
+
+    def off_by_one(ctx, bidegree):
+        rep = real(ctx, bidegree)
+        rep.quotient_dim += bidegree == (0, 1)
+        return rep
+
+    monkeypatch.setattr(cli, "ci_bigraded_quotient", off_by_one)
+    argv = ["hodge", "--rn", "2,4", "--t", "2,3"]
+    assert run([*argv, "--outdir", str(tmp_path / "a"), "--check"]) == 2
+    err = capsys.readouterr().err
+    assert ("check FAILED: complete-intersection dim_0_1=90, "
+            "Griffiths quotient_dim=89") in err
+    # without --check the run records the disagreement and succeeds
+    assert run([*argv, "--outdir", str(tmp_path / "b")]) == 0
+    doc = json.loads((tmp_path / "b" / "hodge_24_arrow.json").read_text())
+    assert doc["ci_model"] == {"dim_0_0": 1, "dim_0_1": 90, "agrees": False}
+
+
+@pytest.mark.parametrize("argv", [("hodge",), ("tables", "--p", "7")])
+def test_negative_exponent_in_pencil_json_exits_2(tmp_path, capsys, argv):
+    doc = json.loads(build_pencil(2, 4).to_json())
+    doc["monomials"].append([5, -1, 0, 0, 0, 0])  # p12^5/p13, degree 4
+    path = tmp_path / "laurent.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run([*argv, "--pencil-json", str(path), "--outdir", str(out)]) == 2
+    assert ("error: pencil monomial (5, -1, 0, 0, 0, 0) has a negative "
+            "exponent") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_rn_exits_2_before_building_the_pencil(tmp_path,
+                                                         monkeypatch, capsys):
+    # (2,8) needs 19 dense vectors of 28 exponents, 532 entries
+    monkeypatch.setattr(poly, "LISTING_GUARD", 500)
+    assert run(["tables", "--rn", "2,8", "--p", "3",
+                "--outdir", str(tmp_path)]) == 2
+    assert ("error: pencil on G(2,8) with 532 exponents exceeds the guard"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("args,message", [

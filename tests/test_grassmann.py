@@ -1,10 +1,11 @@
+import json
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
 from grasspencils.fields import PrimeField, RATIONALS
-from grasspencils import grassmann
+from grasspencils import grassmann, poly
 from grasspencils.grassmann import (PencilSpec, build_pencil,
                                     enumerate_arrow_partitions,
                                     evaluate_pencil, frozen_variables,
@@ -13,7 +14,7 @@ from grasspencils.grassmann import (PencilSpec, build_pencil,
                                     normalize_partition, partition_to_index,
                                     plucker_indices, plucker_relations,
                                     straightening_rules)
-from grasspencils.linalg import row_basis
+from grasspencils.linalg import ResourceLimitError, row_basis
 from grasspencils.poly import SparsePolynomial, monomials_of_degree
 from rank_oracle import _rank_rational
 
@@ -272,6 +273,21 @@ def test_build_pencil_errors():
         build_pencil(2, 4, "cubes")
 
 
+def test_build_pencil_counts_its_entries_before_building(monkeypatch):
+    # (2,8): 18 arrow partitions and the frozen product, 28 entries each
+    def refuse(*args):
+        raise AssertionError("exponent vector built before the size guard")
+
+    monkeypatch.setattr(poly, "LISTING_GUARD", 500)
+    monkeypatch.setattr(grassmann, "_exponent_of", refuse)
+    with pytest.raises(ResourceLimitError,
+                       match=r"pencil on G\(2,8\) with 532 exponents "):
+        build_pencil(2, 8)
+    monkeypatch.setattr(poly, "LISTING_GUARD", 532)
+    with pytest.raises(AssertionError, match="before the size guard"):
+        build_pencil(2, 8)
+
+
 def test_evaluate_pencil():
     spec = build_pencil(2, 4)
     at_zero = evaluate_pencil(spec, 0)
@@ -287,6 +303,26 @@ def test_pencil_json_round_trip():
     spec = build_pencil(2, 4, "squares+quads")
     again = PencilSpec.from_json(spec.to_json())
     assert again == spec
+
+
+def test_pencil_lengths_are_checked_before_listing(monkeypatch):
+    # a 60-byte document must not make the C(1500, 2) coordinates exist
+    def refuse(*args):
+        raise AssertionError("Pluecker coordinates listed")
+
+    monkeypatch.setattr(grassmann, "plucker_indices", refuse)
+    text = json.dumps({"r": 2, "n": 1500, "variant": "arrow",
+                       "monomials": [[1500]], "frozen": [1500]})
+    with pytest.raises(ValueError, match=r"does not live on G\(2,1500\)"):
+        PencilSpec.from_json(text)
+
+
+def test_pencil_rejects_negative_exponents():
+    arrow = build_pencil(2, 4)
+    laurent = (5, -1, 0, 0, 0, 0)  # p12^5/p13, total degree 4
+    with pytest.raises(ValueError, match=r"pencil monomial \(5, -1, 0, 0, "
+                                         r"0, 0\) has a negative exponent"):
+        PencilSpec(2, 4, "arrow", arrow.deforming + (laurent,), arrow.frozen)
 
 
 def test_pencil_invariant_validation():

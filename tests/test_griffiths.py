@@ -12,7 +12,7 @@ from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
                                     apply_derivation,
                                     ci_bigraded_quotient, ci_context,
                                     ci_context_for_pencil, bigraded_monomials,
-                                    graded_quotient,
+                                    consensus, graded_quotient,
                                     grassmann_jacobian_generators,
                                     invariant_subspace)
 from grasspencils.linalg import ResourceLimitError, row_basis
@@ -546,6 +546,19 @@ def test_specialization_mismatch_raised_on_disagreement(monkeypatch):
     message = str(excinfo.value)
     assert "t=3 over QQ: invariant_dim" in message
     assert "ideal_rank" not in message
+
+
+def test_consensus_returns_the_first_result_or_names_what_differed():
+    results = [{"t": "2", "field": "QQ", "a": 1, "b": 2, "c": 3},
+               {"t": "3", "field": "QQ", "a": 1, "b": 2, "c": 4},
+               {"t": "2", "field": "GF(7)", "a": 0, "b": 5, "c": 3}]
+    assert consensus(results[:2], ("a", "b"), "x") is results[0]
+    with pytest.raises(SpecializationMismatch) as excinfo:
+        consensus(results, ("a", "b", "c"), "the toy model")
+    assert str(excinfo.value) == (
+        "2 of 3 specializations disagree for the toy model with t=2 over QQ "
+        "(t=3 over QQ: c; t=2 over GF(7): a, b)")
+    assert excinfo.value.results == results
 
 
 def test_report_json_round_trip():
