@@ -20,7 +20,10 @@ the Pluecker ring over Z, so no relation row is ever eliminated.
 Generic-parameter answers (coefficients in Q(t)) are obtained by
 specializing t to several rational values and/or several large prime
 fields and demanding unanimity; disagreement raises, it is never averaged
-away.
+away.  Every generator is linear in f_t = frozen + t*deforming and the
+normal form is Z-linear, so the row of each generator multiple is a + t*b
+with integer rows a and b: they are built once per pencil and slice, and a
+specialization only forms a + t*b in its field before eliminating.
 """
 
 import json
@@ -31,7 +34,7 @@ from .fields import PrimeField, RATIONALS
 from .grassmann import (PencilSpec, evaluate_pencil, hilbert_function,
                         index_position, monomial_name, normal_form,
                         plucker_indices, plucker_relations, sort_with_sign)
-from .linalg import row_basis
+from .linalg import _ENTRY_LIMIT, ResourceLimitError, row_basis
 from .poly import SparsePolynomial, check_listing_size, monomials_of_degree
 from .symmetry import invariant_monomials
 
@@ -137,36 +140,64 @@ def grassmann_jacobian_generators(f: SparsePolynomial, r: int,
 # -- graded slices of the generalized Jacobian ring --------------------
 
 
-def _ideal_slice(r, n, degree, generators, fld):
-    """(basis, dims): the echelon basis over fld of the generator multiples
-    in one slice, its columns keyed by standard monomials, and the ambient,
-    relation_rank, ideal_rank and quotient_dim of the slice."""
+def _slice_rows(r, n, degree, generators):
+    """Rows, in standard monomials, of every generator multiple landing in
+    the slice of the given degree.
+
+    Each generator is a tuple of polynomials of one degree, the
+    coefficients of a polynomial in t (the pair (a, b) stands for a + t*b);
+    each multiple yields the tuple of their rows, as {monomial: coeff}
+    dicts, unless every one of them is zero.  The entries yielded are
+    counted against linalg's entry limit, since a caller may hold them all.
+    """
     nv = len(plucker_indices(r, n))
-    generators = [g for g in generators if g]
-    for g in generators:
-        if not g.is_homogeneous():
+    entries = 0
+    for parts in generators:
+        nonzero = [g for g in parts if g]
+        if not nonzero:
+            continue
+        degrees = {g.total_degree() for g in nonzero}
+        if len(degrees) > 1 or not all(g.is_homogeneous() for g in nonzero):
             raise ValueError("ideal generators must be homogeneous")
-        if g.total_degree() > degree:
-            raise ValueError(f"generator of degree {g.total_degree()} "
+        (d,) = degrees
+        if d > degree:
+            raise ValueError(f"generator of degree {d} "
                              f"cannot land in degree {degree}")
-    hf = hilbert_function(r, n, degree)
-    basis = row_basis(hf, fld)
-    ideal_rank = basis.add_rows(
-        _standard_row(r, n, mult, g) for g in generators
-        for mult in monomials_of_degree(nv, degree - g.total_degree()))
-    ambient = comb(nv + degree - 1, degree) if degree >= 0 else 0
-    return basis, {"ambient": ambient, "relation_rank": ambient - hf,
-                   "ideal_rank": ideal_rank, "quotient_dim": hf - ideal_rank}
+        for mult in monomials_of_degree(nv, degree - d):
+            rows = tuple(_standard_row(r, n, mult, g) for g in parts)
+            if any(rows):
+                entries += sum(map(len, rows))
+                if entries > _ENTRY_LIMIT:
+                    raise ResourceLimitError(
+                        f"generator rows of G({r},{n}) in degree {degree}: "
+                        f"{entries} entries exceed the {_ENTRY_LIMIT} entry "
+                        "limit")
+                yield rows
 
 
 def _standard_row(r, n, mult_exp, poly):
-    """Row of mult * poly in the standard monomials, as {monomial: coeff}."""
+    """Row of mult * poly in the standard monomials, as {monomial: coeff}
+    with no zero entry."""
     row = {}
     for e, c in poly.terms.items():
         for s, k in normal_form(r, n, tuple(m + x
                                             for m, x in zip(mult_exp, e))):
             row[s] = row.get(s, 0) + c * k
-    return row
+    return {s: c for s, c in row.items() if c}
+
+
+def _ideal_slice(r, n, degree, rows, fld):
+    """(basis, dims): the echelon basis over fld of the given rows of
+    generator multiples in one slice, its columns keyed by standard
+    monomials, and the ambient, relation_rank, ideal_rank and quotient_dim
+    of the slice."""
+    nv = len(plucker_indices(r, n))
+    hf = hilbert_function(r, n, degree)
+    basis = row_basis(hf, fld)
+    ideal_rank = basis.add_rows(rows)
+    ambient = comb(nv + degree - 1, degree) if degree >= 0 else 0
+    return basis, {"ambient": ambient, "relation_rank": ambient - hf,
+                   "ideal_rank": ideal_rank, "quotient_dim": hf - ideal_rank}
 
 
 def graded_quotient(r: int, n: int, degree: int,
@@ -178,7 +209,8 @@ def graded_quotient(r: int, n: int, degree: int,
     """
     generators = list(ideal_generators)
     fld = generators[0].field if generators else RATIONALS
-    _, dims = _ideal_slice(r, n, degree, generators, fld)
+    rows = _slice_rows(r, n, degree, ((g,) for g in generators))
+    _, dims = _ideal_slice(r, n, degree, (row for (row,) in rows), fld)
     return GradedPieceReport(
         label=f"G({r},{n}) degree {degree}",
         rn=(r, n), degree=degree, t=None, field=fld.name, **dims)
@@ -323,10 +355,30 @@ def consensus(results, keys, what):
     return first
 
 
-def _one_specialization(spec, degree, fld, t, candidates, span_checks):
+def _pencil_rows(spec, degree):
+    """The rows of the generator multiples of f_t = frozen + t*deforming in
+    one slice, as integer pairs (a, b) whose row at t is a + t*b."""
     r, n = spec.r, spec.n
-    gens = grassmann_jacobian_generators(evaluate_pencil(spec, t, fld), r, n)
-    basis, dims = _ideal_slice(r, n, degree, gens, fld)
+    # integer coefficients over Z: _clean keeps them out of Fractions
+    frozen, deforming = (
+        grassmann_jacobian_generators(
+            SparsePolynomial(spec.nvars, RATIONALS, terms, _clean=True), r, n)
+        for terms in ({spec.frozen: 1}, dict.fromkeys(spec.deforming, 1)))
+    return list(_slice_rows(r, n, degree, zip(frozen, deforming)))
+
+
+def _at(rows, t):
+    """Each pair (a, b) of rows as the one row a + t*b."""
+    for a, b in rows:
+        row = dict(a)
+        for c, v in b.items():
+            row[c] = row.get(c, 0) + t * v
+        yield row
+
+
+def _one_specialization(spec, degree, rows, fld, t, candidates, span_checks):
+    r, n = spec.r, spec.n
+    basis, dims = _ideal_slice(r, n, degree, _at(rows, t), fld)
     survivors = tuple(e for e in candidates
                       if basis.add_row(dict(normal_form(r, n, e))))
     checks = {monomial_name(e, r, n):
@@ -342,11 +394,13 @@ def invariant_subspace(spec: PencilSpec, degree=None,
                        span_check_monomials=()) -> GradedPieceReport:
     """Consensus dimension of the invariant part of a graded slice.
 
-    For every specialization (t over Q, and t mod every given prime) the
-    ideal slice is built and the invariant monomials are fed to the greedy
-    rank extension in canonical order; the survivors span the image of the
-    invariant subspace in the quotient.  Specializations that disagree on
-    any reported number raise SpecializationMismatch with their results.
+    The generator rows of the slice are built once over Z, as pairs a, b
+    with row a + t*b.  For every specialization (t over Q, and t mod every
+    given prime) the rows a + t*b are eliminated in the field and the
+    invariant monomials are fed to the greedy rank extension in canonical
+    order; the survivors span the image of the invariant subspace in the
+    quotient.  Specializations that disagree on any reported number raise
+    SpecializationMismatch with their results.
     """
     r, n = spec.r, spec.n
     if degree is None:
@@ -369,7 +423,8 @@ def invariant_subspace(spec: PencilSpec, degree=None,
 
     # the first listing: a slice past the size guard stops here
     candidates = invariant_monomials(r, n, degree)
-    results = [_one_specialization(spec, degree, fld, t, candidates,
+    rows = _pencil_rows(spec, degree)
+    results = [_one_specialization(spec, degree, rows, fld, t, candidates,
                                    span_check_monomials)
                for fld in fields for t in t_values]
 

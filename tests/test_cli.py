@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from grasspencils import cli, linalg, poly
+from grasspencils import cli, griffiths, linalg, poly
 from grasspencils.grassmann import PencilSpec, build_pencil
 from grasspencils.griffiths import SpecializationMismatch
 
@@ -396,6 +396,56 @@ def test_hodge_entry_cap_exits_2(tmp_path, monkeypatch, capsys):
                 "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "entry limit" in err
+
+
+def test_hodge_generator_row_cap_exits_2(tmp_path, monkeypatch, capsys):
+    # the (2,5) slice holds 149 generator row entries: a limit of 149 lets
+    # the run through, 148 stops it before any elimination
+    monkeypatch.setattr(griffiths, "_ENTRY_LIMIT", 149)
+    argv = ["hodge", "--rn", "2,5", "--t", "2", "--primes", "1048583"]
+    assert run([*argv, "--outdir", str(tmp_path / "a"), "--check"]) == 0
+    monkeypatch.setattr(griffiths, "_ENTRY_LIMIT", 148)
+    monkeypatch.setattr(griffiths, "row_basis", None)  # never reached
+    out = tmp_path / "b"
+    assert run([*argv, "--outdir", str(out)]) == 2
+    assert ("error: generator rows of G(2,5) in degree 5: 149 entries "
+            "exceed the 148 entry limit") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hodge_degree_below_the_generators_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["hodge", "--rn", "2,4", "--degree", "3",
+                "--outdir", str(out)]) == 2
+    assert ("error: generator of degree 4 cannot land in degree 3"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_hodge_pencil_whose_frozen_term_cancels(tmp_path, capsys):
+    # the frozen monomial p12*p14*p23*p34 is also deforming, so f_t carries
+    # it with coefficient t + 1, which vanishes at t = -1 in every field
+    path = tmp_path / "cancel.json"
+    path.write_text(json.dumps({
+        "r": 2, "n": 4, "variant": "cancel", "frozen": [1, 0, 1, 1, 0, 1],
+        "monomials": [[4, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 4],
+                      [1, 0, 1, 1, 0, 1]]}))
+    argv = ["hodge", "--pencil-json", str(path), "--primes", "1048583",
+            "--rationals"]
+    assert run([*argv, "--t", "2,3,5", "--outdir", str(tmp_path / "a")]) == 0
+    report = json.loads(
+        (tmp_path / "a" / "hodge_24_cancel.json").read_text())["report"]
+    assert (report["quotient_dim"], report["invariant_dim"]) == (91, 7)
+    assert len(report["specializations"]) == 6
+    capsys.readouterr()
+    assert run([*argv, "--t", "2,-1", "--outdir", str(tmp_path / "b")]) == 3
+    err = capsys.readouterr().err
+    assert ("2 of 4 specializations disagree for cancel on G(2,4) with t=2 "
+            "over QQ (t=-1 over QQ: ideal_rank, quotient_dim, survivors; "
+            "t=-1 over GF(1048583): ideal_rank, quotient_dim, survivors)"
+            in err)
+    assert "  t=-1 over QQ: ambient=126 relation_rank=21 ideal_rank=10 " \
+        "quotient_dim=95 invariant_dim=7\n" in err
 
 
 def test_hodge_check_without_expectation_exits_2(tmp_path, capsys):

@@ -417,8 +417,8 @@ def test_shared_relation_basis_matches_fresh_slices(r, n, variant, degree,
     real = griffiths._one_specialization
     recorded = []
 
-    def recording(spec, degree, fld, t, candidates, span_checks):
-        res = real(spec, degree, fld, t, candidates, span_checks)
+    def recording(spec, degree, rows, fld, t, candidates, span_checks):
+        res = real(spec, degree, rows, fld, t, candidates, span_checks)
         recorded.append((fld, t, res))
         return res
 
@@ -434,6 +434,54 @@ def test_shared_relation_basis_matches_fresh_slices(r, n, variant, degree,
     for fld, t, res in recorded:
         fresh = _fresh_specialization(spec, degree, fld, t, checks)
         assert {k: res[k] for k in fresh} == fresh, (fld.name, t)
+
+
+def _field_rows(rows, fld):
+    """The rows coerced into fld, without zero entries or zero rows."""
+    out = []
+    for row in rows:
+        row = {c: v for c, v in ((c, fld.coerce(v)) for c, v in row.items())
+               if v}
+        if row:
+            out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("fld", [RATIONALS, PrimeField(1048583)],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("r,n,variant,degree", [
+    (2, 4, "arrow", 4), (2, 4, "squares", 4), (2, 4, "quads", 4),
+    (2, 4, "squares+quads", 4), (2, 5, "arrow", 5), (2, 4, "arrow", 8)])
+def test_pencil_rows_match_the_rows_of_each_specialization(r, n, variant,
+                                                           degree, fld):
+    # the rows a + t*b built once over Z are, row by row, the standard rows
+    # of the generator multiples of f_t built in the field; t = -1 cancels
+    # the shared monomials of the quads pencils
+    spec = build_pencil(r, n, variant)
+    nv = len(plucker_indices(r, n))
+    rows = griffiths._pencil_rows(spec, degree)
+    for t in (2, 3, -1):
+        gens = grassmann_jacobian_generators(
+            evaluate_pencil(spec, t, fld), r, n)
+        slow = [griffiths._standard_row(r, n, mult, g) for g in gens if g
+                for mult in monomials_of_degree(nv, degree - n)]
+        assert (_field_rows(griffiths._at(rows, t), fld)
+                == _field_rows(slow, fld)), t
+
+
+@pytest.mark.parametrize("r,n,variant,degree,pairs,entries", [
+    (2, 4, "arrow", 4, 16, 64), (2, 4, "squares", 4, 16, 91),
+    (2, 4, "quads", 4, 16, 73), (2, 4, "squares+quads", 4, 16, 91),
+    (2, 5, "arrow", 5, 25, 149), (2, 6, "arrow", 6, 36, 311),
+    (2, 4, "arrow", 8, 2016, 10774)])
+def test_shipped_slices_hold_their_rows_below_the_entry_limit(
+        r, n, variant, degree, pairs, entries):
+    # every row pair is held for the whole call, so the guard counts them;
+    # no shipped slice comes near it
+    rows = griffiths._pencil_rows(build_pencil(r, n, variant), degree)
+    assert len(rows) == pairs
+    assert sum(len(a) + len(b) for a, b in rows) == entries
+    assert entries < griffiths._ENTRY_LIMIT
 
 
 def test_independent_extension_on_ideal_slice():
