@@ -7,6 +7,8 @@ rationals.  Polynomial ring operations bring their coefficients into the
 field in one place, ``SparsePolynomial._reduced``.  Two loops reduce mod p
 themselves: ``SparsePolynomial.evaluate``, whose Laurent exponents need
 ``pow(v, k, p)``, and the elimination inner loop ``_RowBasis.reduce``.
+Elimination over the rationals takes no Fractions: ``_RowBasis`` clears a
+row's denominators on entry and keeps primitive integer rows.
 """
 
 from fractions import Fraction

@@ -4,20 +4,30 @@ Every rank the package reports comes from row_basis(ncols, field), one
 sparse echelon kernel for both fields.  Rows are {column: value} dicts,
 where a column is any hashable, comparable key (an int, or a monomial), and
 the stored rows are kept in a dict keyed by pivot column, where the pivot
-of a row is its smallest column and carries the entry 1.  Reducing a vector
-repeatedly eliminates the smallest of its columns that is a stored pivot;
-that only creates larger columns, so each pivot is met at most once.
-Ranks, quotient dimensions and greedy rank extensions are counts of the
-rows a basis accepts.  Scalars are Fractions over Q and int residues in
-[0, p) over F_p (Python ints, so any prime works).
+of a row is its smallest column.  Reducing a vector repeatedly eliminates
+the smallest of its columns that is a stored pivot; that only creates
+larger columns, so each pivot is met at most once.  Ranks, quotient
+dimensions and greedy rank extensions are counts of the rows a basis
+accepts.
+
+Over F_p the scalars are int residues in [0, p) (Python ints, so any prime
+works) and a stored row carries the pivot entry 1.  Over Q elimination is
+fraction-free: a row enters as integers (int or Fraction entries, times the
+lcm of their denominators), a step scales the residue by lead/g and
+subtracts f/g times the stored row, where lead is the stored pivot entry, f
+the residue's and g = gcd(lead, f), and a row is stored primitive (content
+1, positive pivot entry).  Each step is the step with Fractions times a
+nonzero integer, so the pivots, supports and ranks are those of the monic
+echelon form; only the scale of each row differs.
 """
 
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 # Cap on the entries stored by one basis.  tracemalloc put the stored rows
-# of the arrow slices of (2,4), (2,5) and (2,6) in degree n at <= 130 bytes
-# per entry over Q and <= 93 over F_p (Python 3.11), so 5e6 entries stay
-# near 650 MB, under 1 GiB with room for larger Fractions.
+# of the arrow slices of (2,4), (2,5) and (2,6) in degree n at <= 78 bytes
+# per entry over Q and <= 90 over F_p (Python 3.11), so 5e6 entries stay
+# near 450 MB, under 1 GiB with room for larger integers.
 _ENTRY_LIMIT = 5_000_000
 
 
@@ -30,7 +40,7 @@ class _RowBasis:
 
     def __init__(self, ncols, field):
         self.field = field
-        self.rows = {}    # pivot column -> row, pivot entry 1
+        self.rows = {}    # pivot column -> row (monic mod p, primitive over Q)
         self.entries = 0  # stored nonzeros, bounded by _ENTRY_LIMIT
 
     @property
@@ -38,13 +48,19 @@ class _RowBasis:
         return len(self.rows)
 
     def reduce(self, row_dict):
-        """Residue of a row against the stored rows, as {column: value}."""
+        """Residue of a row against the stored rows, as {column: value}.
+
+        Over Q the residue is in ints and is a nonzero integer multiple of
+        the residue with Fractions."""
         coerce, p = self.field.coerce, self.field.modulus
-        res = {}
-        for c, v in row_dict.items():
-            v = coerce(v)
-            if v:
-                res[c] = v
+        if p:
+            res = {}
+            for c, v in row_dict.items():
+                v = coerce(v)
+                if v:
+                    res[c] = v
+        else:
+            res = _integer_row(row_dict)
         rows = self.rows
         heap = [c for c in res if c in rows]
         heapify(heap)
@@ -53,7 +69,16 @@ class _RowBasis:
             f = res.get(pc)
             if not f:
                 continue  # cancelled, or a repeated push
-            for c, v in rows[pc].items():
+            row = rows[pc]
+            if not p:
+                lead = row[pc]
+                g = gcd(lead, f)
+                if lead != g:
+                    scale = lead // g
+                    for c in res:
+                        res[c] *= scale
+                f //= g
+            for c, v in row.items():
                 new = res.get(c, 0) - f * v
                 if p:
                     new %= p
@@ -75,8 +100,14 @@ class _RowBasis:
                 f"stored + {len(res)} new entries exceed the "
                 f"{_ENTRY_LIMIT} entry limit")
         pc = min(res)
-        inv, coerce = self.field.inv(res[pc]), self.field.coerce
-        self.rows[pc] = {c: coerce(v * inv) for c, v in res.items()}
+        if self.field.modulus:
+            inv, coerce = self.field.inv(res[pc]), self.field.coerce
+            self.rows[pc] = {c: coerce(v * inv) for c, v in res.items()}
+        else:
+            g = gcd(*res.values())
+            if res[pc] < 0:
+                g = -g
+            self.rows[pc] = {c: v // g for c, v in res.items()}
         self.entries += len(res)
         return True
 
@@ -85,6 +116,13 @@ class _RowBasis:
 
     def contains(self, row_dict) -> bool:
         return not self.reduce(row_dict)
+
+
+def _integer_row(row_dict):
+    """The row times the lcm of its denominators, as nonzero ints."""
+    den = lcm(*[v.denominator for v in row_dict.values()])
+    return {c: v.numerator * (den // v.denominator)
+            for c, v in row_dict.items() if v}
 
 
 def row_basis(ncols, field):

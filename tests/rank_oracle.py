@@ -1,12 +1,18 @@
-"""Independent rank oracle over Q for the tests.
+"""Independent rank oracles over Q for the tests.
 
-Fraction-free (Bareiss) elimination on integer-scaled rows, choosing pivots
-of smallest magnitude in the current column to limit coefficient growth.
-It shares no code with row_basis (pivot-keyed sparse echelon rows), so
-the two routes check each other.  Rows are {column: value} dicts.
+_rank_rational is fraction-free (Bareiss) elimination on integer-scaled
+rows, choosing pivots of smallest magnitude in the current column to limit
+coefficient growth.  It shares no code with row_basis (pivot-keyed sparse
+echelon rows), so the two routes check each other.  FractionRowBasis is
+the pivot-keyed echelon route itself, reduced in Fractions with monic
+rows, the slow route that row_basis's primitive integer rows replace.
+Rows are {column: value} dicts.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd
+
+from grasspencils.fields import RATIONALS
 
 
 def _integer_rows(rows):
@@ -65,3 +71,62 @@ def _rank_rational(rows, ncols):
         if not active:
             break
     return rk
+
+
+class FractionRowBasis:
+    """Incremental echelon row set over Q with monic Fraction rows.
+
+    The route row_basis over Q took before its rows were kept as primitive
+    integers: the same pivot-keyed sparse rows, reduced in Fractions, each
+    stored row scaled so its pivot entry is 1.  The integer rows of
+    row_basis must be multiples of these, row by row."""
+
+    def __init__(self):
+        self.rows = {}    # pivot column -> row, pivot entry 1
+        self.entries = 0
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, row_dict):
+        """Residue of a row against the stored rows, as {column: value}."""
+        coerce = RATIONALS.coerce
+        res = {}
+        for c, v in row_dict.items():
+            v = coerce(v)
+            if v:
+                res[c] = v
+        rows = self.rows
+        heap = [c for c in res if c in rows]
+        heapify(heap)
+        while heap:
+            pc = heappop(heap)
+            f = res.get(pc)
+            if not f:
+                continue  # cancelled, or a repeated push
+            for c, v in rows[pc].items():
+                new = res.get(c, 0) - f * v
+                if new:
+                    if c not in res and c in rows:
+                        heappush(heap, c)
+                    res[c] = new
+                else:
+                    del res[c]
+        return res
+
+    def add_row(self, row_dict) -> bool:
+        res = self.reduce(row_dict)
+        if not res:
+            return False
+        pc = min(res)
+        inv, coerce = RATIONALS.inv(res[pc]), RATIONALS.coerce
+        self.rows[pc] = {c: coerce(v * inv) for c, v in res.items()}
+        self.entries += len(res)
+        return True
+
+    def add_rows(self, row_dicts) -> int:
+        return sum(1 for r in row_dicts if self.add_row(r))
+
+    def contains(self, row_dict) -> bool:
+        return not self.reduce(row_dict)

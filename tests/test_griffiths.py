@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,7 +19,7 @@ from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
 from grasspencils.linalg import ResourceLimitError, row_basis
 from grasspencils.poly import SparsePolynomial, monomials_of_degree
 from grasspencils.symmetry import invariant_monomials
-from rank_oracle import _rank_rational
+from rank_oracle import FractionRowBasis, _rank_rational
 from test_acceptance import REFERENCE_MONOMIALS_25
 
 def _coord(idx, r=2, n=4, field=RATIONALS):
@@ -407,8 +408,10 @@ def _fresh_specialization(spec, degree, fld, t, span_checks):
     (2, 5, "arrow", 5, (2, 3, 7), ("QQ", "GF(1048583)")),
     (2, 6, "arrow", 6, (2,), ("GF(1048583)",)),
     (2, 4, "arrow", 8, (2,), ("QQ", "GF(1048583)")),
+    (2, 4, "arrow", 4, (Fraction(1, 2), 3), ("QQ", "GF(1048583)")),
 ], ids=["2-4-arrow", "2-4-squares", "2-4-quads", "2-4-squares+quads",
-        "2-5-arrow", "2-6-arrow-modp", "2-4-arrow-degree-8"])
+        "2-5-arrow", "2-6-arrow-modp", "2-4-arrow-degree-8",
+        "2-4-arrow-t-half"])
 def test_shared_relation_basis_matches_fresh_slices(r, n, variant, degree,
                                                     t_values, fields,
                                                     monkeypatch):
@@ -434,6 +437,74 @@ def test_shared_relation_basis_matches_fresh_slices(r, n, variant, degree,
     for fld, t, res in recorded:
         fresh = _fresh_specialization(spec, degree, fld, t, checks)
         assert {k: res[k] for k in fresh} == fresh, (fld.name, t)
+
+
+class _OracleTwin:
+    """row_basis over Q run beside the Fraction echelon oracle; every
+    add_row and contains answer of the two must agree."""
+
+    def __init__(self, ncols, field):
+        assert field == RATIONALS
+        self.fast = row_basis(ncols, field)
+        self.slow = FractionRowBasis()
+
+    @property
+    def rank(self):
+        return self.fast.rank
+
+    def add_row(self, row):
+        kept = self.fast.add_row(row)
+        assert kept == self.slow.add_row(row)
+        return kept
+
+    def add_rows(self, rows):
+        return sum(1 for row in rows if self.add_row(row))
+
+    def contains(self, row):
+        inside = self.fast.contains(row)
+        assert inside == self.slow.contains(row)
+        return inside
+
+
+@pytest.mark.parametrize("r,n,variant,degree,t_values", [
+    (2, 4, "arrow", 4, (2, 3)), (2, 4, "squares", 4, (2, 3)),
+    (2, 4, "quads", 4, (2, 3)), (2, 4, "squares+quads", 4, (2, 3)),
+    (2, 5, "arrow", 5, (2,)), (2, 4, "arrow", 8, (2,))],
+    ids=["2-4-arrow", "2-4-squares", "2-4-quads", "2-4-squares+quads",
+         "2-5-arrow", "2-4-arrow-degree-8"])
+def test_integer_rows_match_the_fraction_oracle(r, n, variant, degree,
+                                                t_values, monkeypatch):
+    # every basis over Q of a shipped slice, and of the complete-
+    # intersection model of each (2,4) pencil, stores at each pivot a
+    # primitive int multiple of the oracle's monic row, so the ranks,
+    # entries, survivors and span checks are the oracle's
+    twins = []
+
+    def twin(ncols, field):
+        twins.append(_OracleTwin(ncols, field))
+        return twins[-1]
+
+    monkeypatch.setattr(griffiths, "row_basis", twin)
+    spec = build_pencil(r, n, variant)
+    checks = _span_checks(r, n) if degree == n else ()
+    invariant_subspace(spec, degree=degree, t_values=t_values,
+                       span_check_monomials=checks)
+    ci_slices = 0
+    if degree == n == 4:
+        for t in t_values:
+            ctx = ci_context_for_pencil(spec, Fraction(t))
+            for b in (0, 1):
+                ci_bigraded_quotient(ctx, (0, b))
+                ci_slices += 1
+    assert len(twins) == len(t_values) + ci_slices
+    for tw in twins:
+        fast, slow = tw.fast, tw.slow
+        assert fast.rows.keys() == slow.rows.keys()
+        assert fast.entries == slow.entries
+        for pc, row in fast.rows.items():
+            assert all(type(v) is int for v in row.values())
+            assert gcd(*row.values()) == 1
+            assert row == {c: row[pc] * v for c, v in slow.rows[pc].items()}
 
 
 def _field_rows(rows, fld):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from grasspencils import linalg
 from grasspencils.fields import PrimeField, RATIONALS, next_prime
 from grasspencils.linalg import ResourceLimitError, row_basis
-from rank_oracle import _rank_rational
+from rank_oracle import FractionRowBasis, _rank_rational
 
 
 def _rank(rows, ncols, field=RATIONALS):
@@ -111,8 +111,9 @@ def test_independent_extension_counts_rank_gap(field):
 
 
 def test_bareiss_and_incremental_rational_routes_agree():
-    # the Bareiss oracle uses fraction-free elimination, row_basis uses
-    # Fraction echelon reduction; the two must agree on everything
+    # the Bareiss oracle eliminates column by column with the smallest
+    # pivot, row_basis reduces each row against pivot-keyed primitive
+    # integer rows; the two must agree on everything
     rng = random.Random(19)
     for _ in range(40):
         m = _random_matrix(rng, 5, 8)
@@ -154,3 +155,35 @@ def test_row_basis_refuses_rows_past_entry_cap(field, monkeypatch):
         basis.add_row({5: 1})
     assert basis.rank == 3
     assert basis.contains({0: 1, 1: 2, 4: 5})
+
+
+def test_rational_input_matches_the_fraction_oracle():
+    # Fraction and negative entries, rows scaled by random Fractions: the
+    # integer rows keep the oracle's rank, pivots and membership answers,
+    # on combinations of the rows (inside the span) and on random rows
+    rng = random.Random(23)
+
+    def scalar():
+        num = 0
+        while num == 0:
+            num = rng.randint(-7, 7)
+        return Fraction(num, rng.randint(1, 7))
+
+    for _ in range(40):
+        rows = [{j: Fraction(v, rng.randint(1, 6)) * s
+                 for j, v in row.items()}
+                for row, s in zip(_random_matrix(rng, 6, 9),
+                                  [scalar() for _ in range(6)])]
+        basis, oracle = row_basis(9, RATIONALS), FractionRowBasis()
+        assert ([basis.add_row(r) for r in rows]
+                == [oracle.add_row(r) for r in rows])
+        assert basis.rank == oracle.rank
+        assert basis.rows.keys() == oracle.rows.keys()
+        probes = _random_matrix(rng, 4, 9)
+        for a, b in zip(rows, reversed(rows)):
+            sa, sb = scalar(), scalar()
+            probes.append({c: sa * a.get(c, 0) + sb * b.get(c, 0)
+                           for c in a.keys() | b.keys()})
+        assert ([basis.contains(r) for r in probes]
+                == [oracle.contains(r) for r in probes])
+        assert all(basis.contains(r) for r in probes[4:])
