@@ -23,7 +23,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -194,7 +193,7 @@ def _ci_model(spec, t_values, quotient_dim):
     over Q, agreed on by every t, and whether (0,1) is quotient_dim."""
     records = []
     for t in t_values:
-        ctx = ci_context_for_pencil(spec, Fraction(t))
+        ctx = ci_context_for_pencil(spec, t)
         records.append({"t": str(t), "field": RATIONALS.name, **{
             f"dim_0_{b}": ci_bigraded_quotient(ctx, (0, b)).quotient_dim
             for b in (0, 1)}})
@@ -313,8 +312,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return MISMATCH
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

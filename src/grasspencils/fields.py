@@ -1,12 +1,13 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
-Scalars are plain Python objects: ``fractions.Fraction`` over the rationals,
-``int`` residues in ``[0, p)`` over a prime field.  A field object knows how
-to coerce, invert and reduce; ``field.modulus`` is ``None`` for the
-rationals.  Polynomial ring operations bring their coefficients into the
-field in one place, ``SparsePolynomial._reduced``.  Two loops reduce mod p
-themselves: ``SparsePolynomial.evaluate``, whose Laurent exponents need
-``pow(v, k, p)``, and the elimination inner loop ``_RowBasis.reduce``.
+Scalars are plain Python objects: an ``int`` or a ``fractions.Fraction``
+over the rationals (integers stay ints, so integer input makes no
+Fraction), ``int`` residues in ``[0, p)`` over a prime field.  A field
+object knows how to coerce a scalar into it; ``field.modulus`` is ``None``
+for the rationals.  Polynomial ring operations bring their coefficients
+into the field in one place, ``SparsePolynomial._reduced``.  Two places
+reduce mod p themselves: ``SparsePolynomial.evaluate``, whose Laurent
+exponents need ``pow(v, k, p)``, and the elimination kernel ``_RowBasis``.
 Elimination over the rationals takes no Fractions: ``_RowBasis`` clears a
 row's denominators on entry and keeps primitive integer rows.
 """
@@ -55,20 +56,15 @@ class Rationals:
 
     modulus = None
     name = "QQ"
+    zero, one = 0, 1
 
     def coerce(self, x):
-        return x if isinstance(x, Fraction) else Fraction(x)
+        """x as an int or a Fraction; anything else (a float, a string)
+        becomes the Fraction it denotes exactly."""
+        return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
     def inv(self, x):
         return Fraction(1) / x
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def __repr__(self):
         return "QQ"
@@ -84,6 +80,7 @@ class PrimeField:
     """The prime field F_p; residues are ints in [0, p)."""
 
     __slots__ = ("p",)
+    zero, one = 0, 1
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -107,17 +104,6 @@ class PrimeField:
                     f"denominator of {x} vanishes mod {self.p}")
             return num * pow(den, -1, self.p) % self.p
         return x % self.p
-
-    def inv(self, x):
-        return pow(x % self.p, -1, self.p)
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -223,7 +223,7 @@ def straightening_rules(r: int, n: int) -> MappingProxyType:
         if pair not in rules:
             rules[pair] = tuple(
                 (tuple(v for v, k in enumerate(e) for _ in range(k)),
-                 int(-c * lc)) for e, c in rel.terms.items() if e != lead)
+                 -c * lc) for e, c in rel.terms.items() if e != lead)
     for d in (2, 3, 4):
         standard = sum(_leading_pair(e, rules) is None for e in
                        monomials_of_degree(len(plucker_indices(r, n)), d))

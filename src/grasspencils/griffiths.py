@@ -357,12 +357,12 @@ def consensus(results, keys, what):
 
 def _pencil_rows(spec, degree):
     """The rows of the generator multiples of f_t = frozen + t*deforming in
-    one slice, as integer pairs (a, b) whose row at t is a + t*b."""
+    one slice, as integer pairs (a, b) whose row at t is a + t*b: frozen
+    and deforming have int coefficients over Q, and ints stay ints."""
     r, n = spec.r, spec.n
-    # integer coefficients over Z: _clean keeps them out of Fractions
     frozen, deforming = (
         grassmann_jacobian_generators(
-            SparsePolynomial(spec.nvars, RATIONALS, terms, _clean=True), r, n)
+            SparsePolynomial(spec.nvars, RATIONALS, terms), r, n)
         for terms in ({spec.frozen: 1}, dict.fromkeys(spec.deforming, 1)))
     return list(_slice_rows(r, n, degree, zip(frozen, deforming)))
 

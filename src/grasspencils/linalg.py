@@ -100,9 +100,10 @@ class _RowBasis:
                 f"stored + {len(res)} new entries exceed the "
                 f"{_ENTRY_LIMIT} entry limit")
         pc = min(res)
-        if self.field.modulus:
-            inv, coerce = self.field.inv(res[pc]), self.field.coerce
-            self.rows[pc] = {c: coerce(v * inv) for c, v in res.items()}
+        p = self.field.modulus
+        if p:
+            inv = pow(res[pc], -1, p)
+            self.rows[pc] = {c: v * inv % p for c, v in res.items()}
         else:
             g = gcd(*res.values())
             if res[pc] < 0:

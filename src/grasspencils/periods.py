@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .fields import RATIONALS, is_prime
+from .fields import RATIONALS, PrimeField, is_prime
 from .poly import SparsePolynomial
 
 # parameters of the classical hypergeometric equation governing the
@@ -167,8 +167,9 @@ def hypergeometric_truncation(upper, lower, p: int, z: int) -> int:
     rationals whose denominators must be invertible mod p.
     """
     _require_odd_prime(p)
-    fp_upper = [_param_mod(a, p) for a in upper]
-    fp_lower = [_param_mod(b, p) for b in lower]
+    fp = PrimeField(p)
+    fp_upper = [fp.coerce(Fraction(a)) for a in upper]
+    fp_lower = [fp.coerce(Fraction(b)) for b in lower]
     z = z % p
     total = 1
     term = 1
@@ -185,14 +186,6 @@ def hypergeometric_truncation(upper, lower, p: int, z: int) -> int:
         term = term * num % p * pow(den, -1, p) % p * z % p
         total = (total + term) % p
     return total
-
-
-def _param_mod(a, p):
-    a = Fraction(a)
-    if a.denominator % p == 0:
-        raise ZeroDivisionError(
-            f"parameter {a} has denominator divisible by {p}")
-    return a.numerator % p * pow(a.denominator % p, -1, p) % p
 
 
 def truncation_search(p: int, counts) -> list:

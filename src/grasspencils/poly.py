@@ -236,8 +236,7 @@ class SparsePolynomial:
     def sorted_terms(self):
         """Terms in canonical (graded-lex, descending within degree) order."""
         return sorted(self.terms.items(),
-                      key=lambda item: (sum(item[0]), item[0]),
-                      reverse=True)
+                      key=lambda item: grlex_key(item[0]), reverse=True)
 
     def to_string(self, names=None):
         if not self.terms:

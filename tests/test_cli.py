@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,46 @@ def test_missing_fixture_exits_2(tmp_path):
                 "--outdir", str(tmp_path), "--check"]) == 2
 
 
+@pytest.mark.parametrize("name", ["", "absent.json"])
+def test_unreadable_pencil_json_exits_2(tmp_path, capsys, name):
+    # a directory or a missing file in place of the pencil is refused
+    path, out = tmp_path / name, tmp_path / "out"
+    assert run(["hodge", "--pencil-json", str(path),
+                "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("tables", "--p", "5"),
+                                  ("hodge", "--t", "2", "--primes",
+                                   "1048583")])
+def test_outdir_that_cannot_be_made_exits_2(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run([*argv, "--outdir", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(blocker) in err
+
+
+def test_integer_runs_make_no_fractions(tmp_path, monkeypatch):
+    # an integer t stays an int over Q: hodge over Q (with the
+    # complete-intersection cross-check) and mod p, and tables with its
+    # Hasse-Witt column, construct no Fraction
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert run(["hodge", "--t", "2,3", "--primes", "1048583",
+                "--rationals", "--outdir", str(tmp_path)]) == 0
+    assert run(["tables", "--p", "7", "--outdir", str(tmp_path)]) == 0
+    assert made == []
+
+
 def test_tables_check_without_fixture_exits_2(tmp_path, capsys):
     # tables ship for G(2,4) arrow at p = 5, 7, 11 only; the p = 5 file
     # is not the expectation for G(2,5)
@@ -358,7 +399,7 @@ def test_tables_check_without_fixture_exits_2(tmp_path, capsys):
                 "--check"]) == 2
     err = capsys.readouterr().err
     assert "check FAILED: no expected table ships for p=13 arrow" in err
-    assert "missing file" not in err
+    assert "file error" not in err
     assert run(["tables", "--p", "5", "--rn", "2,5", "--outdir",
                 str(tmp_path), "--check"]) == 2
     err = capsys.readouterr().err

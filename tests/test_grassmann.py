@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
@@ -188,6 +189,7 @@ def test_straightening_rules_are_certified(r, n):
                           for i, j in combinations(range(len(indices)), 2)
                           if not comparable(i, j)}
     assert {c for tail in rules.values() for _, c in tail} == {1, -1}
+    assert all(type(c) is int for tail in rules.values() for _, c in tail)
 
 
 def test_straightening_certificate_rejects_bad_relations(monkeypatch):
@@ -292,6 +294,11 @@ def test_evaluate_pencil():
     spec = build_pencil(2, 4)
     at_zero = evaluate_pencil(spec, 0)
     assert at_zero.terms == {spec.frozen: 1}
+    # an integer t keeps the coefficients over Q ints
+    at_two = evaluate_pencil(spec, 2)
+    assert at_two == evaluate_pencil(spec, Fraction(2))
+    assert all(type(c) is int for c in at_two.terms.values())
+    assert evaluate_pencil(spec, Fraction(1, 2)).terms[spec.frozen] == 1
     over_f5 = evaluate_pencil(spec, 1, PrimeField(5))
     assert over_f5.num_terms() == 7
     assert all(c == 1 for c in over_f5.terms.values())

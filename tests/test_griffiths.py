@@ -133,6 +133,11 @@ def test_generator_list_shape():
     with pytest.raises(ValueError):
         grassmann_jacobian_generators(
             f + SparsePolynomial.variable(6, 0), 2, 4)
+    # the derivations of an integer member keep int coefficients over Q
+    assert all(type(c) is int
+               for g in grassmann_jacobian_generators(
+                   evaluate_pencil(spec, 2), 2, 4)
+               for c in g.terms.values())
 
 
 def test_graded_quotient_empty_ideal():
@@ -551,6 +556,8 @@ def test_shipped_slices_hold_their_rows_below_the_entry_limit(
     # no shipped slice comes near it
     rows = griffiths._pencil_rows(build_pencil(r, n, variant), degree)
     assert len(rows) == pairs
+    assert all(type(v) is int for pair in rows for row in pair
+               for v in row.values())
     assert sum(len(a) + len(b) for a, b in rows) == entries
     assert entries < griffiths._ENTRY_LIMIT
 

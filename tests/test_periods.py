@@ -214,6 +214,12 @@ def test_hypergeometric_geometric_sanity():
 def test_hypergeometric_rejects_bad_denominator():
     with pytest.raises(ZeroDivisionError):
         hypergeometric_truncation([Fraction(1, 5)], [], 5, 1)
+    with pytest.raises(ZeroDivisionError, match="1/7"):
+        hypergeometric_truncation([1], [Fraction(1, 7)], 7, 2)
+    # int and Fraction parameters name the same residues
+    assert (hypergeometric_truncation([2, 3], [1], 7, 3)
+            == hypergeometric_truncation([Fraction(2), Fraction(3)],
+                                         [Fraction(1)], 7, 3))
 
 
 def test_truncation_search_empty_for_arrow_pencil():

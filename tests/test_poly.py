@@ -123,6 +123,40 @@ def test_partial_derivative():
     assert g.partial(0).terms == {(-3,): -2}
 
 
+def _int_coefficients(f):
+    return all(type(c) is int for c in f.terms.values())
+
+
+def test_integer_coefficients_stay_ints_over_q():
+    # a Q scalar is an int or a Fraction: ring operations on polynomials
+    # built from ints make no Fraction
+    rng = random.Random(1801)
+    for _ in range(100):
+        a = _random_poly(rng, 3, RATIONALS, laurent=True)
+        b = _random_poly(rng, 3, RATIONALS, laurent=True)
+        for f in (a, a + b, a - b, -a, a * b, a ** 2, a.scale(-3),
+                  a.partial(1)):
+            assert _int_coefficients(f), f
+    assert _int_coefficients(SparsePolynomial.variable(2, 1))
+    assert _int_coefficients(SparsePolynomial.constant(2, 7))
+    half = SparsePolynomial.variable(2, 0).scale(Fraction(1, 2))
+    assert half.terms == {(1, 0): Fraction(1, 2)}
+
+
+def test_rational_scalars_are_exact():
+    assert type(RATIONALS.coerce(7)) is int
+    assert RATIONALS.coerce(Fraction(1, 3)) == Fraction(1, 3)
+    assert RATIONALS.coerce(0.5) == Fraction(1, 2)
+    assert RATIONALS.coerce("3/4") == Fraction(3, 4)
+    assert RATIONALS.inv(4) == Fraction(1, 4)
+    # negative exponents of int values still evaluate exactly
+    f = SparsePolynomial(2, RATIONALS, {(-1, 2): 1, (0, 0): 3})
+    value = f.evaluate([2, 3])
+    assert value == Fraction(15, 2) and type(value) is Fraction
+    assert f.evaluate([Fraction(1, 2), -1]) == 5
+    assert SparsePolynomial.zero(2).evaluate([2, 3]) == 0
+
+
 def test_evaluate_rational_and_modular():
     f = SparsePolynomial(2, RATIONALS, {(1, 1): 1, (0, 0): 1})
     assert f.evaluate([Fraction(1, 2), Fraction(4)]) == 3
