@@ -13,10 +13,12 @@ and the point-counting minors all share this convention.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
+from operator import add, sub
 from types import MappingProxyType
 
 from .fields import RATIONALS
@@ -154,8 +156,7 @@ def plucker_relations(r: int, n: int) -> tuple:
     _check_rn(r, n)
     if r < 2 or r > n - 2:
         return ()
-    pos = index_position(r, n)
-    nv = len(pos)
+    nv = len(plucker_indices(r, n))
     seen = set()
     out = []
     for alpha in combinations(range(1, n + 1), r - 1):
@@ -165,11 +166,7 @@ def plucker_relations(r: int, n: int) -> tuple:
                 first, s1 = sort_with_sign(alpha + (bj,))
                 if first is None:
                     continue
-                second = beta[:j] + beta[j + 1:]
-                e = [0] * nv
-                e[pos[first]] += 1
-                e[pos[second]] += 1
-                e = tuple(e)
+                e = _exponent_of((first, beta[:j] + beta[j + 1:]), r, n)
                 terms[e] = terms.get(e, 0) + (-1) ** j * s1
             terms = {e: c for e, c in terms.items() if c}
             if not terms:
@@ -205,13 +202,15 @@ def _leading_pair(e, rules):
 def straightening_rules(r: int, n: int) -> MappingProxyType:
     """Leading pair (i, j) of each Pluecker relation -> its tail over Z.
 
-    A rule reads p_i*p_j = sum of c*p_u*p_w over its tail ((u, w), c).  The
-    leading term, grevlex greatest on the variable order, must be +-p_I*p_J
-    with I != J; the first relation with each leading term is kept.  The
-    certificate counts the monomials of degree 2, 3 and 4 divisible by no
-    leading pair against hilbert_function: degree 2 shows that the rules span
-    the ideal's quadrics, and all S-pairs of quadrics lie in degree <= 4, so
-    by Buchberger's criterion the rules are a Groebner basis."""
+    A rule reads p_i*p_j = sum of c*x^(lead + shift) over its tail (shift, c),
+    where lead is the exponent vector of p_i*p_j: a monomial e divisible by
+    p_i*p_j is rewritten as the sum of c*x^(e + shift).  The leading term,
+    grevlex greatest on the variable order, must be +-p_I*p_J with I != J;
+    the first relation with each leading term is kept.  The certificate
+    counts the monomials of degree 2, 3 and 4 divisible by no leading pair
+    against hilbert_function: degree 2 shows that the rules span the ideal's
+    quadrics, and all S-pairs of quadrics lie in degree <= 4, so by
+    Buchberger's criterion the rules are a Groebner basis."""
     rules = {}
     for rel in plucker_relations(r, n):
         lead = max(rel.terms,
@@ -221,9 +220,8 @@ def straightening_rules(r: int, n: int) -> MappingProxyType:
             raise ValueError(f"a G({r},{n}) relation leads with "
                              f"{lc}*{monomial_name(lead, r, n)}")
         if pair not in rules:
-            rules[pair] = tuple(
-                (tuple(v for v, k in enumerate(e) for _ in range(k)),
-                 -c * lc) for e, c in rel.terms.items() if e != lead)
+            rules[pair] = tuple((tuple(map(sub, e, lead)), -c * lc)
+                                for e, c in rel.terms.items() if e != lead)
     for d in (2, 3, 4):
         standard = sum(_leading_pair(e, rules) is None for e in
                        monomials_of_degree(len(plucker_indices(r, n)), d))
@@ -242,10 +240,8 @@ def normal_form(r: int, n: int, e: tuple) -> tuple:
     if pair is None:
         return ((e, 1),)
     out = {}
-    for (u, w), c in straightening_rules(r, n)[pair]:
-        for s, k in normal_form(r, n, tuple(
-                x - (v in pair) + (v == u) + (v == w)
-                for v, x in enumerate(e))):
+    for shift, c in straightening_rules(r, n)[pair]:
+        for s, k in normal_form(r, n, tuple(map(add, e, shift))):
             out[s] = out.get(s, 0) + c * k
     return tuple((s, k) for s, k in out.items() if k)
 
@@ -321,7 +317,9 @@ class PencilSpec:
             return isinstance(v, list) and all(map(_is_vector, v))
 
         return cls(get("r", _is_int), get("n", _is_int),
-                   get("variant", lambda v: isinstance(v, str)),
+                   # a plain name: output files are named after it
+                   get("variant", lambda v: isinstance(v, str) and bool(
+                       re.fullmatch(r"[\w+-]+", v, re.ASCII))),
                    tuple(map(tuple, get("monomials", is_vectors))),
                    tuple(get("frozen", _is_vector)))
 

@@ -29,6 +29,7 @@ specialization only forms a + t*b in its field before eliminating.
 import json
 from dataclasses import asdict, dataclass
 from math import comb
+from operator import add
 
 from .fields import PrimeField, RATIONALS
 from .grassmann import (PencilSpec, evaluate_pencil, hilbert_function,
@@ -180,8 +181,7 @@ def _standard_row(r, n, mult_exp, poly):
     with no zero entry."""
     row = {}
     for e, c in poly.terms.items():
-        for s, k in normal_form(r, n, tuple(m + x
-                                            for m, x in zip(mult_exp, e))):
+        for s, k in normal_form(r, n, tuple(map(add, mult_exp, e))):
             row[s] = row.get(s, 0) + c * k
     return {s: c for s, c in row.items() if c}
 
@@ -312,8 +312,7 @@ def ci_bigraded_quotient(ctx: CIJacobianContext,
     fld = ctx.field
     basis = row_basis(ambient, fld)
     ideal_rank = basis.add_rows(
-        {tuple(m + x for m, x in zip(mult, e)): c
-         for e, c in g.terms.items()}
+        {tuple(map(add, mult, e)): c for e, c in g.terms.items()}
         for g in _ci_generators(ctx) if g
         for ga, gb in [_poly_bidegree(g, ctx.nx, ctx.degrees)]
         for mult in bigraded_monomials(ctx, (a - ga, b - gb)))

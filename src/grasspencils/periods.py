@@ -25,7 +25,7 @@ a sum of Python integers; 2(b + c - a) = 2(m - 2a) must lie in 0..4b.
 The truncation search asks whether those counts also match a truncated
 classical hypergeometric series 4F3(1/4,1/2,3/4,1/2; 1,1,1 | a*t^b) for
 some fixed scaling (a, b); the scan over the full (a, b) grid comes back
-empty for every prime 5 <= p <= 37.
+empty for every prime 5 <= p <= 61.
 """
 
 from fractions import Fraction
@@ -153,9 +153,14 @@ def hasse_witt(p: int, t: int, kernel: PeriodKernel | None = None) -> int:
     """
     _require_odd_prime(p)
     kernel = kernel or default_kernel()
+    return _horner(kernel.coefficients(p - 1), t, p)
+
+
+def _horner(coeffs, z, p):
+    """sum(coeffs[k] * z^k) mod p by Horner's rule."""
     total = 0
-    for c in reversed(kernel.coefficients(p - 1)):   # Horner's rule
-        total = (total * t + c) % p
+    for c in reversed(coeffs):
+        total = (total * z + c) % p
     return total
 
 
@@ -166,13 +171,16 @@ def hypergeometric_truncation(upper, lower, p: int, z: int) -> int:
     Pochhammer symbols evaluated through modular inverses.  Parameters are
     rationals whose denominators must be invertible mod p.
     """
+    return _horner(_truncation_coefficients(upper, lower, p), z, p)
+
+
+def _truncation_coefficients(upper, lower, p):
+    """The p coefficients of the truncated series as residues mod p."""
     _require_odd_prime(p)
     fp = PrimeField(p)
-    fp_upper = [fp.coerce(Fraction(a)) for a in upper]
-    fp_lower = [fp.coerce(Fraction(b)) for b in lower]
-    z = z % p
-    total = 1
-    term = 1
+    fp_upper = [fp.coerce(RATIONALS.coerce(a)) for a in upper]
+    fp_lower = [fp.coerce(RATIONALS.coerce(b)) for b in lower]
+    coeffs = [1]
     for k in range(p - 1):
         num = 1
         for a in fp_upper:
@@ -183,9 +191,8 @@ def hypergeometric_truncation(upper, lower, p: int, z: int) -> int:
         if den == 0:
             raise ZeroDivisionError(
                 f"lower Pochhammer factor vanishes mod {p} at k={k}")
-        term = term * num % p * pow(den, -1, p) % p * z % p
-        total = (total + term) % p
-    return total
+        coeffs.append(coeffs[-1] * num % p * pow(den, -1, p) % p)
+    return coeffs
 
 
 def truncation_search(p: int, counts) -> list:
@@ -202,8 +209,8 @@ def truncation_search(p: int, counts) -> list:
         residues[rec.t % p] = rec.residue
     if sorted(residues) != list(range(1, p)):
         raise ValueError("counts must cover t = 1..p-1 exactly")
-    trunc = [hypergeometric_truncation(LT_UPPER, LT_LOWER, p, z)
-             for z in range(p)]
+    coeffs = _truncation_coefficients(LT_UPPER, LT_LOWER, p)
+    trunc = [_horner(coeffs, z, p) for z in range(p)]
     hits = []
     for a in range(1, p):
         for b in range(1, p):

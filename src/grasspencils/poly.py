@@ -14,7 +14,9 @@ x5^4).
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
+from operator import add
 
 from .fields import RATIONALS
 from .linalg import ResourceLimitError
@@ -45,20 +47,19 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple:
     listing of more than LISTING_GUARD monomials raises ResourceLimitError
     before anything is built.
     """
-    if degree >= 0:
-        check_listing_size(comb(nvars + degree - 1, degree))
+    if degree < 0:
+        return ()
+    check_listing_size(comb(nvars + degree - 1, degree))
     return tuple(_monomials(nvars, degree))
 
 
 def _monomials(nvars, degree):
-    if degree < 0:
-        return
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in _monomials(nvars - 1, degree - first):
-            yield (first,) + rest
+    # sorted multisets in lex order give exponents in descending lex order
+    for combo in combinations_with_replacement(range(nvars), degree):
+        e = [0] * nvars
+        for v in combo:
+            e[v] += 1
+        yield tuple(e)
 
 
 class SparsePolynomial:
@@ -147,7 +148,7 @@ class SparsePolynomial:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return self._reduced(out)
 

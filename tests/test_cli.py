@@ -376,8 +376,9 @@ def test_outdir_that_cannot_be_made_exits_2(tmp_path, capsys, argv):
 
 def test_integer_runs_make_no_fractions(tmp_path, monkeypatch):
     # an integer t stays an int over Q: hodge over Q (with the
-    # complete-intersection cross-check) and mod p, and tables with its
-    # Hasse-Witt column, construct no Fraction
+    # complete-intersection cross-check) and mod p, tables with its
+    # Hasse-Witt column, and search with its 4F3 truncations construct no
+    # Fraction
     made = []
     new = Fraction.__new__
 
@@ -389,6 +390,7 @@ def test_integer_runs_make_no_fractions(tmp_path, monkeypatch):
     assert run(["hodge", "--t", "2,3", "--primes", "1048583",
                 "--rationals", "--outdir", str(tmp_path)]) == 0
     assert run(["tables", "--p", "7", "--outdir", str(tmp_path)]) == 0
+    assert run(["search", "--p", "7", "--outdir", str(tmp_path)]) == 0
     assert made == []
 
 
@@ -535,6 +537,23 @@ def test_malformed_pencil_json_exits_2(tmp_path, capsys, change, message):
     assert run(["hodge", "--pencil-json", str(path),
                 "--outdir", str(tmp_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["", "a/b"])
+def test_pencil_label_that_is_not_a_plain_name_exits_2(tmp_path, capsys,
+                                                       variant):
+    # output files are named after the label, so it may not be empty or
+    # hold a path separator
+    doc = json.loads(build_pencil(2, 4).to_json())
+    doc["variant"] = variant
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["tables", "--p", "5", "--pencil-json", str(path),
+                "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: pencil JSON key 'variant' is malformed: {variant!r}" in err
+    assert not out.exists()
 
 
 def test_package_imports_only_the_standard_library():

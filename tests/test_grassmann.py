@@ -190,6 +190,18 @@ def test_straightening_rules_are_certified(r, n):
                           if not comparable(i, j)}
     assert {c for tail in rules.values() for _, c in tail} == {1, -1}
     assert all(type(c) is int for tail in rules.values() for _, c in tail)
+    # p_i*p_j minus the tail read off each rule's shifts is, up to sign,
+    # a Pluecker relation whose grevlex leading term is p_i*p_j
+    relations = plucker_relations(r, n)
+    for (i, j), tail in rules.items():
+        lead = tuple(int(v in (i, j)) for v in range(len(indices)))
+        terms = {lead: 1}
+        for shift, c in tail:
+            terms[tuple(x + s for x, s in zip(lead, shift))] = -c
+        assert any(rel.terms in (terms, {e: -c for e, c in terms.items()})
+                   and max(rel.terms, key=lambda e: (
+                       sum(e), [-x for x in reversed(e)])) == lead
+                   for rel in relations)
 
 
 def test_straightening_certificate_rejects_bad_relations(monkeypatch):

@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 from fractions import Fraction
 
 from grasspencils.fields import PrimeField, RATIONALS, is_prime, next_prime
-from grasspencils.poly import SparsePolynomial, monomials_of_degree
+from grasspencils.poly import SparsePolynomial, grlex_key, monomials_of_degree
 
 F5 = PrimeField(5)
 
@@ -171,6 +172,18 @@ def test_monomials_of_degree_order_and_count():
                     (0, 2, 0), (0, 1, 1), (0, 0, 2)]
     assert len(list(monomials_of_degree(6, 4))) == 126
     assert len(list(monomials_of_degree(10, 5))) == 2002
+
+
+@pytest.mark.parametrize("nv", range(1, 6))
+def test_monomials_of_degree_match_a_sorted_listing(nv):
+    # every vector of the box with the right sum, sorted by grlex_key in
+    # descending order; a negative degree lists nothing
+    for d in range(5):
+        box = product(range(d + 1), repeat=nv)
+        expected = sorted((e for e in box if sum(e) == d), key=grlex_key,
+                          reverse=True)
+        assert monomials_of_degree(nv, d) == tuple(expected)
+    assert monomials_of_degree(nv, -1) == ()
 
 
 def test_convert_reduces_mod_p():
