@@ -2,14 +2,15 @@
 
 Scalars are plain Python objects: an ``int`` or a ``fractions.Fraction``
 over the rationals (integers stay ints, so integer input makes no
-Fraction), ``int`` residues in ``[0, p)`` over a prime field.  A field
-object knows how to coerce a scalar into it; ``field.modulus`` is ``None``
-for the rationals.  Polynomial ring operations bring their coefficients
-into the field in one place, ``SparsePolynomial._reduced``.  Two places
-reduce mod p themselves: ``SparsePolynomial.evaluate``, whose Laurent
-exponents need ``pow(v, k, p)``, and the elimination kernel ``_RowBasis``.
-Elimination over the rationals takes no Fractions: ``_RowBasis`` clears a
-row's denominators on entry and keeps primitive integer rows.
+Fraction), ``int`` residues in ``[0, p)`` over a prime field.  A scalar
+enters its field through ``field.coerce``, and both fields coerce exactly:
+anything but an int or a Fraction (a float, a string) becomes the rational
+it denotes, and F_p takes that rational mod p.  ``field.modulus`` is
+``None`` for the rationals.  Polynomial ring operations bring their
+coefficients into the field in one place, ``SparsePolynomial._reduced``.
+Two places reduce mod p themselves: ``SparsePolynomial.evaluate``, whose
+Laurent exponents need ``pow(v, k, p)``, and the elimination kernel, where
+every row enters through ``linalg._integer_row``.
 """
 
 from fractions import Fraction
@@ -56,15 +57,11 @@ class Rationals:
 
     modulus = None
     name = "QQ"
-    zero, one = 0, 1
 
     def coerce(self, x):
         """x as an int or a Fraction; anything else (a float, a string)
         becomes the Fraction it denotes exactly."""
         return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-    def inv(self, x):
-        return Fraction(1) / x
 
     def __repr__(self):
         return "QQ"
@@ -80,7 +77,6 @@ class PrimeField:
     """The prime field F_p; residues are ints in [0, p)."""
 
     __slots__ = ("p",)
-    zero, one = 0, 1
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -96,14 +92,16 @@ class PrimeField:
         return f"GF({self.p})"
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            num = x.numerator % self.p
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(
-                    f"denominator of {x} vanishes mod {self.p}")
-            return num * pow(den, -1, self.p) % self.p
-        return x % self.p
+        """x mod p; anything but an int first becomes an exact rational."""
+        if isinstance(x, int):
+            return x % self.p
+        x = RATIONALS.coerce(x)
+        num = x.numerator % self.p
+        den = x.denominator % self.p
+        if den == 0:
+            raise ZeroDivisionError(
+                f"denominator of {x} vanishes mod {self.p}")
+        return num * pow(den, -1, self.p) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"

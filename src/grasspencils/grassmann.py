@@ -125,22 +125,14 @@ def frozen_variables(r: int, n: int) -> list:
 def sort_with_sign(seq):
     """Sort an index tuple, tracking the permutation sign.
 
-    Returns (sorted tuple, +1/-1), or (None, 0) when an index repeats
-    (the wedge vanishes).
+    Returns (sorted tuple, +1/-1), the sign being the parity of the
+    inversions, or (None, 0) when an index repeats (the wedge vanishes).
     """
-    seq = list(seq)
-    sign = 1
-    # insertion sort; counts the swaps
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(len(seq) - 1):
-        if seq[i] == seq[i + 1]:
-            return None, 0
-    return tuple(seq), sign
+    seq = tuple(seq)
+    if len(set(seq)) < len(seq):
+        return None, 0
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return tuple(sorted(seq)), (-1) ** inversions
 
 
 @lru_cache(maxsize=None)
@@ -384,7 +376,7 @@ def evaluate_pencil(spec: PencilSpec, t, field=RATIONALS) -> SparsePolynomial:
     """The defining polynomial t*(deforming sum) + frozen product."""
     t = field.coerce(t)
     terms = {e: t for e in spec.deforming}
-    terms[spec.frozen] = terms.get(spec.frozen, field.zero) + field.one
+    terms[spec.frozen] = terms.get(spec.frozen, 0) + 1
     return SparsePolynomial(spec.nvars, field, terms)
 
 

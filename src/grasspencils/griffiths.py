@@ -32,9 +32,10 @@ from math import comb
 from operator import add
 
 from .fields import PrimeField, RATIONALS
-from .grassmann import (PencilSpec, evaluate_pencil, hilbert_function,
-                        index_position, monomial_name, normal_form,
-                        plucker_indices, plucker_relations, sort_with_sign)
+from .grassmann import (PencilSpec, _leading_pair, evaluate_pencil,
+                        hilbert_function, index_position, monomial_name,
+                        normal_form, plucker_indices, plucker_relations,
+                        sort_with_sign, straightening_rules)
 from .linalg import _ENTRY_LIMIT, ResourceLimitError, row_basis
 from .poly import SparsePolynomial, check_listing_size, monomials_of_degree
 from .symmetry import invariant_monomials
@@ -145,13 +146,16 @@ def _slice_rows(r, n, degree, generators):
     """Rows, in standard monomials, of every generator multiple landing in
     the slice of the given degree.
 
-    Each generator is a tuple of polynomials of one degree, the
+    The multipliers are the standard monomials: modulo the Pluecker ideal
+    m*g = NF(m)*g, so their multiples span what every monomial multiple
+    spans.  Each generator is a tuple of polynomials of one degree, the
     coefficients of a polynomial in t (the pair (a, b) stands for a + t*b);
     each multiple yields the tuple of their rows, as {monomial: coeff}
     dicts, unless every one of them is zero.  The entries yielded are
     counted against linalg's entry limit, since a caller may hold them all.
     """
     nv = len(plucker_indices(r, n))
+    rules = straightening_rules(r, n)
     entries = 0
     for parts in generators:
         nonzero = [g for g in parts if g]
@@ -165,6 +169,8 @@ def _slice_rows(r, n, degree, generators):
             raise ValueError(f"generator of degree {d} "
                              f"cannot land in degree {degree}")
         for mult in monomials_of_degree(nv, degree - d):
+            if _leading_pair(mult, rules) is not None:
+                continue
             rows = tuple(_standard_row(r, n, mult, g) for g in parts)
             if any(rows):
                 entries += sum(map(len, rows))

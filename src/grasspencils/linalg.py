@@ -10,15 +10,16 @@ larger columns, so each pivot is met at most once.  Ranks, quotient
 dimensions and greedy rank extensions are counts of the rows a basis
 accepts.
 
-Over F_p the scalars are int residues in [0, p) (Python ints, so any prime
-works) and a stored row carries the pivot entry 1.  Over Q elimination is
-fraction-free: a row enters as integers (int or Fraction entries, times the
-lcm of their denominators), a step scales the residue by lead/g and
-subtracts f/g times the stored row, where lead is the stored pivot entry, f
-the residue's and g = gcd(lead, f), and a row is stored primitive (content
-1, positive pivot entry).  Each step is the step with Fractions times a
-nonzero integer, so the pivots, supports and ranks are those of the monic
-echelon form; only the scale of each row differs.
+Every row enters through _integer_row: it is multiplied by the lcm of its
+denominators (its entries are ints or Fractions), and over F_p then reduced
+mod p, where that lcm is a unit.  Over F_p the scalars are int residues in
+[0, p) (Python ints, so any prime works) and a stored row carries the pivot
+entry 1.  Over Q elimination is fraction-free: a step scales the residue by
+lead/g and subtracts f/g times the stored row, where lead is the stored
+pivot entry, f the residue's and g = gcd(lead, f), and a row is stored
+primitive (content 1, positive pivot entry).  Each step is the step with
+Fractions times a nonzero integer, so the pivots, supports and ranks are
+those of the monic echelon form; only the scale of each row differs.
 """
 
 from heapq import heapify, heappop, heappush
@@ -50,17 +51,10 @@ class _RowBasis:
     def reduce(self, row_dict):
         """Residue of a row against the stored rows, as {column: value}.
 
-        Over Q the residue is in ints and is a nonzero integer multiple of
-        the residue with Fractions."""
-        coerce, p = self.field.coerce, self.field.modulus
-        if p:
-            res = {}
-            for c, v in row_dict.items():
-                v = coerce(v)
-                if v:
-                    res[c] = v
-        else:
-            res = _integer_row(row_dict)
+        The residue is in ints and is the residue with Fractions times a
+        nonzero integer over Q, times a unit over F_p."""
+        p = self.field.modulus
+        res = _integer_row(row_dict, p)
         rows = self.rows
         heap = [c for c in res if c in rows]
         heapify(heap)
@@ -119,11 +113,17 @@ class _RowBasis:
         return not self.reduce(row_dict)
 
 
-def _integer_row(row_dict):
-    """The row times the lcm of its denominators, as nonzero ints."""
+def _integer_row(row_dict, p=None):
+    """The row times the lcm of its denominators, as nonzero ints, reduced
+    mod p if p is given."""
     den = lcm(*[v.denominator for v in row_dict.values()])
-    return {c: v.numerator * (den // v.denominator)
-            for c, v in row_dict.items() if v}
+    row = {c: v.numerator * (den // v.denominator)
+           for c, v in row_dict.items() if v}
+    if p is None:
+        return row
+    if den % p == 0:
+        raise ZeroDivisionError(f"a denominator of the row vanishes mod {p}")
+    return {c: r for c, v in row.items() if (r := v % p)}
 
 
 def row_basis(ncols, field):

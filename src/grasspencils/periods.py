@@ -178,8 +178,8 @@ def _truncation_coefficients(upper, lower, p):
     """The p coefficients of the truncated series as residues mod p."""
     _require_odd_prime(p)
     fp = PrimeField(p)
-    fp_upper = [fp.coerce(RATIONALS.coerce(a)) for a in upper]
-    fp_lower = [fp.coerce(RATIONALS.coerce(b)) for b in lower]
+    fp_upper = [fp.coerce(a) for a in upper]
+    fp_lower = [fp.coerce(b) for b in lower]
     coeffs = [1]
     for k in range(p - 1):
         num = 1

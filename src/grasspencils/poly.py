@@ -101,7 +101,7 @@ class SparsePolynomial:
     def variable(cls, nvars, index, field=RATIONALS, power=1):
         e = [0] * nvars
         e[index] = power
-        return cls(nvars, field, {tuple(e): field.one})
+        return cls(nvars, field, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, exponents, coefficient=1, field=RATIONALS):
@@ -177,7 +177,7 @@ class SparsePolynomial:
 
     def constant_term(self):
         """Coefficient of the all-zero exponent vector (zero if absent)."""
-        return self.terms.get((0,) * self.nvars, self.field.zero)
+        return self.terms.get((0,) * self.nvars, 0)
 
     def num_terms(self):
         return len(self.terms)
@@ -208,7 +208,7 @@ class SparsePolynomial:
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
         p = self.field.modulus
-        total = self.field.zero
+        total = 0
         for e, c in self.terms.items():
             term = c
             for v, k in zip(values, e):

@@ -103,20 +103,23 @@ def is_invariant(exponents, group: SymmetryGroup) -> bool:
             and all(c == first for c in rest))
 
 
+@lru_cache(maxsize=None)
 def invariant_monomials(r: int, n: int, degree: int,
-                        group: SymmetryGroup | None = None) -> list:
-    """All invariant degree-`degree` monomials, in canonical order.
+                        group: SymmetryGroup | None = None) -> tuple:
+    """All invariant degree-`degree` monomials, in canonical order, as a
+    tuple.
 
     Canonical order is graded-lex: descending lexicographic on exponent
-    vectors within the fixed degree.
+    vectors within the fixed degree.  Cached: every caller shares one
+    listing.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
     if group is None:
         group = build_group(n, r)
     nv = len(plucker_indices(r, n))
-    return [e for e in monomials_of_degree(nv, degree)
-            if is_invariant(e, group)]
+    return tuple(e for e in monomials_of_degree(nv, degree)
+                 if is_invariant(e, group))
 
 
 def invariant_monomials_json(r: int, n: int, degree: int,

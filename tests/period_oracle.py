@@ -56,7 +56,7 @@ def meet_in_the_middle_coefficients(kernel: SparsePolynomial,
 def _constant_term_of_product(f: SparsePolynomial, g: SparsePolynomial):
     """ct(f*g) = sum_m f_m * g_(-m), looping over the smaller term map."""
     small, large = sorted((f.terms, g.terms), key=len)
-    total = f.field.zero
+    total = 0
     for e, c in small.items():
         other = large.get(tuple(-x for x in e))
         if other is not None:

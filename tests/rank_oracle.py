@@ -9,6 +9,7 @@ rows, the slow route that row_basis's primitive integer rows replace.
 Rows are {column: value} dicts.
 """
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -120,7 +121,7 @@ class FractionRowBasis:
         if not res:
             return False
         pc = min(res)
-        inv, coerce = RATIONALS.inv(res[pc]), RATIONALS.coerce
+        inv, coerce = 1 / Fraction(res[pc]), RATIONALS.coerce
         self.rows[pc] = {c: coerce(v * inv) for c, v in res.items()}
         self.entries += len(res)
         return True

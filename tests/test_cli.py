@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from grasspencils import cli, griffiths, linalg, poly
+from grasspencils import cli, griffiths, linalg, poly, symmetry
 from grasspencils.grassmann import PencilSpec, build_pencil
 from grasspencils.griffiths import SpecializationMismatch
 
@@ -519,6 +519,7 @@ def test_hodge_slice_guard_exits_2_before_enumerating(tmp_path, monkeypatch,
     monkeypatch.setattr(poly, "LISTING_GUARD", 1000)
     monkeypatch.setattr(poly, "_monomials", refuse)
     poly.monomials_of_degree.cache_clear()
+    symmetry.invariant_monomials.cache_clear()
     assert run(["hodge", "--rn", "2,5", "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "error: graded slice with 2002 monomials exceeds the guard" in err
@@ -576,3 +577,14 @@ def test_package_imports_without_numpy():
     code = "import grasspencils, sys; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(src))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "grasspencils", "tables", "--p", "5",
+         "--check", "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "check passed" in proc.stdout

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -14,7 +14,7 @@ from grasspencils.grassmann import (PencilSpec, build_pencil,
                                     monomial_name, normal_form,
                                     normalize_partition, partition_to_index,
                                     plucker_indices, plucker_relations,
-                                    straightening_rules)
+                                    sort_with_sign, straightening_rules)
 from grasspencils.linalg import ResourceLimitError, row_basis
 from grasspencils.poly import SparsePolynomial, monomials_of_degree
 from rank_oracle import _rank_rational
@@ -351,3 +351,31 @@ def test_pencil_invariant_validation():
     with pytest.raises(ValueError):
         PencilSpec(2, 4, "arrow", ((3, 0, 0, 0, 0, 0),),
                    (1, 0, 1, 1, 0, 1))
+
+
+def _cycle_sign(seq):
+    """Sign of the permutation sorting distinct entries, from its cycles:
+    a cycle of length L is a product of L - 1 transpositions."""
+    target = sorted(range(len(seq)), key=seq.__getitem__)
+    seen, sign = set(), 1
+    for start in range(len(seq)):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            k = target[k]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_sort_with_sign_is_the_parity_of_the_sorting_permutation():
+    for length in range(6):
+        for seq in product(range(1, 6), repeat=length):
+            if len(set(seq)) < length:
+                assert sort_with_sign(seq) == (None, 0), seq
+            else:
+                assert sort_with_sign(list(seq)) == (
+                    tuple(sorted(seq)), _cycle_sign(seq)), seq
+    assert sort_with_sign((2, 1)) == ((1, 2), -1)
+    assert sort_with_sign((3, 1, 2)) == ((1, 2, 3), 1)

@@ -187,3 +187,29 @@ def test_rational_input_matches_the_fraction_oracle():
         assert ([basis.contains(r) for r in probes]
                 == [oracle.contains(r) for r in probes])
         assert all(basis.contains(r) for r in probes[4:])
+
+
+def test_fraction_rows_mod_p_match_rows_coerced_entry_by_entry():
+    # clearing denominators scales a row by a unit of F_p, so the ranks,
+    # stored monic rows and membership answers are those of the rows
+    # coerced one entry at a time
+    rng = random.Random(29)
+    fld = PrimeField(11)
+    for _ in range(40):
+        rows = [{j: Fraction(v, rng.choice((1, 2, 3, 5, 7, 13)))
+                 for j, v in row.items()}
+                for row in _random_matrix(rng, 6, 9)]
+        coerced = [{c: r for c, v in row.items() if (r := fld.coerce(v))}
+                   for row in rows]
+        basis, twin = row_basis(9, fld), row_basis(9, fld)
+        assert ([basis.add_row(r) for r in rows]
+                == [twin.add_row(r) for r in coerced])
+        assert basis.rank == twin.rank and basis.rows == twin.rows
+        assert basis.entries == twin.entries
+        probes = _random_matrix(rng, 4, 9) + rows
+        assert ([basis.contains({c: Fraction(v, 3) for c, v in r.items()})
+                 for r in probes]
+                == [twin.contains({c: fld.coerce(Fraction(v, 3))
+                                   for c, v in r.items()}) for r in probes])
+    with pytest.raises(ZeroDivisionError, match="vanishes mod 11"):
+        row_basis(2, fld).add_row({0: 1, 1: Fraction(1, 22)})

@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 
 from grasspencils.fields import PrimeField, RATIONALS, is_prime, next_prime
+from grasspencils.grassmann import build_pencil, evaluate_pencil
 from grasspencils.poly import SparsePolynomial, grlex_key, monomials_of_degree
 
 F5 = PrimeField(5)
@@ -149,13 +150,27 @@ def test_rational_scalars_are_exact():
     assert RATIONALS.coerce(Fraction(1, 3)) == Fraction(1, 3)
     assert RATIONALS.coerce(0.5) == Fraction(1, 2)
     assert RATIONALS.coerce("3/4") == Fraction(3, 4)
-    assert RATIONALS.inv(4) == Fraction(1, 4)
     # negative exponents of int values still evaluate exactly
     f = SparsePolynomial(2, RATIONALS, {(-1, 2): 1, (0, 0): 3})
     value = f.evaluate([2, 3])
     assert value == Fraction(15, 2) and type(value) is Fraction
     assert f.evaluate([Fraction(1, 2), -1]) == 5
     assert SparsePolynomial.zero(2).evaluate([2, 3]) == 0
+
+
+def test_prime_field_scalars_are_exact():
+    # anything but an int enters F_p as the rational it denotes
+    F7 = PrimeField(7)
+    assert F7.coerce(0.5) == 4 and F7.coerce("3/4") == 6
+    assert F7.coerce(Fraction(3, 4)) == 6 and F7.coerce(-1) == 6
+    with pytest.raises(ZeroDivisionError, match="1/14 vanishes mod 7"):
+        F7.coerce(Fraction(1, 14))
+    f = SparsePolynomial(1, F7, {(1,): 0.5, (0,): 2.0})
+    assert f.terms == {(1,): 4, (0,): 2}
+    assert all(type(c) is int for c in f.terms.values())
+    pencil = evaluate_pencil(build_pencil(2, 4), 0.5, F7)
+    assert set(pencil.terms.values()) == {4, 1}
+    assert all(type(c) is int for c in pencil.terms.values())
 
 
 def test_evaluate_rational_and_modular():
