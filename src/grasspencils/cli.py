@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -257,6 +258,7 @@ def cmd_hodge(args) -> int:
                     "dimensions match the expected fixture")
 
 
+@lru_cache(maxsize=None)  # built once per process, reused by every main()
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grasspencils",

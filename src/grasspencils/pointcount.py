@@ -19,19 +19,31 @@ over the inner grid (at most p^2 points) come from memoized line tables,
 coordinates constant on the grid stay scalars, and the products, sums and
 (sum, product) counts over the grid run in map, zip and Counter.update.
 
-The row-0 free entries are visited one orbit of a diagonal group at a time.
-Let d = gcd(n, p - 1) and take z in mu_d^n with prod(z) = 1, an element of
-the lattice L of symmetry.py.  It maps each cell to itself, scaling the
-free entry (i, j) by z_j / z_{P_i} for the pivot P_i of row i; with
-z_{P_0} = 1 and z_{P_1} absorbing the product, the row-0 free columns carry
-independent copies of mu_d.  An L-invariant monomial of degree n is fixed
-exactly, as the echelon renormalization multiplies it by
-det(z_pivots)^(-n) = 1, so the pairs do not change along an orbit.  Each
-row-0 entry therefore runs over 0 and the coset representatives of
-F_p^*/mu_d, and an assignment with k nonzero row-0 entries is weighted by
-d^k.  _orbit_order falls back to d = 1, the full range(p) loop, when r = 1
-or some deforming or frozen monomial is not invariant (a --pencil-json
-pencil may hold one).
+The free entries are visited one orbit of a diagonal group at a time.
+Let d = gcd(n, p - 1); over F_p the lattice L of symmetry.py is
+L(F_p) = {z in mu_d^n : prod(z)^r = 1}.  Each z in it maps each cell to
+itself, scaling the free entry (i, j) by z_j / z_{P_i} for the pivot P_i
+of row i.  The echelon renormalization multiplies a degree-n monomial of
+content w by z^w * det(z_pivots)^(-n) = (prod z)^c for an L-invariant one
+(w = c(1,...,1) mod n with gcd(r, n) | c), and that is 1, so the pairs do
+not change along an orbit.  Two kinds of z are used:
+
+- prod(z) = 1, with z_{P_0} = 1 and z_{P_1} absorbing the product: the
+  row-0 free columns carry independent copies of mu_d.  Each row-0 entry
+  runs over 0 and the coset representatives of F_p^*/mu_d, and an
+  assignment with k nonzero row-0 entries is weighted by d^k.
+- zeta in mu_g', g' = gcd(r, d), at the last pivot P_{r-1} and 1
+  elsewhere: prod(z)^r = zeta^r = 1.  It fixes every row above the last
+  (their entries in column P_{r-1} are 0), so it acts inside each fibre of
+  the row-0 reduction, and it scales the whole last row by 1/zeta.  The
+  leading free entry of the last row therefore runs over 0 and the coset
+  representatives of F_p^*/mu_g', and a nonzero one counts g' times.
+
+Modulo scalars L(F_p) is gcd(r, d) times larger than its product-one
+part, which is what the second kind adds: a factor 2 for every (2, n) with
+n even at odd p.  _orbit_order falls back to d = 1, the full range(p)
+loop, when r = 1 or some deforming or frozen monomial is not invariant (a
+--pencil-json pencil may hold one).
 
 iter_plucker_points and count_zeros keep the per-point route, the
 reference for checking the histogram against direct substitution.
@@ -40,7 +52,8 @@ reference for checking the histogram against direct substitution.
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import chain, combinations, permutations, product, repeat
+from itertools import (chain, combinations, islice, permutations, product,
+                       repeat)
 from math import gcd
 from operator import add, mod, mul
 
@@ -161,28 +174,30 @@ def _split_cell(cell: SchubertCell, r: int) -> tuple:
 class _LineTables:
     """Value vectors of powers of affine forms over F_p.
 
-    rows(s, e)[b] lists (b + s*x)^e mod p for x in F_p, memoized per
-    (s, e); plane(b, s1, s2, e) lists (b + s1*x1 + s2*x2)^e mod p over the
-    p^2 grid, x1 major, by chaining the rows of x2 at b + s1*x1.
+    rows(s, e, xs)[b] lists (b + s*x)^e mod p for x in xs (default F_p),
+    memoized per (s, e, xs); plane(b, s1, s2, e, xs) lists
+    (b + s1*x1 + s2*x2)^e mod p over x1 in xs and x2 in F_p, x1 major, by
+    chaining the rows of x2 at b + s1*x1.
     """
 
     def __init__(self, p: int):
         self.p = p
         self._rows = {}
 
-    def rows(self, s: int, e: int) -> list:
-        key = (s, e)
+    def rows(self, s: int, e: int, xs=None) -> list:
+        key = (s, e, xs)
         if key not in self._rows:
             p = self.p
             self._rows[key] = [tuple(pow((b + s * x) % p, e, p)
-                                     for x in range(p)) for b in range(p)]
+                                     for x in xs or range(p))
+                               for b in range(p)]
         return self._rows[key]
 
-    def plane(self, b: int, s1: int, s2: int, e: int) -> tuple:
+    def plane(self, b: int, s1: int, s2: int, e: int, xs=None) -> tuple:
         if s1 == 0:
-            return self.rows(s2, e)[b] * self.p
+            return self.rows(s2, e)[b] * len(xs or range(self.p))
         return tuple(chain.from_iterable(
-            map(self.rows(s2, e).__getitem__, self.rows(s1, 1)[b])))
+            map(self.rows(s2, e).__getitem__, self.rows(s1, 1, xs)[b])))
 
 
 def _monomial(mono, values, p):
@@ -237,10 +252,14 @@ def _count_cell(cell, r, n, p, deforming, frozen, tables, hist, d):
     one grid of at most p^2 inner values at a time.
 
     Each row-0 free entry runs over 0 and the coset representatives of
-    F_p^*/mu_d (d = _orbit_order), every other outer entry over all of
-    F_p.  An assignment with k nonzero row-0 entries stands for its orbit
-    of d^k points, which share its pairs; the counts are kept per k and
-    folded into hist with weight d^k once the cell is done.
+    F_p^*/mu_d (d = _orbit_order), and the leading free entry of the last
+    row over 0 and those of F_p^*/mu_g', g' = gcd(r, d); every other entry
+    runs over all of F_p.  An assignment with k nonzero row-0 entries and a
+    nonzero leading last-row entry stands for its orbit of d^k * g' points,
+    which share its pairs (d^k with a zero one).  When that entry is the
+    first inner entry x1, the x1 = 0 block of each grid comes first and
+    counts d^k times, the rest d^k * g' times.  The counts are kept per
+    weight and folded into hist once the cell is done.
     """
     outer, inner = _split_cell(cell, r)
     piv = cell.pivots[-1]
@@ -262,7 +281,15 @@ def _count_cell(cell, r, n, p, deforming, frozen, tables, hist, d):
     # entry 1, then its outer entries, then the inner block
     width = n - piv - len(inner)
     ranges = [_row0_values(p, d)] * row0 + [range(p)] * (len(outer) - row0)
-    by_nonzero = defaultdict(Counter)
+    g = gcd(r, d)  # the order of the scalings of the last row
+    lead_outer = above < len(outer)
+    xs = None  # the range of x1 when it leads the last row
+    if lead_outer:
+        ranges[above] = _row0_values(p, g)
+    elif inner and g > 1:
+        xs = _row0_values(p, g)
+    block = grid // p if xs else grid  # the x1 = 0 pairs of a grid
+    by_weight = defaultdict(Counter)
     upper_values = None
     for outer_values in product(*ranges):
         # the entries above the last row vary slowest: their minors are
@@ -279,8 +306,9 @@ def _count_cell(cell, r, n, p, deforming, frozen, tables, hist, d):
                     coeffs[c - piv] = sign * minor[comp] % p
                 slopes = coeffs[width:]
                 forms.append((coeffs[:width], slopes if any(slopes) else ()))
-            counts = by_nonzero[row0 - upper_values[:row0].count(0)]
+            weight = d ** (row0 - upper_values[:row0].count(0))
         last = (1,) + outer_values[above:]
+        w = weight * g if lead_outer and last[1] else weight
         values = {}  # p_q^e: an int if constant on the grid, else a vector
         for q, e in powers:
             cofactors, slopes = forms[q]
@@ -288,9 +316,9 @@ def _count_cell(cell, r, n, p, deforming, frozen, tables, hist, d):
             if not slopes:
                 values[q, e] = pow(k0, e, p)
             elif len(slopes) == 1:
-                values[q, e] = tables.rows(slopes[0], e)[k0]
+                values[q, e] = tables.rows(slopes[0], e, xs)[k0]
             else:
-                values[q, e] = tables.plane(k0, *slopes, e)
+                values[q, e] = tables.plane(k0, *slopes, e, xs)
         s, s_terms = 0, []
         for mono in deforming:
             const, terms = _monomial(mono, values, p)
@@ -306,14 +334,16 @@ def _count_cell(cell, r, n, p, deforming, frozen, tables, hist, d):
         if f_terms is not None:
             f = map(mod, f_terms, repeat(p))
         if isinstance(s, int) and isinstance(f, int):
-            counts[s, f] += grid
+            by_weight[w][s, f] += grid
         else:
-            counts.update(zip(repeat(s) if isinstance(s, int) else s,
-                              repeat(f) if isinstance(f, int) else f))
-    for k, counts in by_nonzero.items():
-        weight = d ** k
+            pairs = zip(repeat(s) if isinstance(s, int) else s,
+                        repeat(f) if isinstance(f, int) else f)
+            by_weight[w].update(islice(pairs, block))
+            if xs:
+                by_weight[w * g].update(pairs)
+    for w, counts in by_weight.items():
         for key, m in counts.items():
-            hist[key] += weight * m
+            hist[key] += w * m
 
 
 def _sparse_monomials(spec: PencilSpec) -> tuple:
@@ -358,10 +388,21 @@ def count_points(spec: PencilSpec, p: int, t: int,
 
 
 def count_table(spec: PencilSpec, p: int, force: bool = False) -> list:
-    """Records for every t = 1..p-1 (one shared enumeration pass)."""
+    """Records for every t = 1..p-1, from one pass over the histogram: a
+    pair (s, f) with s != 0 counts only at t = -f/s, and (0, 0) at every
+    t."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return [count_points(spec, p, t, force) for t in range(1, p)]
+    _check_enumeration_size(spec.r, spec.n, p, force)
+    by_t, everywhere = [0] * p, 0
+    for (s, f), m in _pencil_histogram(spec, p).items():
+        if s:
+            by_t[-f * pow(s, -1, p) % p] += m
+        elif f == 0:
+            everywhere += m
+    return [PointCountRecord(p=p, t=t, count=c + everywhere,
+                             residue=(c + everywhere) % p)
+            for t, c in enumerate(by_t) if t]
 
 
 def records_to_csv(records) -> str:

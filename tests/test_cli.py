@@ -588,3 +588,13 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "check passed" in proc.stdout
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    cli.build_parser.cache_clear()
+    assert run(["tables", "--p", "5", "--check",
+                "--outdir", str(tmp_path / "tables")]) == 0
+    assert run(["hodge", "--rn", "2,4", "--t", "2", "--check",
+                "--outdir", str(tmp_path / "hodge")]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -288,6 +288,43 @@ def _non_invariant_pencil():
                       + arrow.deforming[1:], arrow.frozen)
 
 
+def test_count_cell_matches_per_cell_oracle_with_mu3_last_row():
+    # d = gcd(6, 6) = 6 and g' = gcd(3, 6) = 3: the leading last-row entry
+    # runs over 0 and the two cosets of mu_3.  The cells up to dimension 5
+    # have at most one last-row entry; (1, 2, 3) adds a two-entry grid
+    spec, p = build_pencil(3, 6), 7
+    d = _orbit_order(spec, p)
+    assert d == 6
+    deforming, frozen = _sparse_monomials(spec)
+    tables = _LineTables(p)
+    cells = [c for c in enumerate_cells(3, 6)
+             if c.dimension <= 5 or c.pivots == (1, 2, 3)]
+    assert {len(_split_cell(c, 3)[1]) for c in cells} == {0, 1, 2}
+    for cell in cells:
+        hist = Counter()
+        _count_cell(cell, 3, 6, p, deforming, frozen, tables, hist, d)
+        assert hist == per_cell_histogram(spec, p, [cell]), cell
+
+
+def test_last_row_runs_over_cosets_of_mu2(monkeypatch):
+    # (2,4) at p = 23: d = 2 and g' = 2, so x1 takes 0 and 11 coset
+    # representatives; every plane covers 12 * 23 pairs, not 23^2
+    lengths = []
+
+    class Recording(_LineTables):
+        def plane(self, *args):
+            out = super().plane(*args)
+            lengths.append(len(out))
+            return out
+
+    monkeypatch.setattr(pointcount, "_LineTables", Recording)
+    _pencil_histogram.cache_clear()
+    spec, p = build_pencil(2, 4, "squares+quads"), 23
+    assert _pencil_histogram(spec, p) == per_cell_histogram(spec, p)
+    _pencil_histogram.cache_clear()
+    assert lengths and set(lengths) == {12 * 23}
+
+
 def test_non_invariant_pencil_keeps_the_full_route():
     spec, p = _non_invariant_pencil(), 5
     assert _orbit_order(build_pencil(2, 4), p) == 4
@@ -353,11 +390,19 @@ def test_upper_minors_follow_only_the_rows_above(monkeypatch, r, n, p, calls):
 def test_line_tables_hold_at_most_p_squared_values():
     p = 5
     tables = _LineTables(p)
-    for b in range(p):
-        for s1 in range(p):
-            for s2 in (0, 1, 3):
-                assert tables.rows(s1, 3)[b] == tuple(
-                    pow(b + s1 * x, 3, p) for x in range(p))
-                assert tables.plane(b, s1, s2, 2) == tuple(
-                    pow(b + s1 * x1 + s2 * x2, 2, p)
-                    for x1 in range(p) for x2 in range(p))
+    # x1 over all of F_p, or over 0 and coset representatives
+    for xs, b, s1, s2 in product((None, (0, 1), (0, 2, 3)), range(p),
+                                 range(p), (0, 1, 3)):
+        assert tables.rows(s1, 3, xs)[b] == tuple(
+            pow(b + s1 * x, 3, p) for x in xs or range(p))
+        assert tables.plane(b, s1, s2, 2, xs) == tuple(
+            pow(b + s1 * x1 + s2 * x2, 2, p)
+            for x1 in xs or range(p) for x2 in range(p))
+
+
+@pytest.mark.parametrize("spec, p", [
+    *[(build_pencil(2, 4, v), p) for v in VARIANTS for p in (5, 7, 23)],
+    (_non_invariant_pencil(), 5)])
+def test_count_table_answers_every_t_from_one_pass(spec, p):
+    assert count_table(spec, p) == [count_points(spec, p, t)
+                                    for t in range(1, p)]
