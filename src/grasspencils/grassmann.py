@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
-from operator import add, sub
+from operator import add, gt, sub
 from types import MappingProxyType
 
 from .fields import RATIONALS
-from .poly import (SparsePolynomial, check_listing_size, grlex_key,
-                   monomials_of_degree)
+from .poly import SparsePolynomial, check_listing_size, grlex_key
 
 VARIANTS = ("arrow", "squares", "quads", "squares+quads")
 
@@ -198,11 +197,19 @@ def straightening_rules(r: int, n: int) -> MappingProxyType:
     where lead is the exponent vector of p_i*p_j: a monomial e divisible by
     p_i*p_j is rewritten as the sum of c*x^(e + shift).  The leading term,
     grevlex greatest on the variable order, must be +-p_I*p_J with I != J;
-    the first relation with each leading term is kept.  The certificate
-    counts the monomials of degree 2, 3 and 4 divisible by no leading pair
-    against hilbert_function: degree 2 shows that the rules span the ideal's
-    quadrics, and all S-pairs of quadrics lie in degree <= 4, so by
-    Buchberger's criterion the rules are a Groebner basis."""
+    the first relation with each leading term is kept, and each of its tail
+    monomials must be lex-greater than the lead (the first nonzero entry of
+    every shift is positive), so a normal form only holds monomials listed
+    before the monomial it rewrites.  The certificate: the leading pairs
+    are exactly the incomparable pairs of indices.  Then the monomials
+    divisible by no leading pair are the chains, which hilbert_function
+    counts in every degree, so the leading terms generate the initial ideal
+    in every degree and the rules are a Groebner basis."""
+    names = plucker_names(r, n)
+
+    def named(pairs):
+        return ", ".join(f"{names[i]}*{names[j]}" for i, j in sorted(pairs))
+
     rules = {}
     for rel in plucker_relations(r, n):
         lead = max(rel.terms,
@@ -211,16 +218,25 @@ def straightening_rules(r: int, n: int) -> MappingProxyType:
         if len(pair) != 2 or abs(lc) != 1:
             raise ValueError(f"a G({r},{n}) relation leads with "
                              f"{lc}*{monomial_name(lead, r, n)}")
-        if pair not in rules:
-            rules[pair] = tuple((tuple(map(sub, e, lead)), -c * lc)
-                                for e, c in rel.terms.items() if e != lead)
-    for d in (2, 3, 4):
-        standard = sum(_leading_pair(e, rules) is None for e in
-                       monomials_of_degree(len(plucker_indices(r, n)), d))
-        if standard != hilbert_function(r, n, d):
-            raise ValueError(
-                f"G({r},{n}) straightening rules leave {standard} standard "
-                f"monomials in degree {d}, not {hilbert_function(r, n, d)}")
+        if pair in rules:
+            continue
+        rules[pair] = tuple((tuple(map(sub, e, lead)), -c * lc)
+                            for e, c in rel.terms.items() if e != lead)
+        for shift, _ in rules[pair]:
+            if next(filter(None, shift)) < 0:
+                raise ValueError(
+                    f"a G({r},{n}) relation leads with {named([pair])} but "
+                    "holds the lex-smaller term "
+                    f"{monomial_name(tuple(map(add, lead, shift)), r, n)}")
+    indices = plucker_indices(r, n)
+    incomparable = {(i, j) for i, j in combinations(range(len(indices)), 2)
+                    if any(map(gt, indices[i], indices[j]))}
+    if missing := incomparable - rules.keys():
+        raise ValueError(f"no G({r},{n}) relation leads with the "
+                         f"incomparable pair(s) {named(missing)}")
+    if extra := rules.keys() - incomparable:
+        raise ValueError(f"G({r},{n}) relations lead with the comparable "
+                         f"pair(s) {named(extra)}")
     return MappingProxyType(rules)  # cached: shared by every caller
 
 

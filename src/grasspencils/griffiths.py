@@ -32,13 +32,13 @@ from math import comb
 from operator import add
 
 from .fields import PrimeField, RATIONALS
-from .grassmann import (PencilSpec, _leading_pair, evaluate_pencil,
-                        hilbert_function, index_position, monomial_name,
-                        normal_form, plucker_indices, plucker_relations,
-                        sort_with_sign, straightening_rules)
+from .grassmann import (PencilSpec, evaluate_pencil, hilbert_function,
+                        index_position, monomial_name, normal_form,
+                        plucker_indices, plucker_relations, sort_with_sign,
+                        straightening_rules)
 from .linalg import _ENTRY_LIMIT, ResourceLimitError, row_basis
 from .poly import SparsePolynomial, check_listing_size, monomials_of_degree
-from .symmetry import invariant_monomials
+from .symmetry import invariant_multiplicities
 
 
 class SpecializationMismatch(RuntimeError):
@@ -146,7 +146,8 @@ def _slice_rows(r, n, degree, generators):
     """Rows, in standard monomials, of every generator multiple landing in
     the slice of the given degree.
 
-    The multipliers are the standard monomials: modulo the Pluecker ideal
+    The multipliers are the standard monomials, listed as chains once the
+    straightening rules are certified: modulo the Pluecker ideal
     m*g = NF(m)*g, so their multiples span what every monomial multiple
     spans.  Each generator is a tuple of polynomials of one degree, the
     coefficients of a polynomial in t (the pair (a, b) stands for a + t*b);
@@ -154,9 +155,11 @@ def _slice_rows(r, n, degree, generators):
     dicts, unless every one of them is zero.  The entries yielded are
     counted against linalg's entry limit, since a caller may hold them all.
     """
-    nv = len(plucker_indices(r, n))
-    rules = straightening_rules(r, n)
-    entries = 0
+    # imported on first use: the point-count subcommands list no chains
+    from .chains import standard_monomials
+
+    straightening_rules(r, n)
+    multipliers, entries = {}, 0
     for parts in generators:
         nonzero = [g for g in parts if g]
         if not nonzero:
@@ -168,9 +171,9 @@ def _slice_rows(r, n, degree, generators):
         if d > degree:
             raise ValueError(f"generator of degree {d} "
                              f"cannot land in degree {degree}")
-        for mult in monomials_of_degree(nv, degree - d):
-            if _leading_pair(mult, rules) is not None:
-                continue
+        if d not in multipliers:
+            multipliers[d] = standard_monomials(r, n, degree - d)
+        for mult in multipliers[d]:
             rows = tuple(_standard_row(r, n, mult, g) for g in parts)
             if any(rows):
                 entries += sum(map(len, rows))
@@ -384,8 +387,7 @@ def _at(rows, t):
 def _one_specialization(spec, degree, rows, fld, t, candidates, span_checks):
     r, n = spec.r, spec.n
     basis, dims = _ideal_slice(r, n, degree, _at(rows, t), fld)
-    survivors = tuple(e for e in candidates
-                      if basis.add_row(dict(normal_form(r, n, e))))
+    survivors = tuple(e for e in candidates if basis.add_row({e: 1}))
     checks = {monomial_name(e, r, n):
               basis.contains(dict(normal_form(r, n, e))) for e in span_checks}
     return {"t": str(t), "field": fld.name, **dims,
@@ -402,9 +404,13 @@ def invariant_subspace(spec: PencilSpec, degree=None,
     The generator rows of the slice are built once over Z, as pairs a, b
     with row a + t*b.  For every specialization (t over Q, and t mod every
     given prime) the rows a + t*b are eliminated in the field and the
-    invariant monomials are fed to the greedy rank extension in canonical
-    order; the survivors span the image of the invariant subspace in the
-    quotient.  Specializations that disagree on any reported number raise
+    standard invariant monomials, each the unit row {e: 1}, are fed to the
+    greedy rank extension in canonical order; the survivors span the image
+    of the invariant subspace in the quotient.  No other invariant monomial
+    can survive: every straightening tail is lex-greater than its lead and
+    keeps the index content, so the normal form of a non-standard invariant
+    monomial holds only standard invariant ones listed before it.
+    Specializations that disagree on any reported number raise
     SpecializationMismatch with their results.
     """
     r, n = spec.r, spec.n
@@ -426,8 +432,13 @@ def invariant_subspace(spec: PencilSpec, degree=None,
                 raise ValueError(
                     f"t = {t} vanishes in {fld.name}; bad specialization")
 
-    # the first listing: a slice past the size guard stops here
-    candidates = invariant_monomials(r, n, degree)
+    from .chains import standard_monomials
+
+    # the chains are the standard monomials only once the rules are
+    # certified, so an uncertified G(r,n) stops before any listing
+    straightening_rules(r, n)
+    candidates = standard_monomials(r, n, degree,
+                                    invariant_multiplicities(r, n, degree))
     rows = _pencil_rows(spec, degree)
     results = [_one_specialization(spec, degree, rows, fld, t, candidates,
                                    span_check_monomials)

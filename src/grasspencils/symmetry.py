@@ -103,6 +103,16 @@ def is_invariant(exponents, group: SymmetryGroup) -> bool:
             and all(c == first for c in rest))
 
 
+def invariant_multiplicities(r: int, n: int, degree: int) -> tuple:
+    """The sets of index multiplicities of the invariant monomials of the
+    degree, one per c with gcd(r, n) | c: a monomial is invariant iff every
+    index occurs in it a number of times in {c, c + n, c + 2n, ...}, the
+    multiplicities of a degree-`degree` monomial lying in 0..degree."""
+    _check_rn(r, n)
+    return tuple(frozenset(range(c, degree + 1, n))
+                 for c in range(0, min(n, degree + 1), gcd(r, n)))
+
+
 @lru_cache(maxsize=None)
 def invariant_monomials(r: int, n: int, degree: int,
                         group: SymmetryGroup | None = None) -> tuple:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from grasspencils import cli, griffiths, linalg, poly, symmetry
+from grasspencils import chains, cli, griffiths, linalg, poly
 from grasspencils.grassmann import PencilSpec, build_pencil
 from grasspencils.griffiths import SpecializationMismatch
 
@@ -509,20 +509,67 @@ def test_hodge_check_in_other_degree_exits_2(tmp_path, capsys):
             "in degree 5") in err
 
 
+def _hodge_refused_at_guard(tmp_path, monkeypatch, capsys, degree):
+    """The chain listings hodge builds on G(2,4) in the degree under a guard
+    of 100, and its error; the lister counts a listing before it builds
+    any chain (one call of _tableaux per multiplicity class)."""
+    built = []
+    real = chains._tableaux
+
+    def record(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poly, "LISTING_GUARD", 100)
+    monkeypatch.setattr(chains, "_tableaux", record)
+    out = tmp_path / "out"
+    assert run(["hodge", "--degree", degree, "--outdir", str(out)]) == 2
+    assert not out.exists()
+    return len(built), capsys.readouterr().err
+
+
 def test_hodge_slice_guard_exits_2_before_enumerating(tmp_path, monkeypatch,
                                                       capsys):
-    # degree 5 on G(2,5) has C(14, 5) = 2002 monomials; the guard counts
-    # them before the invariant scan lists the slice
-    def refuse(*args):
-        raise AssertionError("slice enumerated before the size guard")
+    # in degree 8 the 41 standard invariant candidates are listed, then the
+    # 105 standard multipliers of degree 4 are counted and refused
+    listed, err = _hodge_refused_at_guard(tmp_path, monkeypatch, capsys, "8")
+    assert ("error: standard monomials of G(2,4) in degree 4 with 105 "
+            "monomials exceeds the guard") in err
+    assert listed == 2  # the candidates' two classes, c = 0 and c = 2
 
-    monkeypatch.setattr(poly, "LISTING_GUARD", 1000)
-    monkeypatch.setattr(poly, "_monomials", refuse)
-    poly.monomials_of_degree.cache_clear()
-    symmetry.invariant_monomials.cache_clear()
-    assert run(["hodge", "--rn", "2,5", "--outdir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "error: graded slice with 2002 monomials exceeds the guard" in err
+
+def test_hodge_candidate_guard_exits_2_before_enumerating(tmp_path,
+                                                          monkeypatch, capsys):
+    # in degree 12 the 129 standard invariant candidates are refused
+    listed, err = _hodge_refused_at_guard(tmp_path, monkeypatch, capsys, "12")
+    assert ("error: standard monomials of G(2,4) in degree 12 with 129 "
+            "monomials exceeds the guard") in err
+    assert listed == 0
+
+
+def test_hodge_uncertified_rules_exit_2_before_listing(tmp_path,
+                                                      monkeypatch, capsys):
+    # two incomparable pairs of G(4,8) lead none of the shuffle relations,
+    # so the chains are not known to be the standard monomials
+    def refuse(*args):
+        raise AssertionError("chains listed before the certificate")
+
+    monkeypatch.setattr(chains, "_strip_search", refuse)
+    assert run(["hodge", "--rn", "4,8", "--t", "2", "--primes", "1048583",
+                "--outdir", str(tmp_path)]) == 2
+    assert ("error: no G(4,8) relation leads with the incomparable pair(s) "
+            "p1267*p3458, p1367*p2458") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rn,dims", [("3,6", (41544, 54)),
+                                     ("2,7", (169835, 50))])
+def test_hodge_one_specialization_matches_the_new_fixtures(tmp_path, rn,
+                                                           dims):
+    assert run(["hodge", "--rn", rn, "--t", "2", "--primes", "1048583",
+                "--outdir", str(tmp_path), "--check"]) == 0
+    path = tmp_path / f"hodge_{rn.replace(',', '')}_arrow.json"
+    report = json.loads(path.read_text())["report"]
+    assert (report["quotient_dim"], report["invariant_dim"]) == dims
 
 
 @pytest.mark.parametrize("change,message", [

@@ -208,8 +208,9 @@ def test_straightening_certificate_rejects_bad_relations(monkeypatch):
     real = plucker_relations
     monkeypatch.setattr(grassmann, "plucker_relations",
                         lambda r, n: real(r, n)[1:])
-    with pytest.raises(ValueError,
-                       match="51 standard monomials in degree 2, not 50"):
+    # the first relation is the only one leading with p14*p23
+    with pytest.raises(ValueError, match=r"no G\(2,5\) relation leads with "
+                       r"the incomparable pair\(s\) p14\*p23$"):
         straightening_rules.__wrapped__(2, 5)
     # p12^2 - p13*p14 leads with a square, which no rule may rewrite
     square = SparsePolynomial(6, RATIONALS, {(2, 0, 0, 0, 0, 0): 1,
@@ -217,6 +218,42 @@ def test_straightening_certificate_rejects_bad_relations(monkeypatch):
     monkeypatch.setattr(grassmann, "plucker_relations", lambda r, n: (square,))
     with pytest.raises(ValueError, match=r"leads with 1\*p12\^2"):
         straightening_rules.__wrapped__(2, 4)
+
+
+def test_straightening_certificate_rejects_a_lex_smaller_tail(monkeypatch):
+    # p14*p23 - p23*p24 leads with p14*p23 (grevlex), but p23*p24 comes
+    # after it in the candidate order, so its normal form could too
+    fake = SparsePolynomial(6, RATIONALS, {(0, 0, 1, 1, 0, 0): 1,
+                                           (0, 0, 0, 1, 1, 0): -1})
+    monkeypatch.setattr(grassmann, "plucker_relations", lambda r, n: (fake,))
+    with pytest.raises(ValueError, match=r"leads with p14\*p23 but holds "
+                       r"the lex-smaller term p23\*p24"):
+        straightening_rules.__wrapped__(2, 4)
+
+
+def test_straightening_certificate_rejects_a_comparable_lead(monkeypatch):
+    # p13*p14 - p12*p34 leads with the chain p13*p14, which must stay
+    # standard
+    fake = SparsePolynomial(6, RATIONALS, {(0, 1, 1, 0, 0, 0): 1,
+                                           (1, 0, 0, 0, 0, 1): -1})
+    monkeypatch.setattr(grassmann, "plucker_relations",
+                        lambda r, n: plucker_relations(r, n) + (fake,))
+    with pytest.raises(ValueError, match=r"G\(2,4\) relations lead with "
+                       r"the comparable pair\(s\) p13\*p14$"):
+        straightening_rules.__wrapped__(2, 4)
+    # alone, it also leaves p14*p23 leading no relation
+    monkeypatch.setattr(grassmann, "plucker_relations", lambda r, n: (fake,))
+    with pytest.raises(ValueError, match=r"no G\(2,4\) relation leads with "
+                       r"the incomparable pair\(s\) p14\*p23$"):
+        straightening_rules.__wrapped__(2, 4)
+
+
+def test_rule_keys_are_the_incomparable_pairs():
+    for r, n in [(2, 4), (2, 5), (3, 6), (2, 7), (3, 7), (2, 8)]:
+        indices = plucker_indices(r, n)
+        assert set(straightening_rules(r, n)) == {
+            (i, j) for i, j in combinations(range(len(indices)), 2)
+            if not all(a <= b for a, b in zip(indices[i], indices[j]))}
 
 
 def test_normal_form_example():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -5,11 +6,12 @@ from math import gcd
 import pytest
 
 from grasspencils.fields import PrimeField, RATIONALS
-from grasspencils.grassmann import (_leading_pair, build_pencil,
+from grasspencils.grassmann import (PencilSpec, _leading_pair, build_pencil,
                                     evaluate_pencil, hilbert_function,
                                     monomial_name, plucker_indices,
                                     plucker_relations, straightening_rules)
 from grasspencils import griffiths, poly
+from grasspencils.chains import standard_monomials
 from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
                                     apply_derivation,
                                     ci_bigraded_quotient, ci_context,
@@ -19,7 +21,9 @@ from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
                                     invariant_subspace)
 from grasspencils.linalg import ResourceLimitError, row_basis
 from grasspencils.poly import SparsePolynomial, monomials_of_degree
-from grasspencils.symmetry import invariant_monomials
+from grasspencils.symmetry import (invariant_monomials,
+                                   invariant_multiplicities)
+from candidate_oracle import full_candidate_greedy, invariant_candidates
 from rank_oracle import FractionRowBasis, _rank_rational
 from test_acceptance import REFERENCE_MONOMIALS_25
 
@@ -276,20 +280,23 @@ def test_ci_rows_stream_and_each_generator_is_checked_first(monkeypatch):
 
 
 def test_listing_guard_bounds_only_what_is_listed(monkeypatch):
-    # degree 5 on G(2,5) has C(14, 5) = 2002 monomials; the Jacobian rows
-    # list only degree-0 multipliers and the straightening certificate at
-    # most C(13, 4) = 715 monomials, so the slice fits a guard of 1000,
-    # while the invariant scan would list all 2002 and is refused
+    # degree 5 on G(2,5) has C(14, 5) = 2002 monomials, 1176 of them
+    # standard; the invariant greedy lists only the 16 standard invariant
+    # ones, the Jacobian rows only the degree-0 multiplier, and the
+    # straightening certificate lists nothing, so the slice fits a guard
+    # of 1000, while a listing of every standard monomial is refused
     monkeypatch.setattr(poly, "LISTING_GUARD", 1000)
     poly.monomials_of_degree.cache_clear()
-    invariant_monomials.cache_clear()
+    straightening_rules.cache_clear()
     spec = build_pencil(2, 5)
     fld = PrimeField(1048583)
     gens = grassmann_jacobian_generators(evaluate_pencil(spec, 2, fld), 2, 5)
     assert graded_quotient(2, 5, 5, gens).quotient_dim == 1151
-    with pytest.raises(ResourceLimitError,
-                       match="graded slice with 2002 monomials"):
-        invariant_subspace(spec, t_values=(2,), primes=(1048583,))
+    report = invariant_subspace(spec, t_values=(2,), primes=(1048583,))
+    assert (report.quotient_dim, report.invariant_dim) == (1151, 11)
+    with pytest.raises(ResourceLimitError, match=r"standard monomials of "
+                       r"G\(2,5\) in degree 5 with 1176 monomials"):
+        standard_monomials(2, 5, 5)
 
 
 def test_ci_model_only_for_24():
@@ -374,6 +381,63 @@ def test_invariant_subspace_25():
     assert report.invariant_dim == 11
     assert report.quotient_dim == 1151
     assert len(report.specializations) == 8
+
+
+ORACLE_FIELDS = (RATIONALS, PrimeField(1048583), PrimeField(2097169))
+
+
+def _against_the_full_candidate_greedy(spec, degree, fields, t_values):
+    """Assert that the standard candidates pick the survivors and ideal rank
+    of the full-candidate greedy in every specialization."""
+    r, n = spec.r, spec.n
+    rows = griffiths._pencil_rows(spec, degree)
+    candidates = standard_monomials(r, n, degree,
+                                    invariant_multiplicities(r, n, degree))
+    for fld in fields:
+        for t in t_values:
+            res = griffiths._one_specialization(spec, degree, rows, fld, t,
+                                                candidates, ())
+            assert ((res["ideal_rank"], res["survivors"])
+                    == full_candidate_greedy(spec, degree, rows, fld, t)), (
+                fld.name, t)
+
+
+@pytest.mark.parametrize("r,n,variant,degree,fields,t_values", [
+    (2, 4, "arrow", 4, ORACLE_FIELDS, (2, 3, -1)),
+    (2, 4, "squares", 4, ORACLE_FIELDS, (2, 3, -1)),
+    (2, 4, "quads", 4, ORACLE_FIELDS, (2, 3, -1)),
+    (2, 4, "squares+quads", 4, ORACLE_FIELDS, (2, 3, -1)),
+    (2, 4, "arrow", 8, ORACLE_FIELDS, (2, 3, -1)),
+    (2, 5, "arrow", 5, ORACLE_FIELDS, (2, 3, -1)),
+    (3, 5, "arrow", 5, ORACLE_FIELDS, (2, 3, -1)),
+    (2, 6, "arrow", 6, ORACLE_FIELDS, (2, 3, -1)),
+    (3, 6, "arrow", 6, ORACLE_FIELDS, (2, 3, -1)),
+    (2, 7, "arrow", 7, ORACLE_FIELDS[1:], (2, 3, -1)),
+    # about 1.3 s per elimination: one specialization in the suite
+    (2, 4, "arrow", 12, ORACLE_FIELDS[1:2], (-1,)),
+], ids=["2-4-arrow", "2-4-squares", "2-4-quads", "2-4-squares+quads",
+        "2-4-arrow-degree-8", "2-5-arrow", "3-5-arrow", "2-6-arrow",
+        "3-6-arrow", "2-7-arrow-modp", "2-4-arrow-degree-12-one"])
+def test_standard_candidates_match_the_full_candidate_greedy(
+        r, n, variant, degree, fields, t_values):
+    # t = -1 cancels the shared monomials of the quads pencils
+    _against_the_full_candidate_greedy(build_pencil(r, n, variant), degree,
+                                       fields, t_values)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_standard_candidates_match_the_oracle_on_random_pencils(seed):
+    # a pencil JSON whose deforming monomials are random invariant
+    # monomials of degree n, standard or not
+    rng = random.Random(seed)
+    r, n = ((2, 4), (2, 5), (3, 5))[seed % 3]
+    arrow = build_pencil(r, n)
+    pool = [e for e in invariant_candidates(r, n, n) if e != arrow.frozen]
+    doc = json.loads(arrow.to_json())
+    doc["variant"] = f"random{seed}"
+    doc["monomials"] = [list(e) for e in rng.sample(pool, rng.randint(1, 8))]
+    spec = PencilSpec.from_json(json.dumps(doc))
+    _against_the_full_candidate_greedy(spec, n, ORACLE_FIELDS, (2, 3, -1))
 
 
 def _fresh_specialization(spec, degree, fld, t, span_checks):
@@ -708,7 +772,6 @@ def test_consensus_returns_the_first_result_or_names_what_differed():
 
 
 def test_report_json_round_trip():
-    import json
     spec = build_pencil(2, 4)
     report = invariant_subspace(spec, t_values=(2,), include_rationals=True)
     doc = json.loads(report.to_json())

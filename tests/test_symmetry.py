@@ -8,7 +8,8 @@ from grasspencils.grassmann import (build_pencil, monomial_name,
                                     plucker_indices)
 from grasspencils.poly import monomials_of_degree
 from grasspencils.symmetry import (build_group, character, invariant_monomials,
-                                   invariant_monomials_json, is_invariant)
+                                   invariant_monomials_json,
+                                   invariant_multiplicities, is_invariant)
 
 
 def test_group_orders_and_structure():
@@ -161,6 +162,21 @@ def test_invariant_monomials_24_exact_list():
         "p13^4", "p13^2*p24^2", "p13*p14*p23*p24", "p14^4", "p14^2*p23^2",
         "p23^4", "p24^4", "p34^4",
     ]
+
+
+@pytest.mark.parametrize("r,n,degree", [(2, 4, 4), (2, 4, 6), (3, 6, 3),
+                                        (2, 6, 4), (3, 5, 5), (2, 5, 1)])
+def test_invariant_multiplicities_decide_invariance(r, n, degree):
+    # a monomial is invariant iff every index occurs in it a number of
+    # times lying in one common class
+    group = build_group(n, r)
+    classes = invariant_multiplicities(r, n, degree)
+    indices = plucker_indices(r, n)
+    for e in monomials_of_degree(len(indices), degree):
+        content = [sum(k for k, idx in zip(e, indices) if i in idx)
+                   for i in range(1, n + 1)]
+        assert is_invariant(e, group) == any(
+            set(content) <= sizes for sizes in classes)
 
 
 def test_invariant_monomials_degree_one_empty():
