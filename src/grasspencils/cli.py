@@ -247,7 +247,7 @@ def cmd_hodge(args) -> int:
 
     run.write(".json", _json(doc))
     run.manifest({"rn": [r, n], "variant": spec.variant,
-                  "degree": args.degree, "t": list(t_values),
+                  "degree": report.degree, "t": list(t_values),
                   "primes": list(primes), "rationals": include_q})
     print(f"quotient dimension {report.quotient_dim}, "
           f"invariant dimension {report.invariant_dim}")

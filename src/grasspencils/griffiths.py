@@ -23,13 +23,16 @@ fields and demanding unanimity; disagreement raises, it is never averaged
 away.  Every generator is linear in f_t = frozen + t*deforming and the
 normal form is Z-linear, so the row of each generator multiple is a + t*b
 with integer rows a and b: they are built once per pencil and slice, and a
-specialization only forms a + t*b in its field before eliminating.
+specialization only forms a + t*b in its field before eliminating.  So
+do the slices of the complete-intersection model of a (2,4) pencil.  A
+column is the int _column(e) of a monomial, ordered as the exponents e.
 """
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from math import comb
-from operator import add
+from operator import add, mul
 
 from .fields import PrimeField, RATIONALS
 from .grassmann import (PencilSpec, evaluate_pencil, hilbert_function,
@@ -142,62 +145,83 @@ def grassmann_jacobian_generators(f: SparsePolynomial, r: int,
 # -- graded slices of the generalized Jacobian ring --------------------
 
 
-def _slice_rows(r, n, degree, generators):
-    """Rows, in standard monomials, of every generator multiple landing in
-    the slice of the given degree.
+def _multiple_rows(generators, grade, multipliers, row, what):
+    """The rows of every generator multiple landing in one slice.
 
-    The multipliers are the standard monomials, listed as chains once the
-    straightening rules are certified: modulo the Pluecker ideal
-    m*g = NF(m)*g, so their multiples span what every monomial multiple
-    spans.  Each generator is a tuple of polynomials of one degree, the
-    coefficients of a polynomial in t (the pair (a, b) stands for a + t*b);
-    each multiple yields the tuple of their rows, as {monomial: coeff}
-    dicts, unless every one of them is zero.  The entries yielded are
-    counted against linalg's entry limit, since a caller may hold them all.
+    A generator is a tuple of polynomials, the coefficients of a polynomial
+    in t (the pair (g, h) stands for g + t*h), whose terms all have one
+    grade(exponent); multipliers(grade) lists the monomials that take it
+    into the slice.  Each multiple yields the tuple of rows row(mult, g),
+    unless all are zero.  The entries yielded are counted against linalg's
+    entry limit, since a caller may hold them all; `what` names the rows.
     """
+    lists, entries = {}, 0
+    for parts in generators:
+        grades = {grade(e) for g in parts for e in g.terms}
+        if len(grades) > 1:
+            raise ValueError(f"{what}: a generator is not homogeneous")
+        for gr in grades:
+            if gr not in lists:
+                lists[gr] = multipliers(gr)
+            for mult in lists[gr]:
+                rows = tuple(row(mult, g) for g in parts)
+                if any(rows):
+                    entries += sum(map(len, rows))
+                    if entries > _ENTRY_LIMIT:
+                        raise ResourceLimitError(
+                            f"{what}: {entries} entries exceed the "
+                            f"{_ENTRY_LIMIT} entry limit")
+                    yield rows
+
+
+def _slice_rows(r, n, degree, generators):
+    """_multiple_rows of G(r,n) in one degree, in standard monomials.  The
+    multipliers are the standard monomials, listed as chains once the
+    straightening rules are certified: modulo the Pluecker ideal
+    m*g = NF(m)*g, so they span what every monomial multiple spans."""
     # imported on first use: the point-count subcommands list no chains
     from .chains import standard_monomials
 
     straightening_rules(r, n)
-    multipliers, entries = {}, 0
-    for parts in generators:
-        nonzero = [g for g in parts if g]
-        if not nonzero:
-            continue
-        degrees = {g.total_degree() for g in nonzero}
-        if len(degrees) > 1 or not all(g.is_homogeneous() for g in nonzero):
-            raise ValueError("ideal generators must be homogeneous")
-        (d,) = degrees
+    key = _column_key(degree)
+
+    def multipliers(d):
         if d > degree:
             raise ValueError(f"generator of degree {d} "
                              f"cannot land in degree {degree}")
-        if d not in multipliers:
-            multipliers[d] = standard_monomials(r, n, degree - d)
-        for mult in multipliers[d]:
-            rows = tuple(_standard_row(r, n, mult, g) for g in parts)
-            if any(rows):
-                entries += sum(map(len, rows))
-                if entries > _ENTRY_LIMIT:
-                    raise ResourceLimitError(
-                        f"generator rows of G({r},{n}) in degree {degree}: "
-                        f"{entries} entries exceed the {_ENTRY_LIMIT} entry "
-                        "limit")
-                yield rows
+        return standard_monomials(r, n, degree - d)
+
+    return _multiple_rows(
+        generators, sum, multipliers,
+        lambda mult, g: _standard_row(r, n, mult, g, key),
+        f"generator rows of G({r},{n}) in degree {degree}")
 
 
-def _standard_row(r, n, mult_exp, poly):
-    """Row of mult * poly in the standard monomials, as {monomial: coeff}
-    with no zero entry."""
+def _standard_row(r, n, mult_exp, poly, key):
+    """Row of mult * poly in the standard monomials, as {key(monomial):
+    coeff} with no zero entry."""
     row = {}
     for e, c in poly.terms.items():
         for s, k in normal_form(r, n, tuple(map(add, mult_exp, e))):
+            s = key(s)
             row[s] = row.get(s, 0) + c * k
     return {s: c for s, c in row.items() if c}
 
 
+def _column(e):
+    """The column of exponent vector e: an int, ordered as the vectors are
+    while every exponent fits in a byte."""
+    return int.from_bytes(bytes(e), "big")
+
+
+def _column_key(bound):
+    """The column key of a slice whose exponents are at most bound."""
+    return _column if bound < 256 else tuple
+
+
 def _ideal_slice(r, n, degree, rows, fld):
     """(basis, dims): the echelon basis over fld of the given rows of
-    generator multiples in one slice, its columns keyed by standard
+    generator multiples in one slice, its columns the keys of standard
     monomials, and the ambient, relation_rank, ideal_rank and quotient_dim
     of the slice."""
     nv = len(plucker_indices(r, n))
@@ -233,12 +257,14 @@ class CIJacobianContext:
     """Variables x_1..x_m, y_1..y_c with F = sum y_j f_j.
 
     Bigrading: deg(x_i) = (1,0), deg(y_j) = (-d_j, 1), so F and its
-    x-partials are bihomogeneous.
+    x-partials are bihomogeneous.  A pencil member's context names both.
     """
 
     nx: int
     degrees: tuple
     polys: tuple      # f_1..f_c, embedded in the m+c variable ring
+    pencil: PencilSpec | None = None
+    t: object = 0
 
     @property
     def nvars(self):
@@ -281,16 +307,8 @@ def _ci_generators(ctx: CIJacobianContext) -> list:
 
 
 def _bidegree(exps, nx, degrees):
-    xdeg = sum(exps[:nx])
     ydeg = exps[nx:]
-    return (xdeg - sum(d * e for d, e in zip(degrees, ydeg)), sum(ydeg))
-
-
-def _poly_bidegree(poly, nx, degrees):
-    bids = {_bidegree(e, nx, degrees) for e in poly.terms}
-    if len(bids) != 1:
-        raise ValueError("polynomial is not bihomogeneous")
-    return bids.pop()
+    return (sum(exps[:nx]) - sum(map(mul, degrees, ydeg)), sum(ydeg))
 
 
 def bigraded_monomials(ctx: CIJacobianContext, bidegree) -> list:
@@ -307,24 +325,40 @@ def bigraded_monomials(ctx: CIJacobianContext, bidegree) -> list:
             for xalpha in monomials_of_degree(ctx.nx, xdeg)]
 
 
+def _ci_rows(ctx, bidegree, generators):
+    """_multiple_rows of ctx in one bidegree, all built before any is
+    eliminated.  Multiplying by a fixed monomial maps distinct exponents to
+    distinct monomials, so no coefficient merging can occur."""
+    a, b = bidegree
+    key = _column_key(max(a + max(ctx.degrees) * b, b))
+    return tuple(_multiple_rows(
+        generators, lambda e: _bidegree(e, ctx.nx, ctx.degrees),
+        lambda gr: bigraded_monomials(ctx, (a - gr[0], b - gr[1])),
+        lambda mult, g: {key(tuple(map(add, mult, e))): c
+                         for e, c in g.terms.items()},
+        f"complete-intersection rows in bidegree {bidegree}"))
+
+
 def ci_bigraded_quotient(ctx: CIJacobianContext,
                          bidegree) -> GradedPieceReport:
     """Dimension of one bigraded piece of the Jacobian ring.
 
     The span is every product (monomial) * (generator) landing in the
-    requested bidegree, its columns keyed by the product monomials.
-    Multiplying by a fixed monomial maps distinct exponents to distinct
-    monomials, so no coefficient merging can occur.
+    requested bidegree.  Its rows are the pairs (a, b) of _ci_rows taken at
+    the context's t, a + t*b: a pencil's pairs are built once per bidegree
+    for every member, and a plain context's have b = {}.
     """
     a, b = bidegree
     ambient = len(bigraded_monomials(ctx, bidegree))
+    if ctx.pencil is not None:
+        rows = _pencil_ci_rows(ctx.pencil, (a, b))
+    else:
+        zero = SparsePolynomial.zero(ctx.nvars, ctx.field)
+        rows = _ci_rows(ctx, (a, b),
+                        ((g, zero) for g in _ci_generators(ctx)))
     fld = ctx.field
     basis = row_basis(ambient, fld)
-    ideal_rank = basis.add_rows(
-        {tuple(map(add, mult, e)): c for e, c in g.terms.items()}
-        for g in _ci_generators(ctx) if g
-        for ga, gb in [_poly_bidegree(g, ctx.nx, ctx.degrees)]
-        for mult in bigraded_monomials(ctx, (a - ga, b - gb)))
+    ideal_rank = basis.add_rows(_at(rows, ctx.t))
     return GradedPieceReport(
         label=f"CI in P^{ctx.nx - 1} bidegree {bidegree}",
         rn=None, degree=(a, b), t=None, field=fld.name,
@@ -337,10 +371,24 @@ def ci_context_for_pencil(spec: PencilSpec, t):
 
     The six Pluecker coordinates become projective coordinates; the member
     is cut out by the quartic pencil polynomial and the Pluecker quadric.
+    The context names the pencil and t, so its rows come from the pairs
+    shared by every member.
     """
     if (spec.r, spec.n) != (2, 4):
         raise ValueError("the projective-space model is specific to (2,4)")
-    return ci_context([evaluate_pencil(spec, t), plucker_relations(2, 4)[0]])
+    ctx = ci_context([evaluate_pencil(spec, t), plucker_relations(2, 4)[0]])
+    return replace(ctx, pencil=spec, t=RATIONALS.coerce(t))
+
+
+@lru_cache(maxsize=2)  # the two bidegrees the cross-check takes at each t
+def _pencil_ci_rows(spec, bidegree):
+    """_ci_rows of a (2,4) pencil: each generator is linear in t, so it is
+    g + t*h with g its value at t = 0 and h = (its value at 1) - g.  The
+    cached rows are handed to every caller; _at only reads them."""
+    at0, at1 = (ci_context_for_pencil(spec, t) for t in (0, 1))
+    return _ci_rows(at0, bidegree,
+                    ((g, g1 - g) for g, g1 in zip(_ci_generators(at0),
+                                                  _ci_generators(at1))))
 
 
 # -- invariant subspaces across specializations ------------------------
@@ -386,10 +434,12 @@ def _at(rows, t):
 
 def _one_specialization(spec, degree, rows, fld, t, candidates, span_checks):
     r, n = spec.r, spec.n
+    key = _column_key(degree)
     basis, dims = _ideal_slice(r, n, degree, _at(rows, t), fld)
-    survivors = tuple(e for e in candidates if basis.add_row({e: 1}))
+    survivors = tuple(e for e in candidates if basis.add_row({key(e): 1}))
     checks = {monomial_name(e, r, n):
-              basis.contains(dict(normal_form(r, n, e))) for e in span_checks}
+              basis.contains({key(s): c for s, c in normal_form(r, n, e)})
+              for e in span_checks}
     return {"t": str(t), "field": fld.name, **dims,
             "invariant_dim": len(survivors), "survivors": survivors,
             "span_checks": checks}

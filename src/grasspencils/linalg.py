@@ -2,17 +2,18 @@
 
 Every rank the package reports comes from row_basis(ncols, field), one
 sparse echelon kernel for both fields.  Rows are {column: value} dicts,
-where a column is any hashable, comparable key (an int, or a monomial), and
-the stored rows are kept in a dict keyed by pivot column, where the pivot
-of a row is its smallest column.  Reducing a vector repeatedly eliminates
-the smallest of its columns that is a stored pivot; that only creates
-larger columns, so each pivot is met at most once.  Ranks, quotient
-dimensions and greedy rank extensions are counts of the rows a basis
-accepts.
+where a column is any hashable, comparable key (griffiths uses ints ordered
+as its monomials are), and the stored rows are kept in a dict keyed by
+pivot column, where the pivot of a row is its smallest column.  Reducing a
+vector repeatedly eliminates the smallest of its columns that is a stored
+pivot; that only creates larger columns, so each pivot is met at most
+once.  Ranks, quotient dimensions and greedy rank extensions are counts of
+the rows a basis accepts.
 
-Every row enters through _integer_row: it is multiplied by the lcm of its
-denominators (its entries are ints or Fractions), and over F_p then reduced
-mod p, where that lcm is a unit.  Over F_p the scalars are int residues in
+Every row enters through _integer_row.  A row of ints enters in one pass,
+its zero entries dropped and, over F_p, its entries reduced mod p; a row
+holding a Fraction is first multiplied by the lcm of its denominators,
+which over F_p must be a unit.  Over F_p the scalars are int residues in
 [0, p) (Python ints, so any prime works) and a stored row carries the pivot
 entry 1.  Over Q elimination is fraction-free: a step scales the residue by
 lead/g and subtracts f/g times the stored row, where lead is the stored
@@ -30,6 +31,7 @@ from math import gcd, lcm
 # per entry over Q and <= 90 over F_p (Python 3.11), so 5e6 entries stay
 # near 450 MB, under 1 GiB with room for larger integers.
 _ENTRY_LIMIT = 5_000_000
+_INT = frozenset((int,))
 
 
 class ResourceLimitError(RuntimeError):
@@ -115,15 +117,17 @@ class _RowBasis:
 
 def _integer_row(row_dict, p=None):
     """The row times the lcm of its denominators, as nonzero ints, reduced
-    mod p if p is given."""
-    den = lcm(*[v.denominator for v in row_dict.values()])
-    row = {c: v.numerator * (den // v.denominator)
-           for c, v in row_dict.items() if v}
+    mod p if p is given.  A row of ints has lcm 1: it is taken as it is."""
+    if not set(map(type, row_dict.values())) <= _INT:
+        den = lcm(*[v.denominator for v in row_dict.values()])
+        if p is not None and den % p == 0:
+            raise ZeroDivisionError(
+                f"a denominator of the row vanishes mod {p}")
+        row_dict = {c: v.numerator * (den // v.denominator)
+                    for c, v in row_dict.items()}
     if p is None:
-        return row
-    if den % p == 0:
-        raise ZeroDivisionError(f"a denominator of the row vanishes mod {p}")
-    return {c: r for c, v in row.items() if (r := v % p)}
+        return {c: v for c, v in row_dict.items() if v}
+    return {c: r for c, v in row_dict.items() if (r := v % p)}
 
 
 def row_basis(ncols, field):

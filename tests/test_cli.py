@@ -228,6 +228,21 @@ def test_hodge_manifest_times_each_step(tmp_path):
     assert set(timings) == {"invariant_ms", "ci_ms"}
 
 
+@pytest.mark.parametrize("rn,flags,degree", [
+    ("2,4", (), 4), ("2,5", (), 5), ("2,4", ("--degree", "4"), 4)])
+def test_hodge_manifest_records_the_degree_of_the_slice(tmp_path, rn, flags,
+                                                        degree):
+    # without --degree the slice is taken in degree n, and the manifest
+    # records that degree, as the report does
+    assert run(["hodge", "--rn", rn, "--t", "2", "--primes", "1048583",
+                *flags, "--outdir", str(tmp_path)]) == 0
+    name = f"hodge_{rn.replace(',', '')}_arrow"
+    manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+    doc = json.loads((tmp_path / f"{name}.json").read_text())
+    assert manifest["parameters"]["degree"] == doc["report"]["degree"] \
+        == degree
+
+
 def test_hodge_fields_follow_rationals_flag(tmp_path):
     # with primes given, Q runs only under --rationals, and so does the
     # complete-intersection cross-check

@@ -258,9 +258,11 @@ def test_bigraded_guard_counts_before_building(monkeypatch):
         bigraded_monomials(ctx, (0, 1))
 
 
-def test_ci_rows_stream_and_each_generator_is_checked_first(monkeypatch):
-    # f_1 = x0^2 contributes one row (times y1) before the non-bihomogeneous
-    # f_2 = x0 + x0*x1 is rejected, and none of f_2's rows is added
+def test_ci_generators_are_all_checked_before_any_elimination(monkeypatch):
+    # f_1 = x0^2 has one row (times y1), but the non-bihomogeneous
+    # f_2 = x0 + x0*x1 is rejected before any row is eliminated; with a
+    # bihomogeneous f_2 = x0 the row of f_1 comes first, keyed by the
+    # column of its monomial
     added = []
 
     class Recording:
@@ -274,9 +276,12 @@ def test_ci_rows_stream_and_each_generator_is_checked_first(monkeypatch):
     x0 = SparsePolynomial.variable(4, 0)
     x1 = SparsePolynomial.variable(4, 1)
     ctx = CIJacobianContext(2, (2, 1), (x0 * x0, x0 + x0 * x1))
-    with pytest.raises(ValueError, match="bihomogeneous"):
+    with pytest.raises(ValueError, match=r"bidegree \(0, 1\): a generator "
+                       "is not homogeneous"):
         ci_bigraded_quotient(ctx, (0, 1))
-    assert added == [{(2, 0, 1, 0): 1}]  # x0^2 * y1, keyed by monomial
+    assert added == []
+    ci_bigraded_quotient(CIJacobianContext(2, (2, 1), (x0 * x0, x0)), (0, 1))
+    assert added[0] == {griffiths._column((2, 0, 1, 0)): 1}  # x0^2 * y1
 
 
 def test_listing_guard_bounds_only_what_is_listed(monkeypatch):
@@ -607,8 +612,9 @@ def test_pencil_rows_match_the_rows_of_each_specialization(r, n, variant,
     for t in (2, 3, -1):
         gens = grassmann_jacobian_generators(
             evaluate_pencil(spec, t, fld), r, n)
-        slow = [griffiths._standard_row(r, n, mult, g) for g in gens if g
-                for mult in standard]
+        key = griffiths._column_key(degree)
+        slow = [griffiths._standard_row(r, n, mult, g, key) for g in gens
+                if g for mult in standard]
         assert (_field_rows(griffiths._at(rows, t), fld)
                 == _field_rows(slow, fld)), t
 
@@ -628,6 +634,156 @@ def test_shipped_slices_hold_their_rows_below_the_entry_limit(
                for v in row.values())
     assert sum(len(a) + len(b) for a, b in rows) == entries
     assert entries < griffiths._ENTRY_LIMIT
+
+
+_ONE_SPECIALIZATION = griffiths._one_specialization
+
+
+def _keyed_runs(spec, degree, fld, monkeypatch, key):
+    """The specialization results and echelon bases of one
+    invariant_subspace run (and, over Q on G(2,4) in degree 4, of the
+    complete-intersection slices) with the columns keyed by key."""
+    monkeypatch.setattr(griffiths, "_column", key)
+    griffiths._pencil_ci_rows.cache_clear()
+    bases, results = [], []
+
+    def recording(*args):
+        results.append(_ONE_SPECIALIZATION(*args))
+        return results[-1]
+
+    monkeypatch.setattr(griffiths, "row_basis", lambda ncols, field: (
+        bases.append(row_basis(ncols, field)) or bases[-1]))
+    monkeypatch.setattr(griffiths, "_one_specialization", recording)
+    checks = _span_checks(spec.r, spec.n) if degree == spec.n else ()
+    invariant_subspace(spec, degree=degree, t_values=(2, 3, -1),
+                       primes=() if fld == RATIONALS else (fld.modulus,),
+                       span_check_monomials=checks)
+    if fld == RATIONALS and degree == spec.n == 4:
+        for t in (2, -1):
+            ctx = ci_context_for_pencil(spec, t)
+            for b in (0, 1):
+                ci_bigraded_quotient(ctx, (0, b))
+    griffiths._pencil_ci_rows.cache_clear()
+    return results, bases
+
+
+@pytest.mark.parametrize("fld", [RATIONALS, PrimeField(1048583)],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("r,n,variant,degree", [
+    (2, 4, "arrow", 4), (2, 4, "squares", 4), (2, 4, "quads", 4),
+    (2, 4, "squares+quads", 4), (2, 5, "arrow", 5), (2, 4, "arrow", 8)])
+def test_int_columns_match_exponent_tuple_columns(r, n, variant, degree, fld,
+                                                   monkeypatch):
+    # keying every column by its exponent tuple instead of its int changes
+    # no result, no pivot (under the key map), no stored row and no count
+    spec = build_pencil(r, n, variant)
+    column = griffiths._column
+    fast = _keyed_runs(spec, degree, fld, monkeypatch, column)
+    slow = _keyed_runs(spec, degree, fld, monkeypatch, lambda e: e)
+    assert fast[0] == slow[0]
+    assert len(fast[1]) == len(slow[1]) == 3 + 4 * (fld == RATIONALS
+                                                    and degree == n == 4)
+    for by_int, by_tuple in zip(fast[1], slow[1]):
+        assert all(type(pc) is int for pc in by_int.rows)
+        assert by_int.rows == {
+            column(pc): {column(c): v for c, v in row.items()}
+            for pc, row in by_tuple.rows.items()}
+        assert by_int.entries == by_tuple.entries
+
+
+def test_int_columns_keep_the_order_of_the_exponent_vectors():
+    rng = random.Random(31)
+    vectors = [tuple(rng.choice((0, 1, 2, 254, 255)) for _ in range(6))
+               for _ in range(300)]
+    assert sorted(vectors, key=griffiths._column) == sorted(vectors)
+    assert len(set(map(griffiths._column, vectors))) == len(set(vectors))
+    # exponents past a byte keep their vectors as columns
+    assert griffiths._column_key(255) is griffiths._column
+    assert griffiths._column_key(256) is tuple
+    for degree in (255, 256):
+        rep = invariant_subspace(build_pencil(1, 2), degree=degree,
+                                 t_values=(2,))
+        assert (rep.quotient_dim, rep.invariant_dim) == (0, 0)
+
+
+def _direct_ci_rows(ctx, bidegree):
+    """The rows of the complete-intersection slice of ctx, built from its
+    own generators: each nonzero generator times every monomial of the
+    complementary bidegree."""
+    a, b = bidegree
+    rows = []
+    for g in griffiths._ci_generators(ctx):
+        if not g:
+            continue
+        ga, gb = griffiths._bidegree(min(g.terms), ctx.nx, ctx.degrees)
+        rows += [{griffiths._column(tuple(map(sum, zip(mult, e)))): c
+                  for e, c in g.terms.items()}
+                 for mult in bigraded_monomials(ctx, (a - ga, b - gb))]
+    return rows
+
+
+@pytest.mark.parametrize("variant", ["arrow", "squares", "quads",
+                                     "squares+quads"])
+def test_ci_pairs_match_the_rows_of_each_member(variant):
+    # the pairs (a, b) built once per pencil give at t the rows of the
+    # member's own context; t = -1 cancels the shared monomials of quads
+    spec = build_pencil(2, 4, variant)
+    quadric = plucker_relations(2, 4)[0]
+    for t in (2, 3, -1, Fraction(1, 2)):
+        member = ci_context([evaluate_pencil(spec, t), quadric])
+        ctx = ci_context_for_pencil(spec, t)
+        assert (ctx.pencil, ctx.t, ctx.polys) == (spec, t, member.polys)
+        for bidegree in ((0, 0), (0, 1)):
+            pairs = griffiths._pencil_ci_rows(spec, bidegree)
+            assert (_field_rows(griffiths._at(pairs, t), RATIONALS)
+                    == _field_rows(_direct_ci_rows(member, bidegree),
+                                   RATIONALS)), (t, bidegree)
+        assert tuple(ci_bigraded_quotient(ctx, (0, b)).quotient_dim
+                     for b in (0, 1)) == (1, 89)
+
+
+@pytest.mark.parametrize("fld", [RATIONALS, PrimeField(1048583)],
+                         ids=lambda f: f.name)
+def test_plain_ci_context_takes_the_pair_route_with_no_t_part(fld,
+                                                              monkeypatch):
+    spec = build_pencil(2, 4, "squares+quads")
+    ctx = ci_context([evaluate_pencil(spec, 3, fld),
+                      plucker_relations(2, 4)[0].convert(fld)])
+    assert (ctx.pencil, ctx.t) == (None, 0)
+    held = []
+    real = griffiths._ci_rows
+
+    def recording(*args):
+        held.append(real(*args))
+        return held[-1]
+
+    monkeypatch.setattr(griffiths, "_ci_rows", recording)
+    assert tuple(ci_bigraded_quotient(ctx, (0, b)).quotient_dim
+                 for b in (0, 1)) == (1, 89)
+    for pairs, bidegree in zip(held, ((0, 0), (0, 1))):
+        assert all(b == {} for _, b in pairs)
+        assert ([a for a, _ in pairs if a]
+                == _direct_ci_rows(ctx, bidegree))
+
+
+def test_held_ci_pairs_count_against_the_entry_limit(monkeypatch):
+    spec = build_pencil(2, 4, "squares")
+    griffiths._pencil_ci_rows.cache_clear()
+    entries = sum(len(a) + len(b)
+                  for a, b in griffiths._pencil_ci_rows(spec, (0, 1)))
+    griffiths._pencil_ci_rows.cache_clear()
+    ctx = ci_context_for_pencil(spec, 2)
+    monkeypatch.setattr(griffiths, "_ENTRY_LIMIT", entries)
+    assert ci_bigraded_quotient(ctx, (0, 1)).quotient_dim == 89
+    griffiths._pencil_ci_rows.cache_clear()
+    monkeypatch.setattr(griffiths, "_ENTRY_LIMIT", entries - 1)
+    monkeypatch.setattr(griffiths, "row_basis", None)  # never reached
+    with pytest.raises(ResourceLimitError,
+                       match=rf"complete-intersection rows in bidegree "
+                             rf"\(0, 1\): {entries} entries exceed the "
+                             rf"{entries - 1} entry limit"):
+        ci_bigraded_quotient(ctx, (0, 1))
+    griffiths._pencil_ci_rows.cache_clear()
 
 
 def test_independent_extension_on_ideal_slice():

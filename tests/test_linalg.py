@@ -213,3 +213,26 @@ def test_fraction_rows_mod_p_match_rows_coerced_entry_by_entry():
                                    for c, v in r.items()}) for r in probes])
     with pytest.raises(ZeroDivisionError, match="vanishes mod 11"):
         row_basis(2, fld).add_row({0: 1, 1: Fraction(1, 22)})
+
+
+@pytest.mark.parametrize("p", [None, 11, 1048583])
+def test_int_rows_enter_in_one_pass(p, monkeypatch):
+    # a row of ints needs no lcm: it enters as the same nonzero ints (mod p)
+    # that the lcm route gives its Fraction copy; one Fraction in the row
+    # sends the whole row down the lcm route
+    rng = random.Random(37)
+    rows = [{j: rng.choice((0, 1, -1, 2, 11, -22, 10 ** 30 + 1))
+             for j in rng.sample(range(12), rng.randint(0, 8))}
+            for _ in range(60)]
+    expected = [linalg._integer_row({c: Fraction(v) for c, v in row.items()},
+                                    p) for row in rows]
+
+    def refused(*args):
+        raise AssertionError("an int row took the lcm route")
+
+    monkeypatch.setattr(linalg, "lcm", refused)
+    got = [linalg._integer_row(row, p) for row in rows]
+    assert got == expected
+    assert all(type(v) is int and v for row in got for v in row.values())
+    with pytest.raises(AssertionError, match="lcm route"):
+        linalg._integer_row({0: 3, 1: Fraction(1, 2)}, p)
