@@ -7,7 +7,8 @@
 Every run writes a reproducibility manifest next to its outputs: the
 parameters, package version, per-step timings, a sha256 digest of each
 output file and, for tables and search, the order d of the diagonal-group
-orbits the point count was taken over (orbit_order).  Output files are
+orbits the point count was taken over (orbit_order); for hodge, the
+character blocks of the slice (blocks).  Output files are
 deterministic (fixed iteration orders, no timestamps), so re-running an
 experiment reproduces the digests bit for bit; timings live only in the
 manifest.
@@ -248,7 +249,8 @@ def cmd_hodge(args) -> int:
     run.write(".json", _json(doc))
     run.manifest({"rn": [r, n], "variant": spec.variant,
                   "degree": report.degree, "t": list(t_values),
-                  "primes": list(primes), "rationals": include_q})
+                  "primes": list(primes), "rationals": include_q},
+                 blocks=report.blocks)
     print(f"quotient dimension {report.quotient_dim}, "
           f"invariant dimension {report.invariant_dim}")
     print("survivors:", ", ".join(report.survivor_names))

@@ -360,9 +360,10 @@ _SQUARES_QUADS_24 = (_SQUARES_24[0], _QUADS_24[0], _SQUARES_24[1],
                      _QUADS_24[1], _SQUARES_24[2])
 
 
+@lru_cache(maxsize=None)
 def build_pencil(r: int, n: int, variant: str = "arrow") -> PencilSpec:
     """The pencil t*(sum of n-th powers of arrow variables) + frozen
-    product, or one of its three (2,4) extensions."""
+    product, or one of its three (2,4) extensions, built once."""
     _check_rn(r, n)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; "

@@ -22,14 +22,18 @@ specializing t to several rational values and/or several large prime
 fields and demanding unanimity; disagreement raises, it is never averaged
 away.  Every generator is linear in f_t = frozen + t*deforming and the
 normal form is Z-linear, so the row of each generator multiple is a + t*b
-with integer rows a and b: they are built once per pencil and slice, and a
-specialization only forms a + t*b in its field before eliminating.  So
-do the slices of the complete-intersection model of a (2,4) pencil.  A
-column is the int _column(e) of a monomial, ordered as the exponents e.
+with integer rows a and b, built once per pencil and slice, held by
+linalg._RowPairs and kept for later calls.  The diagonal group grades the
+slice, so the rows fall into character blocks: the rank is the sum of the
+block ranks, and only the trivial block meets the invariant monomials.
+The rows free of t are eliminated once per field; a specialization adds
+the others.  So do the slices of the complete-intersection model of a
+(2,4) pencil, as one block.  A column is the int _column(e) of a
+monomial, ordered as the exponents e.
 """
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
 from operator import add, mul
@@ -39,9 +43,9 @@ from .grassmann import (PencilSpec, evaluate_pencil, hilbert_function,
                         index_position, monomial_name, normal_form,
                         plucker_indices, plucker_relations, sort_with_sign,
                         straightening_rules)
-from .linalg import _ENTRY_LIMIT, ResourceLimitError, row_basis
+from .linalg import _ENTRY_LIMIT, ResourceLimitError, _RowPairs, row_basis
 from .poly import SparsePolynomial, check_listing_size, monomials_of_degree
-from .symmetry import invariant_multiplicities
+from .symmetry import invariant_multiplicities, pencil_blocks
 
 
 class SpecializationMismatch(RuntimeError):
@@ -77,9 +81,13 @@ class GradedPieceReport:
     specializations: tuple | None = None
     span_checks: dict | None = None
     elapsed_ms: None = None  # always null: timings go to the manifest
+    # the character blocks of an invariant slice, for the manifest only
+    blocks: dict | None = field(default=None, compare=False)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, default=str)
+        doc = dict(vars(self))
+        del doc["blocks"]
+        return json.dumps(doc, sort_keys=True, default=str)
 
 
 # -- derivations -------------------------------------------------------
@@ -219,18 +227,14 @@ def _column_key(bound):
     return _column if bound < 256 else tuple
 
 
-def _ideal_slice(r, n, degree, rows, fld):
-    """(basis, dims): the echelon basis over fld of the given rows of
-    generator multiples in one slice, its columns the keys of standard
-    monomials, and the ambient, relation_rank, ideal_rank and quotient_dim
-    of the slice."""
+def _dims(r, n, degree, ideal_rank):
+    """The ambient, relation_rank, ideal_rank and quotient_dim of a slice
+    whose generator rows have rank ideal_rank."""
     nv = len(plucker_indices(r, n))
     hf = hilbert_function(r, n, degree)
-    basis = row_basis(hf, fld)
-    ideal_rank = basis.add_rows(rows)
     ambient = comb(nv + degree - 1, degree) if degree >= 0 else 0
-    return basis, {"ambient": ambient, "relation_rank": ambient - hf,
-                   "ideal_rank": ideal_rank, "quotient_dim": hf - ideal_rank}
+    return {"ambient": ambient, "relation_rank": ambient - hf,
+            "ideal_rank": ideal_rank, "quotient_dim": hf - ideal_rank}
 
 
 def graded_quotient(r: int, n: int, degree: int,
@@ -238,15 +242,17 @@ def graded_quotient(r: int, n: int, degree: int,
     """Dimension of one graded piece of S^{r,n} / (ideal generators).
 
     The quotient dimension is hilbert_function(r, n, degree) minus the rank
-    of every multiple of an ideal generator landing in the slice.
+    of every multiple of an ideal generator landing in the slice, all
+    eliminated in one basis.
     """
     generators = list(ideal_generators)
     fld = generators[0].field if generators else RATIONALS
     rows = _slice_rows(r, n, degree, ((g,) for g in generators))
-    _, dims = _ideal_slice(r, n, degree, (row for (row,) in rows), fld)
+    basis = row_basis(hilbert_function(r, n, degree), fld)
     return GradedPieceReport(
         label=f"G({r},{n}) degree {degree}",
-        rn=(r, n), degree=degree, t=None, field=fld.name, **dims)
+        rn=(r, n), degree=degree, t=None, field=fld.name,
+        **_dims(r, n, degree, basis.add_rows(row for (row,) in rows)))
 
 
 # -- complete-intersection Jacobian ring -------------------------------
@@ -346,7 +352,8 @@ def ci_bigraded_quotient(ctx: CIJacobianContext,
     The span is every product (monomial) * (generator) landing in the
     requested bidegree.  Its rows are the pairs (a, b) of _ci_rows taken at
     the context's t, a + t*b: a pencil's pairs are built once per bidegree
-    for every member, and a plain context's have b = {}.
+    for every member, with their t-free rows eliminated once per field, and
+    a plain context's have b = {}.
     """
     a, b = bidegree
     ambient = len(bigraded_monomials(ctx, bidegree))
@@ -354,11 +361,10 @@ def ci_bigraded_quotient(ctx: CIJacobianContext,
         rows = _pencil_ci_rows(ctx.pencil, (a, b))
     else:
         zero = SparsePolynomial.zero(ctx.nvars, ctx.field)
-        rows = _ci_rows(ctx, (a, b),
-                        ((g, zero) for g in _ci_generators(ctx)))
+        rows = _RowPairs(_ci_rows(ctx, (a, b), ((g, zero) for g in
+                                                _ci_generators(ctx))), ambient)
     fld = ctx.field
-    basis = row_basis(ambient, fld)
-    ideal_rank = basis.add_rows(_at(rows, ctx.t))
+    ideal_rank, _ = rows.at(fld, ctx.t)
     return GradedPieceReport(
         label=f"CI in P^{ctx.nx - 1} bidegree {bidegree}",
         rn=None, degree=(a, b), t=None, field=fld.name,
@@ -384,11 +390,13 @@ def ci_context_for_pencil(spec: PencilSpec, t):
 def _pencil_ci_rows(spec, bidegree):
     """_ci_rows of a (2,4) pencil: each generator is linear in t, so it is
     g + t*h with g its value at t = 0 and h = (its value at 1) - g.  The
-    cached rows are handed to every caller; _at only reads them."""
+    cached _RowPairs are handed to every caller, with the bases of their
+    t-free rows."""
     at0, at1 = (ci_context_for_pencil(spec, t) for t in (0, 1))
-    return _ci_rows(at0, bidegree,
-                    ((g, g1 - g) for g, g1 in zip(_ci_generators(at0),
-                                                  _ci_generators(at1))))
+    return _RowPairs(
+        _ci_rows(at0, bidegree, ((g, g1 - g) for g, g1 in zip(
+            _ci_generators(at0), _ci_generators(at1)))),
+        len(bigraded_monomials(at0, bidegree)))
 
 
 # -- invariant subspaces across specializations ------------------------
@@ -411,36 +419,76 @@ def consensus(results, keys, what):
     return first
 
 
+# Slices whose rows a later call reuses, oldest first: a sweep asks for one
+# pencil's slice over several fields in turn, as the Q step after the mod-p
+# step.  At most eight are held, and their rows and t-free bases hold at
+# most _ENTRY_LIMIT entries together, counted as a slice is added; older
+# slices are dropped first.
+_HELD, _HELD_SLICES = {}, 8
+
+
+def _held_rows(spec, degree):
+    """_pencil_rows(spec, degree), reused if an earlier call holds them.
+    Rows past the entry limit now in force are built again, which refuses
+    them."""
+    rows = _HELD.pop((spec, degree), None)
+    if rows is None or rows.entries > _ENTRY_LIMIT:
+        rows = _pencil_rows(spec, degree)
+    _HELD[spec, degree] = rows
+    while len(_HELD) > _HELD_SLICES or len(_HELD) > 1 and sum(
+            held.held for held in _HELD.values()) > _ENTRY_LIMIT:
+        del _HELD[next(iter(_HELD))]
+    return rows
+
+
 def _pencil_rows(spec, degree):
     """The rows of the generator multiples of f_t = frozen + t*deforming in
     one slice, as integer pairs (a, b) whose row at t is a + t*b: frozen
-    and deforming have int coefficients over Q, and ints stay ints."""
-    r, n = spec.r, spec.n
+    and deforming have int coefficients over Q, and ints stay ints.  They
+    are grouped by character block, each pair checked to lie in one."""
+    r, n, nv = spec.r, spec.n, spec.nvars
     frozen, deforming = (
         grassmann_jacobian_generators(
-            SparsePolynomial(spec.nvars, RATIONALS, terms), r, n)
+            SparsePolynomial(nv, RATIONALS, terms), r, n)
         for terms in ({spec.frozen: 1}, dict.fromkeys(spec.deforming, 1)))
-    return list(_slice_rows(r, n, degree, zip(frozen, deforming)))
+    block_of, keys = pencil_blocks(spec), {}
+
+    def block(c):  # c: the int of an exponent vector, or the vector
+        if c not in keys:
+            keys[c] = block_of(c if type(c) is tuple
+                               else c.to_bytes(nv, "big"))
+        return keys[c]
+
+    return _RowPairs(_slice_rows(r, n, degree, zip(frozen, deforming)),
+                     hilbert_function(r, n, degree), block)
 
 
-def _at(rows, t):
-    """Each pair (a, b) of rows as the one row a + t*b."""
-    for a, b in rows:
-        row = dict(a)
-        for c, v in b.items():
-            row[c] = row.get(c, 0) + t * v
-        yield row
+def _block_counts(rows, n) -> dict:
+    """The character blocks of a slice's _pencil_rows on G(r,n): how many,
+    the rows of the largest and of the trivial one, and the pairs that
+    carry no t."""
+    blocks = rows.blocks
+    sizes = {key: len(free) + len(pairs)
+             for key, (free, pairs) in blocks.items()}
+    return {"blocks": len(sizes),
+            "largest_block_rows": max(sizes.values(), default=0),
+            "trivial_block_rows": sizes.get((0,) * n, 0),
+            "t_free_pairs": sum(len(free) for free, _ in blocks.values())}
 
 
 def _one_specialization(spec, degree, rows, fld, t, candidates, span_checks):
     r, n = spec.r, spec.n
     key = _column_key(degree)
-    basis, dims = _ideal_slice(r, n, degree, _at(rows, t), fld)
-    survivors = tuple(e for e in candidates if basis.add_row({key(e): 1}))
-    checks = {monomial_name(e, r, n):
-              basis.contains({key(s): c for s, c in normal_form(r, n, e)})
-              for e in span_checks}
-    return {"t": str(t), "field": fld.name, **dims,
+    block_of = span_checks and pencil_blocks(spec)
+    blocks = {e: block_of(e) for e in span_checks}
+    trivial = (0,) * n
+    ideal_rank, bases = rows.at(fld, t, {trivial, *blocks.values()})
+    survivors = tuple(e for e in candidates
+                      if bases[trivial].add_row({key(e): 1}))
+    checks = {monomial_name(e, r, n): bases[blocks[e]].contains(
+        {key(s): c for s, c in normal_form(r, n, e)}) for e in span_checks}
+    return {"t": str(t), "field": fld.name,
+            **_dims(r, n, degree, ideal_rank),
             "invariant_dim": len(survivors), "survivors": survivors,
             "span_checks": checks}
 
@@ -452,14 +500,16 @@ def invariant_subspace(spec: PencilSpec, degree=None,
     """Consensus dimension of the invariant part of a graded slice.
 
     The generator rows of the slice are built once over Z, as pairs a, b
-    with row a + t*b.  For every specialization (t over Q, and t mod every
-    given prime) the rows a + t*b are eliminated in the field and the
+    with row a + t*b, and held for later calls (_held_rows).  For every
+    specialization (t over Q, and t mod every given prime) the rows a + t*b
+    are eliminated in the field, one character block at a time, and the
     standard invariant monomials, each the unit row {e: 1}, are fed to the
-    greedy rank extension in canonical order; the survivors span the image
-    of the invariant subspace in the quotient.  No other invariant monomial
-    can survive: every straightening tail is lex-greater than its lead and
-    keeps the index content, so the normal form of a non-standard invariant
-    monomial holds only standard invariant ones listed before it.
+    greedy rank extension of the trivial block in canonical order; the
+    survivors span the image of the invariant subspace in the quotient.
+    No other invariant monomial can survive: every straightening tail is
+    lex-greater than its lead and keeps the index content, so the normal
+    form of a non-standard invariant monomial holds only standard invariant
+    ones listed before it.
     Specializations that disagree on any reported number raise
     SpecializationMismatch with their results.
     """
@@ -489,7 +539,7 @@ def invariant_subspace(spec: PencilSpec, degree=None,
     straightening_rules(r, n)
     candidates = standard_monomials(r, n, degree,
                                     invariant_multiplicities(r, n, degree))
-    rows = _pencil_rows(spec, degree)
+    rows = _held_rows(spec, degree)
     results = [_one_specialization(spec, degree, rows, fld, t, candidates,
                                    span_check_monomials)
                for fld in fields for t in t_values]
@@ -506,4 +556,5 @@ def invariant_subspace(spec: PencilSpec, degree=None,
         survivor_names=tuple(monomial_name(e, r, n)
                              for e in agreed["survivors"]),
         specializations=tuple(
-            {"t": res["t"], "field": res["field"]} for res in results))
+            {"t": res["t"], "field": res["field"]} for res in results),
+        blocks=_block_counts(rows, n))

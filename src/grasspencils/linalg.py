@@ -8,7 +8,16 @@ pivot column, where the pivot of a row is its smallest column.  Reducing a
 vector repeatedly eliminates the smallest of its columns that is a stored
 pivot; that only creates larger columns, so each pivot is met at most
 once.  Ranks, quotient dimensions and greedy rank extensions are counts of
-the rows a basis accepts.
+the rows a basis accepts.  A copy shares the stored rows and takes new
+ones on its own.  Bases that live side by side share one entry budget.
+
+_RowPairs holds rows linear in a parameter t, as pairs (a, b) of rows
+a + t*b, grouped in blocks whose columns no other block uses, so a rank is
+the sum of the block ranks.  Per field it eliminates the rows that do not
+depend on t once in each block; every t then starts from copies of those
+bases, and a block of one row is counted by whether that row vanishes.
+All the bases of one t, and the t-free ones, store at most _ENTRY_LIMIT
+entries together, as one basis of the whole slice would.
 
 Every row enters through _integer_row.  A row of ints enters in one pass,
 its zero entries dropped and, over F_p, its entries reduced mod p; a row
@@ -26,10 +35,11 @@ those of the monic echelon form; only the scale of each row differs.
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-# Cap on the entries stored by one basis.  tracemalloc put the stored rows
-# of the arrow slices of (2,4), (2,5) and (2,6) in degree n at <= 78 bytes
-# per entry over Q and <= 90 over F_p (Python 3.11), so 5e6 entries stay
-# near 450 MB, under 1 GiB with room for larger integers.
+# Cap on the entries stored by one basis, or by the bases that share its
+# budget.  tracemalloc put the stored rows of the arrow slices of (2,4),
+# (2,5) and (2,6) in degree n at <= 78 bytes per entry over Q and <= 90
+# over F_p (Python 3.11), so 5e6 entries stay near 450 MB, under 1 GiB with
+# room for larger integers.
 _ENTRY_LIMIT = 5_000_000
 _INT = frozenset((int,))
 
@@ -41,10 +51,13 @@ class ResourceLimitError(RuntimeError):
 class _RowBasis:
     """Incremental echelon row set on sparse {column: value} rows."""
 
-    def __init__(self, ncols, field):
+    def __init__(self, ncols, field, spent=None):
         self.field = field
         self.rows = {}    # pivot column -> row (monic mod p, primitive over Q)
-        self.entries = 0  # stored nonzeros, bounded by _ENTRY_LIMIT
+        self.entries = 0  # stored nonzeros
+        # [the entries stored by this basis and the bases that share this
+        # list with it], bounded by _ENTRY_LIMIT
+        self.spent = [0] if spent is None else spent
 
     @property
     def rank(self):
@@ -90,9 +103,10 @@ class _RowBasis:
         res = self.reduce(row_dict)
         if not res:
             return False
-        if self.entries + len(res) > _ENTRY_LIMIT:
+        stored = self.spent[0]
+        if stored + len(res) > _ENTRY_LIMIT:
             raise ResourceLimitError(
-                f"echelon basis over {self.field.name}: {self.entries} "
+                f"echelon basis over {self.field.name}: {stored} "
                 f"stored + {len(res)} new entries exceed the "
                 f"{_ENTRY_LIMIT} entry limit")
         pc = min(res)
@@ -106,10 +120,20 @@ class _RowBasis:
                 g = -g
             self.rows[pc] = {c: v // g for c, v in res.items()}
         self.entries += len(res)
+        self.spent[0] += len(res)
         return True
 
     def add_rows(self, row_dicts) -> int:
         return sum(1 for r in row_dicts if self.add_row(r))
+
+    def copy(self, spent=None):
+        """A basis holding the same rows, to be extended on its own; a
+        stored row is never changed, so the two share them.  The copy
+        spends from spent, a budget that already counts the shared rows,
+        or else from a new one that counts them."""
+        basis = _RowBasis(None, self.field, spent or [self.entries])
+        basis.rows, basis.entries = dict(self.rows), self.entries
+        return basis
 
     def contains(self, row_dict) -> bool:
         return not self.reduce(row_dict)
@@ -130,7 +154,93 @@ def _integer_row(row_dict, p=None):
     return {c: r for c, v in row_dict.items() if (r := v % p)}
 
 
-def row_basis(ncols, field):
-    """Empty echelon row set on ncols columns over field (Q or F_p)."""
-    return _RowBasis(ncols, field)
+def row_basis(ncols, field, spent=None):
+    """Empty echelon row set on ncols columns over field (Q or F_p), its
+    entries counted in spent, a budget shared with other bases, if given."""
+    return _RowBasis(ncols, field, spent)
 
+
+def _at(pairs, t):
+    """Each pair (a, b) of rows as the one row a + t*b."""
+    for a, b in pairs:
+        row = dict(a)
+        for c, v in b.items():
+            row[c] = row.get(c, 0) + t * v
+        yield row
+
+
+class _RowPairs:
+    """Rows linear in a parameter: pairs (a, b), the row at t being a + t*b.
+    They are kept in the order given and grouped by block, the key block(c)
+    shared by every column c of a pair (one block if block is None), each
+    block as (its rows free of t, its pairs that carry t): a pair with a = {}
+    or b = {} stands for the row b or a, as t != 0 in the field.  Over the
+    last field asked for, the rows free of t are eliminated once per block;
+    a specialization adds the others to a copy of that basis."""
+
+    def __init__(self, pairs, ncols, block=None):
+        self.pairs, self.ncols, self._fixed = tuple(pairs), ncols, (None, {})
+        self.entries = sum(len(a) + len(b) for a, b in self.pairs)
+        self.blocks = {}
+        for pair in self.pairs:
+            keys = {None} if block is None else {block(c) for row in pair
+                                                   for c in row}
+            if len(keys) != 1:
+                raise ValueError(f"a row spans {len(keys)} blocks")
+            key = keys.pop()
+            if key not in self.blocks:
+                self.blocks[key] = [], []
+            free, pairs = self.blocks[key]
+            if all(pair):
+                pairs.append(pair)
+            else:
+                free.append(pair[0] or pair[1])
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    @property
+    def held(self):
+        """The entries of the pairs and of the t-free bases kept with them."""
+        return self.entries + sum(b.entries for b in self._fixed[1].values())
+
+    def fixed(self, fld):
+        """{block: the basis over fld of its rows free of t}, for the blocks
+        that have such rows, all spending from one budget.  They are
+        eliminated on the first call for fld, and replace the bases of the
+        field asked for before."""
+        if self._fixed[0] != fld:
+            self._fixed, spent, bases = (None, {}), [0], {}
+            for key, (free, _) in self.blocks.items():
+                if free:
+                    bases[key] = row_basis(self.ncols, fld, spent)
+                    bases[key].add_rows(free)
+            self._fixed = fld, bases
+        return self._fixed[1]
+
+    def at(self, fld, t, keep=()):
+        """(rank, bases): the rank over fld of the rows a + t*b, summed over
+        the blocks, and the basis at t of each block in keep.  Every other
+        block's basis is dropped once its rank is counted, and a block of
+        one row that carries t needs none: it adds 1 exactly when the row
+        is nonzero in fld after _integer_row, as it would enter a basis.
+        The bases made here, and the later rows of those in keep, spend
+        from one budget that starts at the entries of the t-free bases."""
+        fixed = self.fixed(fld)
+        spent = [sum(basis.entries for basis in fixed.values())]
+        rank, bases = 0, {}
+        for key, (free, pairs) in self.blocks.items():
+            if key not in keep and len(pairs) == 1 and not free:
+                rank += bool(_integer_row(next(_at(pairs, t)), fld.modulus))
+                continue
+            basis = fixed.get(key)
+            if basis is None:
+                basis = row_basis(self.ncols, fld, spent)
+            elif pairs or key in keep:
+                basis = basis.copy(spent)
+            rank += basis.rank + basis.add_rows(_at(pairs, t))
+            if key in keep:
+                bases[key] = basis
+        for key in set(keep) - bases.keys():
+            bases[key] = row_basis(self.ncols, fld, spent)
+        return rank, bases

@@ -16,7 +16,7 @@ Z/g x (Z/n)^(n-2); build_group derives this closed form.
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 
 from .grassmann import _check_rn, plucker_indices
@@ -96,11 +96,31 @@ def character(exponents, group: SymmetryGroup) -> tuple:
     return tuple(c % group.n for c in counts)
 
 
+def character_block(exponents, group: SymmetryGroup) -> tuple:
+    """The character w of a monomial as a key, (w_1 mod g, (w_i - w_1) mod
+    n for i >= 2) with g = gcd(r, n): L pairs two monomials to the same
+    root of unity exactly when their keys agree, as L fixes exactly the
+    c * (1,...,1) with g | c.  The invariant monomials have key 0."""
+    first, *rest = character(exponents, group)
+    return (first % gcd(group.r, group.n), *((c - first) % group.n
+                                             for c in rest))
+
+
 def is_invariant(exponents, group: SymmetryGroup) -> bool:
     """True iff the character is c * (1,...,1) with gcd(r, n) | c."""
-    first, *rest = character(exponents, group)
-    return (first % gcd(group.r, group.n) == 0
-            and all(c == first for c in rest))
+    return not any(character_block(exponents, group))
+
+
+def pencil_blocks(spec):
+    """exponent vector -> its character_block on the pencil's G(r,n).  The
+    diagonal group grades the Jacobian ideal of an invariant pencil: the
+    row of m*D^i_j f lies in the block of content(m) + e_i - e_j, as
+    straightening keeps the content.  A pencil with a non-invariant
+    monomial is one block, the trivial (0, ..., 0)."""
+    group = build_group(spec.n, spec.r)
+    if all(is_invariant(e, group) for e in spec.deforming + (spec.frozen,)):
+        return partial(character_block, group=group)
+    return lambda e: (0,) * spec.n
 
 
 def invariant_multiplicities(r: int, n: int, degree: int) -> tuple:

@@ -4,11 +4,13 @@ invariant_subspace feeds the greedy rank extension only the standard
 invariant monomials, listed as chains, each as its own unit row.  The route
 it replaces fed it every invariant monomial of the slice in canonical
 order, each reduced to its normal form; both must pick the same survivors.
-Its rows are keyed by the columns of invariant_subspace's basis.
+Its rows are keyed by the columns of invariant_subspace's basis, and all
+of them are eliminated in one basis, not one basis per character block.
 """
 
 from grasspencils.grassmann import normal_form
-from grasspencils.griffiths import _at, _column_key, _ideal_slice
+from grasspencils.griffiths import _column_key, _dims
+from grasspencils.linalg import _at, row_basis
 from grasspencils.poly import monomials_of_degree
 from grasspencils.symmetry import invariant_monomials
 
@@ -22,13 +24,20 @@ def invariant_candidates(r, n, degree):
         monomials_of_degree.cache_clear()
 
 
+def one_basis(spec, degree, rows, fld, t):
+    """(basis, dims): every row a + t*b of the slice eliminated over fld in
+    one basis, whatever its character block, and the dims of the slice."""
+    basis = row_basis(None, fld)
+    return basis, _dims(spec.r, spec.n, degree, basis.add_rows(_at(rows, t)))
+
+
 def full_candidate_greedy(spec, degree, rows, fld, t):
     """(ideal_rank, survivors) of one specialization: the rows a + t*b of
     the generator multiples eliminated over fld, then the normal form of
     every invariant monomial offered in canonical order."""
     r, n = spec.r, spec.n
     key = _column_key(degree)
-    basis, dims = _ideal_slice(r, n, degree, _at(rows, t), fld)
+    basis, dims = one_basis(spec, degree, rows, fld, t)
     survivors = tuple(
         e for e in invariant_candidates(r, n, degree)
         if basis.add_row({key(s): c for s, c in normal_form(r, n, e)}))

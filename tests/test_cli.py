@@ -56,8 +56,9 @@ def test_manifest_times_steps_and_digests_outputs(tmp_path, argv, name,
                                                   timings, orbit_order):
     assert run([*argv, "--outdir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
-    keys = {"experiment", "parameters", "version", "timings_ms", "outputs"}
-    assert set(manifest) == keys | ({"orbit_order"} if orbit_order else set())
+    keys = {"experiment", "parameters", "version", "timings_ms", "outputs",
+            "orbit_order" if orbit_order else "blocks"}
+    assert set(manifest) == keys
     assert manifest["experiment"] == name
     assert manifest.get("orbit_order") == orbit_order
     assert set(manifest["timings_ms"]) == timings
@@ -448,12 +449,36 @@ def test_hodge_26_over_rationals_matches_mod_p(tmp_path):
 
 
 def test_hodge_entry_cap_exits_2(tmp_path, monkeypatch, capsys):
-    # the (2,5) basis stores 165 entries, the (2,4) one only 72
-    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 100)
+    # the largest basis is the trivial block's: it stores 39 entries on
+    # (2,5) (its t-free rows, f and the 11 survivors), 20 on (2,4)
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 30)
+    assert run(["hodge", "--rn", "2,4", "--primes", "1048583",
+                "--outdir", str(tmp_path / "a")]) == 0
+    out = tmp_path / "b"
     assert run(["hodge", "--rn", "2,5", "--primes", "1048583",
-                "--outdir", str(tmp_path)]) == 2
+                "--outdir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "entry limit" in err
+    assert not out.exists()
+
+
+def test_hodge_entry_cap_bounds_the_blocks_together(tmp_path, monkeypatch,
+                                                   capsys):
+    # (2,4) in degree 8 at t = 2: the largest block basis stores 187
+    # entries, and all the bases of the specialization 3,605, of which the
+    # t-free bases hold 1,440; a cap above the largest block but below the
+    # total still stops the run before it writes anything
+    argv = ["hodge", "--rn", "2,4", "--degree", "8", "--t", "2",
+            "--primes", "1048583"]
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 3605)
+    assert run([*argv, "--outdir", str(tmp_path / "a")]) == 0
+    for limit in (3604, 1000):
+        monkeypatch.setattr(linalg, "_ENTRY_LIMIT", limit)
+        out = tmp_path / str(limit)
+        assert run([*argv, "--outdir", str(out)]) == 2
+        assert (f"new entries exceed the {limit} entry limit"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_hodge_generator_row_cap_exits_2(tmp_path, monkeypatch, capsys):
@@ -660,3 +685,31 @@ def test_parser_is_built_once_per_process(tmp_path):
                 "--outdir", str(tmp_path / "hodge")]) == 0
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("step,argv,blocks", [
+    ("hodge-q-24-arrow", ("--rn", "2,4", "--t", "2,3,-1"), (13, 4, 4, 3)),
+    ("hodge-modp-24-quads", ("--rn", "2,4", "--variant", "quads", "--t",
+                             "5", "--primes", "1048583,2097169"),
+     (13, 4, 4, 3)),
+    ("hodge-modp-25-arrow", ("--rn", "2,5", "--t", "7,11",
+                             "--primes", "1048583,2097169"), (21, 5, 5, 4))])
+def test_hodge_manifest_records_the_blocks_and_the_json_is_unchanged(
+        tmp_path, step, argv, blocks):
+    # the manifest names the character blocks of the slice; the JSON
+    # output, without its list of specializations, has the digest the
+    # benchmark recorded before the slices were split into blocks
+    assert run(["hodge", *argv, "--check", "--outdir", str(tmp_path)]) == 0
+    name = "hodge_" + step.split("-", 2)[2].replace("-", "_")
+    manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+    assert manifest["blocks"] == dict(zip(
+        ("blocks", "largest_block_rows", "trivial_block_rows",
+         "t_free_pairs"), blocks))
+    doc = json.loads((tmp_path / f"{name}.json").read_text())
+    assert "blocks" not in doc and "blocks" not in doc["report"]
+    del doc["report"]["specializations"]
+    expected = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench"
+         / "expected.json").read_text())
+    assert expected[step] == {f"{name}.json": hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()}

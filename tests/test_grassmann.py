@@ -324,11 +324,26 @@ def test_build_pencil_errors():
         build_pencil(2, 4, "cubes")
 
 
+@pytest.mark.parametrize("args,message", [
+    ((2, 4, "cubes"), "unknown variant 'cubes'"),
+    ((2, 5, "squares"), r"variant 'squares' is only defined for \(2,4\)"),
+    ((4, 4, "arrow"), "need 1 <= r <= n-1, got r=4, n=4"),
+    ((0, 3, "arrow"), "need 1 <= r <= n-1, got r=0, n=3")])
+def test_cached_build_pencil_raises_on_every_call(args, message):
+    # a pencil is built once per process, but a bad request is refused
+    # every time, with the same message
+    assert build_pencil(2, 4, "quads") is build_pencil(2, 4, "quads")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            build_pencil(*args)
+
+
 def test_build_pencil_counts_its_entries_before_building(monkeypatch):
     # (2,8): 18 arrow partitions and the frozen product, 28 entries each
     def refuse(*args):
         raise AssertionError("exponent vector built before the size guard")
 
+    build_pencil.cache_clear()  # an earlier test may have built it
     monkeypatch.setattr(poly, "LISTING_GUARD", 500)
     monkeypatch.setattr(grassmann, "_exponent_of", refuse)
     with pytest.raises(ResourceLimitError,

@@ -1,5 +1,7 @@
 import json
 import random
+from contextlib import contextmanager
+from dataclasses import asdict
 from fractions import Fraction
 from math import gcd
 
@@ -8,9 +10,10 @@ import pytest
 from grasspencils.fields import PrimeField, RATIONALS
 from grasspencils.grassmann import (PencilSpec, _leading_pair, build_pencil,
                                     evaluate_pencil, hilbert_function,
-                                    monomial_name, plucker_indices,
+                                    monomial_name, normal_form,
+                                    plucker_indices,
                                     plucker_relations, straightening_rules)
-from grasspencils import griffiths, poly
+from grasspencils import griffiths, linalg, poly
 from grasspencils.chains import standard_monomials
 from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
                                     apply_derivation,
@@ -22,8 +25,9 @@ from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
 from grasspencils.linalg import ResourceLimitError, row_basis
 from grasspencils.poly import SparsePolynomial, monomials_of_degree
 from grasspencils.symmetry import (invariant_monomials,
-                                   invariant_multiplicities)
-from candidate_oracle import full_candidate_greedy, invariant_candidates
+                                   invariant_multiplicities, pencil_blocks)
+from candidate_oracle import (full_candidate_greedy, invariant_candidates,
+                              one_basis)
 from rank_oracle import FractionRowBasis, _rank_rational
 from test_acceptance import REFERENCE_MONOMIALS_25
 
@@ -266,13 +270,21 @@ def test_ci_generators_are_all_checked_before_any_elimination(monkeypatch):
     added = []
 
     class Recording:
-        def __init__(self, ncols, field):
-            self.inner = row_basis(ncols, field)
+        def __init__(self, ncols, field, spent=None):
+            self.inner = row_basis(ncols, field, spent)
+
+        @property
+        def rank(self):
+            return self.inner.rank
+
+        @property
+        def entries(self):
+            return self.inner.entries
 
         def add_rows(self, rows):
             return self.inner.add_rows(added.append(r) or r for r in rows)
 
-    monkeypatch.setattr(griffiths, "row_basis", Recording)
+    monkeypatch.setattr(linalg, "row_basis", Recording)
     x0 = SparsePolynomial.variable(4, 0)
     x1 = SparsePolynomial.variable(4, 1)
     ctx = CIJacobianContext(2, (2, 1), (x0 * x0, x0 + x0 * x1))
@@ -515,14 +527,126 @@ def test_shared_relation_basis_matches_fresh_slices(r, n, variant, degree,
         assert {k: res[k] for k in fresh} == fresh, (fld.name, t)
 
 
+def _one_basis_specialization(spec, degree, rows, fld, t, candidates,
+                              span_checks):
+    """The route the character blocks replace: every row a + t*b of the
+    slice in one basis, offered the candidates, then the span checks."""
+    r, n = spec.r, spec.n
+    key = griffiths._column_key(degree)
+    basis, dims = one_basis(spec, degree, rows, fld, t)
+    survivors = tuple(e for e in candidates if basis.add_row({key(e): 1}))
+    return {**dims, "survivors": survivors, "span_checks": {
+        monomial_name(e, r, n): basis.contains(
+            {key(s): c for s, c in normal_form(r, n, e)})
+        for e in span_checks}}
+
+
+def _pencil_json(spec, variant, monomials):
+    doc = json.loads(spec.to_json())
+    doc.update(variant=variant, monomials=[list(e) for e in monomials])
+    return PencilSpec.from_json(json.dumps(doc))
+
+
+_ARROW_24 = build_pencil(2, 4)
+# the frozen monomial is also deforming: at t = -1 its derivative rows,
+# single-row blocks, vanish
+_CANCEL_24 = _pencil_json(_ARROW_24, "cancel",
+                          _ARROW_24.deforming[:1] + _ARROW_24.deforming[-1:]
+                          + (_ARROW_24.frozen,))
+# p12^3*p13 is not invariant, so the slice is one block
+_SKEW_24 = _pencil_json(_ARROW_24, "skew", ((3, 1, 0, 0, 0, 0),)
+                        + _ARROW_24.deforming[1:])
+# p12^3*p13 and p12*p13*p14*p34 lie in the blocks of D^3_2 f and D^1_2 f
+_NON_INVARIANT_24 = ((3, 1, 0, 0, 0, 0), (1, 1, 1, 0, 0, 1))
+
+
+def _random_invariant_pencil(seed):
+    rng = random.Random(seed)
+    r, n = ((2, 4), (2, 5), (3, 5))[seed % 3]
+    arrow = build_pencil(r, n)
+    pool = [e for e in invariant_candidates(r, n, n) if e != arrow.frozen]
+    return _pencil_json(arrow, f"random{seed}",
+                        rng.sample(pool, rng.randint(1, 8)))
+
+
+@pytest.mark.parametrize("spec,degree,fields,t_values,checks", [
+    *[(build_pencil(2, 4, v), 4, ORACLE_FIELDS[:2], (2, 3, -1),
+       REFERENCE_BASIS_24 + _NON_INVARIANT_24) for v in
+      ("arrow", "squares", "quads", "squares+quads")],
+    (build_pencil(2, 5), 5, ORACLE_FIELDS[:2], (2, 3, -1),
+     ((1, 0, 0, 0, 1, 1, 0, 2, 0, 0), (5,) + (0,) * 9)),
+    (_ARROW_24, 8, ORACLE_FIELDS[:2], (2, -1), ()),
+    # about 1 s and 1.5 s per specialization on the two routes
+    (_ARROW_24, 12, ORACLE_FIELDS[:1], (-1,), ()),
+    (_ARROW_24, 12, ORACLE_FIELDS[1:2], (2,), ()),
+    (_CANCEL_24, 4, ORACLE_FIELDS[:2], (2, -1), _NON_INVARIANT_24),
+    (_SKEW_24, 4, ORACLE_FIELDS[:2], (2, 3), _NON_INVARIANT_24),
+    *[(_random_invariant_pencil(seed), None, ORACLE_FIELDS[:2], (2, 3, -1),
+       ()) for seed in range(6)]],
+    ids=["2-4-arrow", "2-4-squares", "2-4-quads", "2-4-squares+quads",
+         "2-5-arrow", "2-4-arrow-degree-8", "2-4-arrow-degree-12-QQ",
+         "2-4-arrow-degree-12-modp", "2-4-cancel", "2-4-skew",
+         *[f"random{seed}" for seed in range(6)]])
+def test_block_route_matches_the_one_basis_route(spec, degree, fields,
+                                                 t_values, checks):
+    # ideal_rank, quotient_dim, the survivors and the span checks, on
+    # invariant monomials and others, are those of one basis for the slice
+    r, n = spec.r, spec.n
+    degree = degree or n
+    rows = griffiths._pencil_rows(spec, degree)
+    candidates = standard_monomials(r, n, degree,
+                                    invariant_multiplicities(r, n, degree))
+    # in degree n every off-diagonal D^i_j f is alone in its block
+    single_rows = sum(len(free) + len(pairs) == 1
+                      for free, pairs in rows.blocks.values())
+    if spec is _SKEW_24 or degree > n:
+        assert single_rows == 0
+    else:
+        assert single_rows >= n * (n - 1)
+    for fld in fields:
+        for t in t_values:
+            fast = griffiths._one_specialization(spec, degree, rows, fld, t,
+                                                 candidates, checks)
+            slow = _one_basis_specialization(spec, degree, rows, fld, t,
+                                             candidates, checks)
+            assert {k: fast[k] for k in slow} == slow, (fld.name, t)
+
+
+@contextmanager
+def _cold_row_caches():
+    """Drop the held rows of the slices (and the bases kept with them)
+    before and after the block, so it builds and eliminates its own."""
+    griffiths._HELD.clear()
+    griffiths._pencil_ci_rows.cache_clear()
+    try:
+        yield
+    finally:
+        griffiths._HELD.clear()
+        griffiths._pencil_ci_rows.cache_clear()
+
+
 class _OracleTwin:
     """row_basis over Q run beside the Fraction echelon oracle; every
-    add_row and contains answer of the two must agree."""
+    add_row and contains answer of the two must agree.  Each twin, copies
+    included, is appended to made."""
 
-    def __init__(self, ncols, field):
+    def __init__(self, ncols, field, made, spent=None):
         assert field == RATIONALS
-        self.fast = row_basis(ncols, field)
+        self.fast = row_basis(ncols, field, spent)
         self.slow = FractionRowBasis()
+        self.made = made
+        made.append(self)
+
+    @property
+    def entries(self):
+        return self.fast.entries
+
+    def copy(self, spent=None):
+        twin = _OracleTwin(None, RATIONALS, self.made)
+        twin.fast = self.fast.copy(spent)
+        twin.slow.rows = dict(self.slow.rows)
+        twin.slow.entries = self.slow.entries
+        return twin
 
     @property
     def rank(self):
@@ -554,25 +678,30 @@ def test_integer_rows_match_the_fraction_oracle(r, n, variant, degree,
     # intersection model of each (2,4) pencil, stores at each pivot a
     # primitive int multiple of the oracle's monic row, so the ranks,
     # entries, survivors and span checks are the oracle's
-    twins = []
+    fresh, twins = [], []
 
-    def twin(ncols, field):
-        twins.append(_OracleTwin(ncols, field))
-        return twins[-1]
+    def twin(ncols, field, spent=None):
+        fresh.append(_OracleTwin(ncols, field, twins, spent))
+        return fresh[-1]
 
-    monkeypatch.setattr(griffiths, "row_basis", twin)
+    monkeypatch.setattr(linalg, "row_basis", twin)
     spec = build_pencil(r, n, variant)
     checks = _span_checks(r, n) if degree == n else ()
-    invariant_subspace(spec, degree=degree, t_values=t_values,
-                       span_check_monomials=checks)
-    ci_slices = 0
-    if degree == n == 4:
-        for t in t_values:
-            ctx = ci_context_for_pencil(spec, Fraction(t))
-            for b in (0, 1):
-                ci_bigraded_quotient(ctx, (0, b))
-                ci_slices += 1
-    assert len(twins) == len(t_values) + ci_slices
+    with _cold_row_caches():
+        invariant_subspace(spec, degree=degree, t_values=t_values,
+                           span_check_monomials=checks)
+        if degree == n == 4:
+            for t in t_values:
+                ctx = ci_context_for_pencil(spec, Fraction(t))
+                for b in (0, 1):
+                    ci_bigraded_quotient(ctx, (0, b))
+    # the rows free of t are eliminated once per block over Q (the trivial
+    # block in degree n and the quadric multiples of bidegree (0, 1); 31 of
+    # the 32 blocks in degree 8); each t copies those bases, and takes a
+    # fresh basis for a larger block without such rows; a block of one row
+    # needs no basis
+    assert (len(fresh), len(twins)) == {
+        4: (1 + 1, 2 + 2 * 2), 5: (1, 1 + 1), 8: (31 + 1, 32 + 31)}[degree]
     for tw in twins:
         fast, slow = tw.fast, tw.slow
         assert fast.rows.keys() == slow.rows.keys()
@@ -615,7 +744,7 @@ def test_pencil_rows_match_the_rows_of_each_specialization(r, n, variant,
         key = griffiths._column_key(degree)
         slow = [griffiths._standard_row(r, n, mult, g, key) for g in gens
                 if g for mult in standard]
-        assert (_field_rows(griffiths._at(rows, t), fld)
+        assert (_field_rows(linalg._at(rows, t), fld)
                 == _field_rows(slow, fld)), t
 
 
@@ -629,41 +758,47 @@ def test_shipped_slices_hold_their_rows_below_the_entry_limit(
     # every row pair is held for the whole call, so the guard counts them;
     # no shipped slice comes near it
     rows = griffiths._pencil_rows(build_pencil(r, n, variant), degree)
-    assert len(rows) == pairs
+    assert len(rows.pairs) == pairs
     assert all(type(v) is int for pair in rows for row in pair
                for v in row.values())
-    assert sum(len(a) + len(b) for a, b in rows) == entries
+    assert sum(len(a) + len(b) for a, b in rows) == rows.entries == entries
     assert entries < griffiths._ENTRY_LIMIT
 
 
 _ONE_SPECIALIZATION = griffiths._one_specialization
+_COPY = linalg._RowBasis.copy
 
 
 def _keyed_runs(spec, degree, fld, monkeypatch, key):
-    """The specialization results and echelon bases of one
-    invariant_subspace run (and, over Q on G(2,4) in degree 4, of the
+    """The specialization results and echelon bases, copies included, of
+    one invariant_subspace run (and, over Q on G(2,4) in degree 4, of the
     complete-intersection slices) with the columns keyed by key."""
     monkeypatch.setattr(griffiths, "_column", key)
-    griffiths._pencil_ci_rows.cache_clear()
     bases, results = [], []
 
     def recording(*args):
         results.append(_ONE_SPECIALIZATION(*args))
         return results[-1]
 
-    monkeypatch.setattr(griffiths, "row_basis", lambda ncols, field: (
-        bases.append(row_basis(ncols, field)) or bases[-1]))
+    def kept(basis):
+        bases.append(basis)
+        return basis
+
+    monkeypatch.setattr(linalg, "row_basis", lambda ncols, field, spent: (
+        kept(row_basis(ncols, field, spent))))
+    monkeypatch.setattr(linalg._RowBasis, "copy",
+                        lambda basis, spent: kept(_COPY(basis, spent)))
     monkeypatch.setattr(griffiths, "_one_specialization", recording)
     checks = _span_checks(spec.r, spec.n) if degree == spec.n else ()
-    invariant_subspace(spec, degree=degree, t_values=(2, 3, -1),
-                       primes=() if fld == RATIONALS else (fld.modulus,),
-                       span_check_monomials=checks)
-    if fld == RATIONALS and degree == spec.n == 4:
-        for t in (2, -1):
-            ctx = ci_context_for_pencil(spec, t)
-            for b in (0, 1):
-                ci_bigraded_quotient(ctx, (0, b))
-    griffiths._pencil_ci_rows.cache_clear()
+    with _cold_row_caches():
+        invariant_subspace(spec, degree=degree, t_values=(2, 3, -1),
+                           primes=() if fld == RATIONALS else (fld.modulus,),
+                           span_check_monomials=checks)
+        if fld == RATIONALS and degree == spec.n == 4:
+            for t in (2, -1):
+                ctx = ci_context_for_pencil(spec, t)
+                for b in (0, 1):
+                    ci_bigraded_quotient(ctx, (0, b))
     return results, bases
 
 
@@ -681,8 +816,13 @@ def test_int_columns_match_exponent_tuple_columns(r, n, variant, degree, fld,
     fast = _keyed_runs(spec, degree, fld, monkeypatch, column)
     slow = _keyed_runs(spec, degree, fld, monkeypatch, lambda e: e)
     assert fast[0] == slow[0]
-    assert len(fast[1]) == len(slow[1]) == 3 + 4 * (fld == RATIONALS
-                                                    and degree == n == 4)
+    # the bases of the rows free of t, then per t their copies and the
+    # fresh basis of the one degree-8 block without such rows (counts as in
+    # test_integer_rows_match_the_fraction_oracle, over three t); over Q on
+    # G(2,4) bidegree (0, 1) adds its basis and a copy at each of two t
+    assert len(fast[1]) == len(slow[1]) == {
+        4: 1 + 3 + (1 + 2) * (fld == RATIONALS), 5: 1 + 3,
+        8: 31 + 3 * 32}[degree]
     for by_int, by_tuple in zip(fast[1], slow[1]):
         assert all(type(pc) is int for pc in by_int.rows)
         assert by_int.rows == {
@@ -735,7 +875,7 @@ def test_ci_pairs_match_the_rows_of_each_member(variant):
         assert (ctx.pencil, ctx.t, ctx.polys) == (spec, t, member.polys)
         for bidegree in ((0, 0), (0, 1)):
             pairs = griffiths._pencil_ci_rows(spec, bidegree)
-            assert (_field_rows(griffiths._at(pairs, t), RATIONALS)
+            assert (_field_rows(linalg._at(pairs, t), RATIONALS)
                     == _field_rows(_direct_ci_rows(member, bidegree),
                                    RATIONALS)), (t, bidegree)
         assert tuple(ci_bigraded_quotient(ctx, (0, b)).quotient_dim
@@ -876,13 +1016,13 @@ def test_invariant_subspace_rejects_bad_inputs(monkeypatch):
     # a t vanishing in the last field is caught before any slice is built,
     # not after the earlier specializations ran
     calls = []
-    real = griffiths._ideal_slice
+    real = griffiths._pencil_rows
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(griffiths, "_ideal_slice", counting)
+    monkeypatch.setattr(griffiths, "_pencil_rows", counting)
     with pytest.raises(ValueError,
                        match=r"t = 1048583 vanishes in GF\(1048583\)"):
         invariant_subspace(build_pencil(2, 5), t_values=(2, 3, 1048583),
@@ -935,3 +1075,85 @@ def test_report_json_round_trip():
     assert doc["invariant_dim"] == 5
     assert doc["ambient"] == 126
     assert doc["elapsed_ms"] is None  # timings live in the manifest
+
+
+@pytest.mark.parametrize("rn,variant", [
+    ((2, 4), "arrow"), ((2, 4), "squares"), ((2, 4), "quads"),
+    ((2, 4), "squares+quads"), ((2, 5), "arrow")])
+def test_report_json_is_the_asdict_rendering(rn, variant):
+    # to_json reads the fields without deep-copying the survivors
+    report = invariant_subspace(build_pencil(*rn, variant), t_values=(2, 3),
+                                primes=(1048583,), include_rationals=True,
+                                span_check_monomials=_span_checks(*rn))
+    doc = asdict(report)
+    assert doc.pop("blocks") == report.blocks
+    assert report.to_json() == json.dumps(doc, sort_keys=True, default=str)
+
+
+@pytest.mark.parametrize("r,n,variant,degree,blocks", [
+    (2, 4, "arrow", 4, (13, 4, 4, 3)), (2, 4, "squares", 4, (13, 4, 4, 3)),
+    (2, 4, "quads", 4, (13, 4, 4, 3)),
+    (2, 4, "squares+quads", 4, (13, 4, 4, 3)),
+    (2, 5, "arrow", 5, (21, 5, 5, 4)), (2, 6, "arrow", 6, (31, 6, 6, 5)),
+    (2, 4, "arrow", 8, (32, 84, 84, 315))])
+def test_slices_split_into_character_blocks(r, n, variant, degree, blocks):
+    # every pair's columns share one block key; in degree n each
+    # off-diagonal generator is alone, f and the n - 1 differences share
+    # the trivial block, and the differences of the frozen term vanish
+    spec = build_pencil(r, n, variant)
+    rows = griffiths._pencil_rows(spec, degree)
+    assert griffiths._block_counts(rows, n) == dict(zip(
+        ("blocks", "largest_block_rows", "trivial_block_rows",
+         "t_free_pairs"), blocks))
+    block_of = pencil_blocks(spec)
+    for key, (free, pairs) in rows.blocks.items():
+        for row in [*free, *(row for pair in pairs for row in pair)]:
+            assert all(block_of(c.to_bytes(spec.nvars, "big")) == key
+                       for c in row)
+    assert block_of(spec.frozen) == (0,) * n
+
+
+def test_a_row_across_two_blocks_is_refused():
+    with pytest.raises(ValueError, match="a row spans 2 blocks"):
+        linalg._RowPairs([({1: 1}, {}), ({2: 1}, {3: 1})], 4,
+                         lambda c: c % 2)
+
+
+def test_rows_are_held_for_later_calls_within_the_entry_limit(monkeypatch):
+    # the Q step reuses the rows of the mod-p step; a limit lowered in
+    # between refuses them as building them again would, and the held
+    # slices are dropped oldest first past the limit or eight slices
+    built = []
+    real = griffiths._pencil_rows
+    monkeypatch.setattr(griffiths, "_pencil_rows",
+                        lambda *key: built.append(key) or real(*key))
+    spec = build_pencil(2, 5)
+    with _cold_row_caches():
+        invariant_subspace(spec, t_values=(2,), primes=(1048583,))
+        invariant_subspace(spec, t_values=(3,), include_rationals=True)
+        assert built == [(spec, 5)]
+        # 149 row entries and the 21 of the t-free basis over Q
+        assert griffiths._HELD[spec, 5].held == 170
+        monkeypatch.setattr(griffiths, "_ENTRY_LIMIT", 148)
+        with pytest.raises(ResourceLimitError,
+                           match="G\\(2,5\\) in degree 5: 149 entries exceed "
+                                 "the 148 entry limit"):
+            invariant_subspace(spec, t_values=(2,), primes=(1048583,))
+        assert built == [(spec, 5)] * 2 and not griffiths._HELD
+        # (2,5) and (2,4) hold 149 + 64 row entries; the (2,4) call over Q
+        # adds a t-free basis of 10, counted when the next slice comes
+        monkeypatch.setattr(griffiths, "_ENTRY_LIMIT", 149 + 64 + 5)
+        arrow = build_pencil(2, 4)
+        for held in ((spec, 5), (arrow, 4)):
+            griffiths._held_rows(*held)
+        invariant_subspace(arrow, t_values=(2,))
+        assert list(griffiths._HELD) == [(spec, 5), (arrow, 4)]
+        griffiths._held_rows(arrow, 4)
+        assert list(griffiths._HELD) == [(arrow, 4)]
+        monkeypatch.setattr(griffiths, "_ENTRY_LIMIT", 10 ** 6)
+        slices = [(build_pencil(2, 4, variant), degree) for degree in (4, 6)
+                  for variant in ("arrow", "squares", "quads",
+                                  "squares+quads")] + [(spec, 5)]
+        for held in slices:
+            griffiths._held_rows(*held)
+        assert list(griffiths._HELD) == slices[1:]

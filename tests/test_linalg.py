@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from fractions import Fraction
@@ -138,6 +139,67 @@ def test_row_basis_membership():
     assert type(mod) is type(basis)  # one kernel for both fields
 
 
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)],
+                         ids=lambda f: f.name)
+def test_row_basis_copy_extends_on_its_own(field):
+    basis = row_basis(4, field)
+    basis.add_rows([{0: 2, 1: 4}, {1: 3, 3: 1}])
+    rows = {pc: dict(row) for pc, row in basis.rows.items()}
+    copy = basis.copy()
+    assert (copy.field, copy.rows, copy.entries) == (field, rows, 4)
+    assert copy.add_rows([{0: 1, 2: 5}, {2: 1}, {3: 1}]) == 2
+    assert (copy.rank, copy.entries) == (4, 7)
+    assert copy.contains({2: 1})
+    # the original keeps its rows, its entries and its answers, and what
+    # it takes later does not reach the copy
+    assert (basis.rows, basis.entries, basis.rank) == (rows, 4, 2)
+    assert not basis.contains({2: 1})
+    copied = {pc: dict(row) for pc, row in copy.rows.items()}
+    assert basis.add_row({2: 1, 3: 2})
+    assert (copy.rows, copy.entries) == (copied, 7)
+
+
+def _two_block_pairs():
+    # block c % 2: in each, one row free of t (2 entries) and one pair that
+    # adds a row of 2 entries at every t != 0
+    return linalg._RowPairs([({0: 1, 2: 1}, {}), ({2: 1}, {4: 1}),
+                             ({1: 1, 3: 1}, {}), ({3: 1}, {5: 1})], 6,
+                            lambda c: c % 2)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)],
+                         ids=lambda f: f.name)
+def test_row_pairs_spend_one_entry_budget_per_t(field, monkeypatch):
+    # each block's basis stores 4 entries, the two together 8: the cap
+    # bounds the sum, as it bounded the one basis of the whole slice
+    rows = _two_block_pairs()
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 8)
+    for t in (2, 3):
+        rank, bases = rows.at(field, t, {0, 1})
+        assert rank == 4
+        assert [bases[k].entries for k in (0, 1)] == [4, 4]
+        assert bases[0].spent is bases[1].spent == [8]
+    for limit, stored in ((7, 6), (5, 4)):
+        monkeypatch.setattr(linalg, "_ENTRY_LIMIT", limit)
+        with pytest.raises(ResourceLimitError, match=re.escape(
+                f"over {field.name}: {stored} stored + 2 new entries "
+                f"exceed the {limit} entry limit")):
+            rows.at(field, 2)
+    # the t-free bases spend from a budget of their own, kept with them
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 3)
+    with pytest.raises(ResourceLimitError, match="2 stored \\+ 2 new"):
+        _two_block_pairs().at(field, 2)
+
+
+def test_row_pairs_keep_the_t_free_bases_of_one_field():
+    rows = _two_block_pairs()
+    fixed = rows.fixed(RATIONALS)
+    assert rows.fixed(RATIONALS) is fixed
+    assert [fixed[k].rows for k in (0, 1)] == [{0: {0: 1, 2: 1}},
+                                               {1: {1: 1, 3: 1}}]
+    assert rows.at(PrimeField(7), 3) == (4, {})
+    assert rows._fixed[0] == PrimeField(7)
+    assert rows.fixed(RATIONALS) is not fixed
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)])
 def test_row_basis_refuses_rows_past_entry_cap(field, monkeypatch):
     # the cap counts stored entries of reduced rows and refuses a row
