@@ -7,8 +7,9 @@
 Every run writes a reproducibility manifest next to its outputs: the
 parameters, package version, per-step timings, a sha256 digest of each
 output file and, for tables and search, the order d of the diagonal-group
-orbits the point count was taken over (orbit_order); for hodge, the
-character blocks of the slice (blocks).  Output files are
+orbits the point count was taken over (orbit_order) and the passes and
+grid points of its histogram (work); for hodge, the character blocks of
+the slice (blocks).  Output files are
 deterministic (fixed iteration orders, no timestamps), so re-running an
 experiment reproduces the digests bit for bit; timings live only in the
 manifest.
@@ -36,7 +37,8 @@ from .griffiths import (SpecializationMismatch, ci_bigraded_quotient,
 from .linalg import ResourceLimitError
 from .periods import (default_kernel, hasse_witt, period_coefficients,
                       truncation_search)
-from .pointcount import _orbit_order, count_table, records_to_csv
+from .pointcount import (_orbit_order, count_table, histogram_work,
+                         records_to_csv)
 from .symmetry import build_group
 
 OK = 0
@@ -124,6 +126,13 @@ def _verdict(failure, passed=None) -> int:
     return OK
 
 
+def _count_facts(spec, p) -> dict:
+    """The manifest facts of a point count: its orbit order and work."""
+    passes, points = histogram_work(spec, p)
+    return {"orbit_order": _orbit_order(spec, p),
+            "work": {"passes": passes, "grid_points": points}}
+
+
 def cmd_tables(args) -> int:
     spec = _load_pencil(args)
     run = _Experiment(args.outdir, f"tables_p{args.p}_{spec.variant}")
@@ -147,7 +156,7 @@ def cmd_tables(args) -> int:
     run.write(".json", _json(doc))
     run.manifest({"p": args.p, "rn": [spec.r, spec.n],
                   "variant": spec.variant},
-                 orbit_order=_orbit_order(spec, args.p))
+                 **_count_facts(spec, args.p))
     for row in rows:
         print(f"t={row['t']}: count={row['count']} residue={row['residue']}")
 
@@ -181,7 +190,7 @@ def cmd_search(args) -> int:
         "grid": {"a": args.p - 1, "b": args.p - 1},
     }
     run.write(".json", _json(doc))
-    run.manifest({"p": args.p}, orbit_order=_orbit_order(spec, args.p))
+    run.manifest({"p": args.p}, **_count_facts(spec, args.p))
     print(f"scanned {(args.p - 1) ** 2} candidate scalings; "
           f"{len(hits)} hit(s)")
 
@@ -279,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--check", action="store_true",
                         help="compare against the shipped expected table")
     tables.add_argument("--force", action="store_true",
-                        help="lift the enumeration size guard")
+                        help="lift the guard on the grid points counted")
     tables.set_defaults(func=cmd_tables)
 
     search = sub.add_parser(

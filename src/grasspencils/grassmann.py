@@ -205,7 +205,7 @@ def straightening_rules(r: int, n: int) -> MappingProxyType:
     divisible by no leading pair are the chains, which hilbert_function
     counts in every degree, so the leading terms generate the initial ideal
     in every degree and the rules are a Groebner basis."""
-    names = plucker_names(r, n)
+    names = _plucker_names(r, n)
 
     def named(pairs):
         return ", ".join(f"{names[i]}*{names[j]}" for i, j in sorted(pairs))
@@ -397,15 +397,22 @@ def evaluate_pencil(spec: PencilSpec, t, field=RATIONALS) -> SparsePolynomial:
     return SparsePolynomial(spec.nvars, field, terms)
 
 
-def plucker_names(r: int, n: int) -> list:
+@lru_cache(maxsize=None)
+def _plucker_names(r: int, n: int) -> tuple:
     sep = "" if n <= 9 else ","
-    return ["p" + sep.join(str(i) for i in idx)
-            for idx in plucker_indices(r, n)]
+    return tuple("p" + sep.join(str(i) for i in idx)
+                 for idx in plucker_indices(r, n))
+
+
+def plucker_names(r: int, n: int) -> list:
+    """The names of the Pluecker variables, e.g. 'p12', or 'p1,10' when
+    n > 9; a fresh list of the names built once per (r, n)."""
+    return list(_plucker_names(r, n))
 
 
 def monomial_name(exponents, r: int, n: int) -> str:
     """Readable form of an exponent vector, e.g. 'p14^2*p23^2'."""
-    names = plucker_names(r, n)
+    names = _plucker_names(r, n)
     parts = [f"{names[i]}^{k}" if k > 1 else names[i]
              for i, k in enumerate(exponents) if k]
     return "*".join(parts) if parts else "1"

@@ -8,16 +8,17 @@ in the package-wide sign convention, and the pair (deforming sum, frozen
 product) is recorded; the histogram of those pairs answers the count for
 every parameter value t without re-enumerating.
 
-The histogram is built one cell at a time, in one loop over the outer
-entries.  Every minor is linear in the last echelon row, so the trailing
-two (at most) free entries of that row form an inner block and every other
-free entry is an outer entry: with the outer entries fixed, each Pluecker
-coordinate is an affine form in the inner entries whose coefficients are
-cofactors along the last row: (r-1)-minors of the rows above, recomputed
-only when an entry above the last row changes.  The powers of each form
-over the inner grid (at most p^2 points) come from memoized line tables,
-coordinates constant on the grid stay scalars, and the products, sums and
+The histogram is built one cell at a time.  Every minor is linear in each
+echelon row, so the cell's widest row lends up to three trailing free
+entries to an inner block (a third only while the grid stays within
+GRID_CAP points), and one loop runs over the other, outer, entries: with
+them fixed, each Pluecker coordinate is an affine form in the inner
+entries, whose powers over the grid come from memoized line tables of
+(b + s*x)^e, each table row a rotation of row 0.  The products, sums and
 (sum, product) counts over the grid run in map, zip and Counter.update.
+histogram_work gives the passes and grid points of that loop by arithmetic
+alone; count_points and count_table refuse past ENUMERATION_GUARD grid
+points unless forced.
 
 The free entries are visited one orbit of a diagonal group at a time.
 Let d = gcd(n, p - 1); over F_p the lattice L of symmetry.py is
@@ -29,9 +30,9 @@ content w by z^w * det(z_pivots)^(-n) = (prod z)^c for an L-invariant one
 not change along an orbit.  Two kinds of z are used:
 
 - prod(z) = 1, with z_{P_0} = 1 and z_{P_1} absorbing the product: the
-  row-0 free columns carry independent copies of mu_d.  Each row-0 entry
-  runs over 0 and the coset representatives of F_p^*/mu_d, and an
-  assignment with k nonzero row-0 entries is weighted by d^k.
+  row-0 free columns carry independent copies of mu_d, so each row-0
+  entry may run over 0 and the coset representatives of F_p^*/mu_d, a
+  nonzero one counting d times.  Leaving a column unreduced is exact too.
 - zeta in mu_g', g' = gcd(r, d), at the last pivot P_{r-1} and 1
   elsewhere: prod(z)^r = zeta^r = 1.  It fixes every row above the last
   (their entries in column P_{r-1} are 0), so it acts inside each fibre of
@@ -45,24 +46,25 @@ n even at odd p.  _orbit_order falls back to d = 1, the full range(p)
 loop, when r = 1 or some deforming or frozen monomial is not invariant (a
 --pencil-json pencil may hold one).
 
-iter_plucker_points and count_zeros keep the per-point route, the
-reference for checking the histogram against direct substitution.
+iter_plucker_points and count_zeros keep the per-point route, and its
+guard on points, the reference for checking the histogram against direct
+substitution.
 """
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import (chain, combinations, islice, permutations, product,
-                       repeat)
-from math import gcd
-from operator import add, mod, mul
+from itertools import (chain, combinations, compress, islice, permutations,
+                       product, repeat)
+from math import gcd, prod
+from operator import mod, mul
 
 from .fields import is_prime
 from .grassmann import PencilSpec, _check_rn, plucker_indices, sort_with_sign
 from .linalg import ResourceLimitError
 from .symmetry import build_group, is_invariant
 
-ENUMERATION_GUARD = 10 ** 9  # refuse larger Grassmannians without force
+ENUMERATION_GUARD = 10 ** 9  # points, or grid points, to refuse unforced
 
 
 @dataclass(frozen=True)
@@ -125,18 +127,18 @@ def _det_mod(matrix, cols, p):
     return total
 
 
-def _check_enumeration_size(r, n, p, force):
-    """Refuse past ENUMERATION_GUARD points unless forced."""
-    total = grassmannian_count(r, n, p)
+def _check_size(total, what, force):
+    """Refuse past ENUMERATION_GUARD unless forced."""
     if total > ENUMERATION_GUARD and not force:
         raise ResourceLimitError(
-            f"G({r},{n})(F_{p}) has {total} points, more than the 10^9 "
-            "guard; pass force=True (tables --force) to enumerate anyway")
+            f"{what} {total}, more than the 10^9 guard; pass force=True "
+            "(tables --force) to go on anyway")
 
 
 def iter_plucker_points(r: int, n: int, p: int, force: bool = False):
     """Yield the Pluecker coordinate tuple of every F_p-point, once each."""
-    _check_enumeration_size(r, n, p, force)
+    _check_size(grassmannian_count(r, n, p), f"points of G({r},{n})(F_{p}):",
+                force)
     col_sets = [tuple(i - 1 for i in idx) for idx in plucker_indices(r, n)]
     for cell in enumerate_cells(r, n):
         base = [[0] * n for _ in range(r)]
@@ -163,21 +165,78 @@ def count_zeros(poly, r: int, n: int, p: int, force: bool = False) -> int:
     return count
 
 
-def _split_cell(cell: SchubertCell, r: int) -> tuple:
-    """(outer entries, inner columns): the inner block is the last row's
-    trailing two free columns at most, and the outer entries are the other
-    free entries, row-major as in free_positions."""
-    inner = tuple(j for i, j in cell.free_positions if i == r - 1)[-2:]
-    return cell.free_positions[:cell.dimension - len(inner)], inner
+GRID_CAP = 4096  # grid points a third inner entry may lead to
+
+
+def _split_cell(cell: SchubertCell, r: int, p: int, d: int) -> tuple:
+    """How _count_cell walks one cell: (inner row, outer entries, their
+    orbit orders, inner columns, orbit order of the first inner entry,
+    points of the inner grid).
+
+    An entry of orbit order k runs over 0 and the coset representatives of
+    F_p^*/mu_k, 1 + (p - 1)/k values, and a nonzero value counts k times:
+    k = d in row 0, gcd(r, d) for the leading free entry of the last row,
+    1 elsewhere.  Inside the inner block only the first entry keeps its
+    order.  The block is the trailing two free entries of one row, or three
+    while the grid stays within GRID_CAP points, in the row that leaves the
+    fewest outer assignments, ties going to the last row.  The outer
+    entries are the other rows' free entries, row-major, then the inner
+    row's own, so that the other rows vary slowest.
+    """
+    free = cell.free_positions
+    order = {e: d if e[0] == 0 else 1 for e in free}
+    lead = next((e for e in free if e[0] == r - 1 > 0), None)
+    if lead:
+        order[lead] = gcd(r, d)
+    row, inner, widest = r - 1, (), 1
+    for i in reversed(range(r)):
+        entries = tuple(e for e in free if e[0] == i)
+        m = min(2, len(entries))
+        if m == 2 < len(entries) and (
+                1 + (p - 1) // order[entries[-3]]) * p * p <= GRID_CAP:
+            m = 3
+        block = entries[len(entries) - m:]
+        reduced = prod(1 + (p - 1) // order[e] for e in block)
+        if reduced > widest:
+            row, inner, widest = i, block, reduced
+    outer = tuple(e for e in free if e[0] != row) + tuple(
+        e for e in free if e[0] == row and e not in inner)
+    k1 = order[inner[0]] if inner else 1
+    return (row, outer, tuple(map(order.get, outer)),
+            tuple(j for _, j in inner), k1,
+            (1 + (p - 1) // k1) * p ** (len(inner) - 1) if inner else 1)
+
+
+@lru_cache(maxsize=32)
+def histogram_work(spec: PencilSpec, p: int) -> tuple:
+    """(passes, grid points) of _pencil_histogram(spec, p): the outer
+    assignments _count_cell visits over every cell, and the inner grid
+    points they cover.  Arithmetic over the orbit-reduced ranges alone."""
+    d = _orbit_order(spec, p)
+    passes = points = 0
+    for cell in enumerate_cells(spec.r, spec.n):
+        *_, orders, _, _, grid = _split_cell(cell, spec.r, p, d)
+        outer = prod(1 + (p - 1) // o for o in orders)
+        passes += outer
+        points += outer * grid
+    return passes, points
+
+
+def _check_work(spec: PencilSpec, p: int, force: bool):
+    """Refuse a histogram past ENUMERATION_GUARD grid points unforced."""
+    _check_size(histogram_work(spec, p)[1], "grid points of the histogram "
+                f"on G({spec.r},{spec.n})(F_{p}):", force)
 
 
 class _LineTables:
     """Value vectors of powers of affine forms over F_p.
 
     rows(s, e, xs)[b] lists (b + s*x)^e mod p for x in xs (default F_p),
-    memoized per (s, e, xs); plane(b, s1, s2, e, xs) lists
-    (b + s1*x1 + s2*x2)^e mod p over x1 in xs and x2 in F_p, x1 major, by
-    chaining the rows of x2 at b + s1*x1.
+    memoized per (s, e, xs).  Over F_p, row b is row 0 rotated by b/s, so
+    a table takes p pow calls and p slices.  powers(k0, slopes, es, xs)
+    gives (e, values of (k0 + s1*x1 + s2*x2 + ...)^e) for each e: an int
+    if every slope is 0, else a vector over x1 in xs and the later entries
+    in F_p, x1 major, chained from the rows of the last entry.
     """
 
     def __init__(self, p: int):
@@ -188,16 +247,28 @@ class _LineTables:
         key = (s, e, xs)
         if key not in self._rows:
             p = self.p
-            self._rows[key] = [tuple(pow((b + s * x) % p, e, p)
-                                     for x in xs or range(p))
-                               for b in range(p)]
+            if s:
+                twice = tuple(pow(s * x % p, e, p) for x in range(p)) * 2
+                step = pow(s, -1, p)
+                table = [twice[c:c + p]
+                         for c in (b * step % p for b in range(p))]
+            else:
+                table = [(pow(b, e, p),) * p for b in range(p)]
+            if xs:
+                table = [tuple(map(row.__getitem__, xs)) for row in table]
+            self._rows[key] = table
         return self._rows[key]
 
-    def plane(self, b: int, s1: int, s2: int, e: int, xs=None) -> tuple:
-        if s1 == 0:
-            return self.rows(s2, e)[b] * len(xs or range(self.p))
-        return tuple(chain.from_iterable(
-            map(self.rows(s2, e).__getitem__, self.rows(s1, 1, xs)[b])))
+    def powers(self, k0: int, slopes: tuple, es, xs=None) -> list:
+        if not any(slopes):
+            return [(e, pow(k0, e, self.p)) for e in es]
+        bases, last = (k0,), len(slopes) - 1  # the form without its last term
+        for i, s in enumerate(slopes[:last]):
+            bases = tuple(chain.from_iterable(
+                map(self.rows(s, 1, None if i else xs).__getitem__, bases)))
+        return [(e, tuple(chain.from_iterable(map(self.rows(
+            slopes[last], e, None if last else xs).__getitem__, bases))))
+                for e in es]
 
 
 def _monomial(mono, values, p):
@@ -246,101 +317,97 @@ def _row0_values(p: int, d: int) -> tuple:
 def _count_cell(cell, r, n, p, deforming, frozen, tables, hist, d):
     """Add the (sum, product) pairs of every point of one cell to hist.
 
-    Each r x r minor is linear in the last echelon row, so once the outer
-    entries are fixed, a Pluecker coordinate is an affine form
-    k0 + k1*x1 + k2*x2 in the inner entries, and the points are counted
-    one grid of at most p^2 inner values at a time.
+    Each r x r minor is linear in every echelon row, so once the entries
+    outside the inner block of _split_cell are fixed, a Pluecker
+    coordinate is an affine form k0 + s1*x1 + ... in the inner entries,
+    and the points are counted one grid at a time.  The form comes from
+    the cofactor expansion along the inner row, which vanishes outside its
+    pivot and free columns: (r-1)-minors of the other rows.  Those rows
+    vary slowest, so their minors are taken once per assignment of their
+    entries, and only the minors those entries enter.  Each coordinate in
+    use takes its form once per pass and all its powers from it, and keeps
+    its last power vectors while the form is unchanged.
 
-    Each row-0 free entry runs over 0 and the coset representatives of
-    F_p^*/mu_d (d = _orbit_order), and the leading free entry of the last
-    row over 0 and those of F_p^*/mu_g', g' = gcd(r, d); every other entry
-    runs over all of F_p.  An assignment with k nonzero row-0 entries and a
-    nonzero leading last-row entry stands for its orbit of d^k * g' points,
-    which share its pairs (d^k with a zero one).  When that entry is the
-    first inner entry x1, the x1 = 0 block of each grid comes first and
-    counts d^k times, the rest d^k * g' times.  The counts are kept per
-    weight and folded into hist once the cell is done.
+    An assignment whose nonzero outer entries have orbit orders k_1 .. k_m
+    stands for its orbit of k_1 * ... * k_m points, which share its pairs.
+    When the first inner entry x1 has order k > 1, the x1 = 0 block of
+    each grid comes first and counts once, the rest k times.  The counts
+    are kept per weight and folded into hist once the cell is done.
     """
-    outer, inner = _split_cell(cell, r)
-    piv = cell.pivots[-1]
-    col_sets = [tuple(i - 1 for i in idx) for idx in plucker_indices(r, n)]
-    # cofactor expansion along the last row, which vanishes left of its
-    # pivot: (sign, column, complementary columns) per coordinate
-    expansion = [[(-1 if (r - 1 + k) % 2 else 1, c, cols[:k] + cols[k + 1:])
-                  for k, c in enumerate(cols) if c >= piv]
-                 for cols in col_sets]
-    complements = {comp for terms in expansion for _, _, comp in terms}
-    powers = {qe for mono in deforming + [frozen] for qe in mono}
-    grid = p ** len(inner)
-    upper = [[0] * n for _ in range(r - 1)]
-    for i, c in enumerate(cell.pivots[:-1]):
-        upper[i][c] = 1
-    above = sum(1 for i, _ in outer if i < r - 1)  # outer is row-major
-    row0 = sum(1 for i, _ in outer[:above] if i == 0)
-    # no pivot lies right of piv, so the last row from piv on is its pivot
-    # entry 1, then its outer entries, then the inner block
-    width = n - piv - len(inner)
-    ranges = [_row0_values(p, d)] * row0 + [range(p)] * (len(outer) - row0)
-    g = gcd(r, d)  # the order of the scalings of the last row
-    lead_outer = above < len(outer)
-    xs = None  # the range of x1 when it leads the last row
-    if lead_outer:
-        ranges[above] = _row0_values(p, g)
-    elif inner and g > 1:
-        xs = _row0_values(p, g)
-    block = grid // p if xs else grid  # the x1 = 0 pairs of a grid
+    row, outer, orders, inner, k1, grid = _split_cell(cell, r, p, d)
+    slow = sum(1 for i, _ in outer if i != row)
+    cols = (cell.pivots[row],) + tuple(j for _, j in outer[slow:]) + inner
+    width = len(cols) - len(inner)
+    at = {c: k for k, c in enumerate(cols)}
+    exponents = defaultdict(set)  # the powers each coordinate in use takes
+    for q, e in chain(frozen, *deforming):
+        exponents[q].add(e)
+    others = [[0] * n for _ in range(r - 1)]
+    for i, c in enumerate(cell.pivots[:row] + cell.pivots[row + 1:]):
+        others[i][c] = 1
+    slots = [(i - (i > row), j) for i, j in outer[:slow]]
+    # a minor of the other rows is 0 on a column they leave zero, and 1 on
+    # their pivot columns alone: only those with a varying column are taken
+    varying = {j for _, j in outer[:slow]}
+    live = varying.union(cell.pivots[:row], cell.pivots[row + 1:])
+    # (position in cols, sign, complementary columns) per coordinate
+    expansion = {}
+    for q in exponents:
+        qcols = tuple(i - 1 for i in plucker_indices(r, n)[q])
+        expansion[q] = [(at[c], -1 if (row + k) % 2 else 1, comp)
+                        for k, c in enumerate(qcols) if c in at
+                        for comp in [qcols[:k] + qcols[k + 1:]]
+                        if live.issuperset(comp)]
+    minor = {comp: 1 for terms in expansion.values() for _, _, comp in terms}
+    varying_comps = [comp for comp in minor if varying.intersection(comp)]
+    ranges = [_row0_values(p, k) for k in orders]
+    xs = _row0_values(p, k1) if k1 > 1 else None
+    block = grid // len(xs) if xs else grid  # the x1 = 0 pairs of a grid
     by_weight = defaultdict(Counter)
-    upper_values = None
-    for outer_values in product(*ranges):
-        # the entries above the last row vary slowest: their minors are
-        # recomputed only when they change
-        if outer_values[:above] != upper_values:
-            upper_values = outer_values[:above]
-            for (i, j), v in zip(outer, upper_values):
-                upper[i][j] = v
-            minor = {comp: _det_mod(upper, comp, p) for comp in complements}
-            forms = []  # (cofactors left of the inner block, slopes or ())
-            for terms in expansion:
-                coeffs = [0] * (n - piv)
-                for sign, c, comp in terms:
-                    coeffs[c - piv] = sign * minor[comp] % p
-                slopes = coeffs[width:]
-                forms.append((coeffs[:width], slopes if any(slopes) else ()))
-            weight = d ** (row0 - upper_values[:row0].count(0))
-        last = (1,) + outer_values[above:]
-        w = weight * g if lead_outer and last[1] else weight
-        values = {}  # p_q^e: an int if constant on the grid, else a vector
-        for q, e in powers:
-            cofactors, slopes = forms[q]
-            k0 = sum(map(mul, cofactors, last)) % p
-            if not slopes:
-                values[q, e] = pow(k0, e, p)
-            elif len(slopes) == 1:
-                values[q, e] = tables.rows(slopes[0], e, xs)[k0]
+    values, last_form = {}, {}  # p_q^e: an int if constant, else a vector
+    for slow_values in product(*ranges[:slow]):
+        for (i, j), v in zip(slots, slow_values):
+            others[i][j] = v
+        for comp in varying_comps:
+            minor[comp] = _det_mod(others, comp, p)
+        forms = []  # (coordinate, cofactors left of the block, slopes)
+        for q, terms in expansion.items():
+            coeffs = [0] * len(cols)
+            for k, sign, comp in terms:
+                coeffs[k] = sign * minor[comp] % p
+            forms.append((q, coeffs[:width], tuple(coeffs[width:])))
+        for fast_values in product(*ranges[slow:]):
+            w = prod(compress(orders, slow_values + fast_values))
+            head = (1,) + fast_values
+            for q, cofactors, slopes in forms:
+                form = (sum(map(mul, cofactors, head)) % p, slopes)
+                if last_form.get(q) != form:
+                    last_form[q] = form
+                    for e, v in tables.powers(*form, exponents[q], xs):
+                        values[q, e] = v
+            s, s_terms = 0, []
+            for mono in deforming:
+                const, terms = _monomial(mono, values, p)
+                if terms is None:
+                    s += const
+                else:
+                    s_terms.append(terms)
+            s %= p
+            f, f_terms = _monomial(frozen, values, p)
+            if s_terms:
+                s = map(mod, map(sum, zip(repeat(s), *s_terms)), repeat(p))
+            if f_terms is not None:
+                f = map(mod, f_terms, repeat(p))
+            if isinstance(s, int) and isinstance(f, int):
+                by_weight[w][s, f] += block
+                if xs:
+                    by_weight[w * k1][s, f] += grid - block
             else:
-                values[q, e] = tables.plane(k0, *slopes, e, xs)
-        s, s_terms = 0, []
-        for mono in deforming:
-            const, terms = _monomial(mono, values, p)
-            if terms is None:
-                s += const
-            else:
-                s_terms.append(terms)
-        s %= p
-        f, f_terms = _monomial(frozen, values, p)
-        if s_terms:
-            s = map(mod, reduce(partial(map, add), s_terms, repeat(s)),
-                    repeat(p))
-        if f_terms is not None:
-            f = map(mod, f_terms, repeat(p))
-        if isinstance(s, int) and isinstance(f, int):
-            by_weight[w][s, f] += grid
-        else:
-            pairs = zip(repeat(s) if isinstance(s, int) else s,
-                        repeat(f) if isinstance(f, int) else f)
-            by_weight[w].update(islice(pairs, block))
-            if xs:
-                by_weight[w * g].update(pairs)
+                pairs = zip(repeat(s) if isinstance(s, int) else s,
+                            repeat(f) if isinstance(f, int) else f)
+                by_weight[w].update(islice(pairs, block))
+                if xs:
+                    by_weight[w * k1].update(pairs)
     for w, counts in by_weight.items():
         for key, m in counts.items():
             hist[key] += w * m
@@ -381,7 +448,7 @@ def count_points(spec: PencilSpec, p: int, t: int,
     t = t % p
     if t == 0:
         raise ValueError("t = 0 is excluded")
-    _check_enumeration_size(spec.r, spec.n, p, force)
+    _check_work(spec, p, force)
     hist = _pencil_histogram(spec, p)
     count = sum(m for (s, f), m in hist.items() if (t * s + f) % p == 0)
     return PointCountRecord(p=p, t=t, count=count, residue=count % p)
@@ -393,7 +460,7 @@ def count_table(spec: PencilSpec, p: int, force: bool = False) -> list:
     t."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    _check_enumeration_size(spec.r, spec.n, p, force)
+    _check_work(spec, p, force)
     by_t, everywhere = [0] * p, 0
     for (s, f), m in _pencil_histogram(spec, p).items():
         if s:

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from grasspencils import chains, cli, griffiths, linalg, poly
+from grasspencils import chains, cli, griffiths, linalg, pointcount, poly
 from grasspencils.grassmann import PencilSpec, build_pencil
 from grasspencils.griffiths import SpecializationMismatch
 
@@ -57,7 +58,7 @@ def test_manifest_times_steps_and_digests_outputs(tmp_path, argv, name,
     assert run([*argv, "--outdir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
     keys = {"experiment", "parameters", "version", "timings_ms", "outputs",
-            "orbit_order" if orbit_order else "blocks"}
+            *(("orbit_order", "work") if orbit_order else ("blocks",))}
     assert set(manifest) == keys
     assert manifest["experiment"] == name
     assert manifest.get("orbit_order") == orbit_order
@@ -73,8 +74,48 @@ def test_manifest_times_steps_and_digests_outputs(tmp_path, argv, name,
 def test_failed_run_makes_no_outdir(tmp_path):
     out = tmp_path / "out"
     assert run(["hodge", "--t", "x", "--outdir", str(out)]) == 2
-    assert run(["tables", "--p", "181", "--outdir", str(out)]) == 2
+    assert run(["tables", "--rn", "2,7", "--p", "31", "--outdir",
+                str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (("tables", "--p", "23", "--variant", "squares+quads"),
+     build_pencil(2, 4, "squares+quads")),
+    (("tables", "--rn", "2,5", "--p", "11"), build_pencil(2, 5)),
+    (("tables", "--rn", "3,6", "--p", "5"), build_pencil(3, 6)),
+    (("search", "--p", "13"), build_pencil(2, 4))])
+def test_manifest_work_is_what_the_kernel_visits(tmp_path, monkeypatch,
+                                                 argv, spec):
+    # every pass takes each deforming monomial and the frozen product once,
+    # and adds its grid points to one per-weight Counter of its cell
+    calls, made = [], []
+    real = pointcount._monomial
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    class Tally(Counter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(pointcount, "_monomial", counting)
+    monkeypatch.setattr(pointcount, "Counter", Tally)
+    p = int(argv[argv.index("--p") + 1])
+    pointcount._pencil_histogram.cache_clear()
+    try:
+        assert run([*argv, "--outdir", str(tmp_path)]) == 0
+        hist = pointcount._pencil_histogram(spec, p)  # cached: not counted
+    finally:
+        pointcount._pencil_histogram.cache_clear()
+    passes, rest = divmod(len(calls), len(spec.deforming) + 1)
+    points = sum(sum(t.values()) for t in made if t is not hist)
+    [manifest] = tmp_path.glob("*_manifest.json")
+    assert rest == 0
+    assert json.loads(manifest.read_text())["work"] == {
+        "passes": passes, "grid_points": points}
 
 
 def test_tables_check_mismatch_exits_2(tmp_path, monkeypatch):
@@ -142,8 +183,10 @@ def test_check_follows_the_monomials_not_the_label(tmp_path, capsys):
 
 
 def test_tables_enumeration_guard_names_the_flag(tmp_path, capsys):
-    # |G(2,4)(F_181)| = 1,079,278,566 is past the 10^9 guard
-    assert run(["tables", "--p", "181", "--outdir", str(tmp_path)]) == 2
+    # G(2,7) at p = 31 (d = 1) takes 847,831,467,675,171 grid points, past
+    # the 10^9 guard
+    assert run(["tables", "--rn", "2,7", "--p", "31", "--outdir",
+                str(tmp_path)]) == 2
     assert "pass force=True (tables --force)" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 

@@ -13,7 +13,8 @@ from grasspencils.grassmann import (PencilSpec, build_pencil,
                                     hilbert_function, index_to_partition,
                                     monomial_name, normal_form,
                                     normalize_partition, partition_to_index,
-                                    plucker_indices, plucker_relations,
+                                    plucker_indices, plucker_names,
+                                    plucker_relations,
                                     sort_with_sign, straightening_rules)
 from grasspencils.linalg import ResourceLimitError, row_basis
 from grasspencils.poly import SparsePolynomial, monomials_of_degree
@@ -315,6 +316,22 @@ def test_build_pencil_contents():
     assert all(max(e) == 5 for e in spec25.deforming)
     names = {monomial_name(e, 2, 5) for e in spec25.deforming}
     assert "p25^5" not in names and len(names) == 9
+
+
+@pytest.mark.parametrize("r, n", [(2, 4), (3, 6), (2, 10), (3, 11)])
+def test_plucker_names_are_built_once_and_handed_out_fresh(r, n):
+    sep = "" if n <= 9 else ","
+    expected = ["p" + sep.join(map(str, idx))
+                for idx in combinations(range(1, n + 1), r)]
+    names = plucker_names(r, n)
+    assert names == expected
+    names[0] = "mutated"
+    names.append("extra")
+    assert plucker_names(r, n) == expected
+    assert monomial_name((2,) + (0,) * (len(expected) - 1), r, n) == (
+        expected[0] + "^2")
+    with pytest.raises(ValueError):
+        plucker_names(n, n)
 
 
 def test_build_pencil_errors():

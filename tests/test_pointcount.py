@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 from itertools import combinations, product
+from math import gcd, prod
+from operator import mul
 
 import pytest
 
@@ -9,15 +11,17 @@ from grasspencils.fields import PrimeField
 from grasspencils.grassmann import (VARIANTS, PencilSpec, build_pencil,
                                     evaluate_pencil, plucker_indices)
 from grasspencils.linalg import ResourceLimitError
-from grasspencils.pointcount import (PointCountRecord, _count_cell, _det_mod,
+from grasspencils.pointcount import (ENUMERATION_GUARD, GRID_CAP,
+                                     PointCountRecord, _count_cell, _det_mod,
                                      _LineTables, _orbit_order,
                                      _pencil_histogram, _row0_values,
                                      _sparse_monomials, _split_cell,
                                      count_points, count_table, count_zeros,
                                      enumerate_cells, grassmannian_count,
-                                     iter_plucker_points, records_to_csv)
+                                     histogram_work, iter_plucker_points,
+                                     records_to_csv)
 from grasspencils.poly import SparsePolynomial
-from grasspencils.symmetry import build_group
+from grasspencils.symmetry import build_group, invariant_monomials
 from histogram_oracle import per_cell_histogram, per_point_histogram
 
 TABLE_P5 = [(1, 296, 1), (2, 320, 0), (3, 320, 0), (4, 296, 1)]
@@ -114,6 +118,25 @@ def test_enumeration_guard(monkeypatch):
         count_points(spec, 31, 1)
 
 
+def test_work_guard_counts_grid_points_not_points(monkeypatch):
+    # (2,5) at p = 41 (d = 5) has 4,871,753,210 points, but its histogram
+    # takes 31,130 passes over 51,760,378 grid points: admitted unforced,
+    # while the per-point route keeps its guard on points
+    spec = build_pencil(2, 5)
+    assert grassmannian_count(2, 5, 41) > ENUMERATION_GUARD
+    assert histogram_work(spec, 41) == (31130, 51760378)
+    monkeypatch.setattr(pointcount, "_pencil_histogram",
+                        lambda spec, p: Counter())
+    assert len(count_table(spec, 41)) == 40
+    with pytest.raises(ResourceLimitError, match="points"):
+        next(iter_plucker_points(2, 5, 41))
+    # G(2,7) at p = 31 has d = 1: past the guard either way, unless forced
+    with pytest.raises(ResourceLimitError,
+                       match=r"grid points.*pass force=True \(tables"):
+        count_table(build_pencil(2, 7), 31)
+    assert len(count_table(build_pencil(2, 7), 31, force=True)) == 30
+
+
 def test_one_histogram_per_pencil_and_prime():
     spec = build_pencil(2, 4)
     _pencil_histogram.cache_clear()
@@ -193,8 +216,9 @@ def test_det_mod_against_cofactor_expansion(r):
 
 def test_minor_path_r3_matches_dual_r2_table():
     # G(3,5) and G(2,5) are dual, so the 2 x 2 cofactors of r = 3 must
-    # reproduce the r = 2 table
-    for p in (2, 3):
+    # reproduce the r = 2 table; at p = 5 and 7 both split their cells
+    # differently (three-entry rows, a middle inner row for r = 3)
+    for p in (2, 3, 5, 7):
         assert (count_table(build_pencil(3, 5), p)
                 == count_table(build_pencil(2, 5), p))
 
@@ -246,6 +270,82 @@ def test_histogram_matches_per_point_oracle(rnv, p):
     assert _pencil_histogram(spec, p) == per_point_histogram(spec, p)
 
 
+def _non_invariant_pencil():
+    """The (2,4) arrow pencil with p12^4 replaced by p12^3*p13, whose
+    character (0,3,1,0) mod 4 is not a multiple of (1,1,1,1)."""
+    arrow = build_pencil(2, 4)
+    return PencilSpec(2, 4, "skew", ((3, 1, 0, 0, 0, 0),)
+                      + arrow.deforming[1:], arrow.frozen)
+
+
+def _random_invariant_pencil(r, n, seed):
+    """Random invariant deforming monomials over the arrow frozen product."""
+    rng = random.Random(seed)
+    arrow = build_pencil(r, n)
+    pool = [e for e in invariant_monomials(r, n, n, build_group(n, r))
+            if e != arrow.frozen]
+    return PencilSpec(r, n, f"random{seed}",
+                      tuple(rng.sample(pool, rng.randint(1, 8))), arrow.frozen)
+
+
+# (pencil, p, largest cell dimension, the splits its cells must include):
+# the inner row is row 0, a middle row (r = 3 and 4) or the last row, and
+# holds up to three entries; d runs over 2, 4, 5, 6 and g' over 2 and 3
+SPLIT_CASES = [
+    (build_pencil(2, 4, "quads"), 5, 4,
+     {"d 4", "row 0", "last row", "x1 mu_4"}),
+    (build_pencil(2, 4), 3, 4, {"d 2", "row 0", "last row", "x1 mu_2"}),
+    (build_pencil(2, 5), 11, 3, {"d 5", "row 0", "three", "x1 mu_5"}),
+    (build_pencil(2, 5), 3, 6, {"row 0", "last row", "three"}),
+    (build_pencil(2, 6), 3, 6, {"three", "x1 mu_2", "lead mu_2"}),
+    (build_pencil(3, 6), 7, 4, {"d 6", "row 0", "middle", "three", "x1 mu_6",
+                                "lead mu_3"}),
+    (build_pencil(3, 5), 7, 4, {"row 0", "middle", "last row"}),
+    (build_pencil(4, 6), 3, 5, {"row 0", "middle", "lead mu_2"}),
+    *[(_random_invariant_pencil(r, n, seed), p, dim, {"row 0"})
+      for seed, (r, n, p, dim) in enumerate(
+          [(2, 4, 5, 4), (2, 5, 11, 3), (2, 6, 3, 6), (3, 4, 13, 3)])],
+    (PencilSpec.from_json(_non_invariant_pencil().to_json()), 5, 4,
+     {"d 1", "row 0", "last row"}),
+]
+
+
+def _split_features(r, n, p, d, cells):
+    features = {f"d {d}"}
+    for cell in cells:
+        row, outer, orders, inner, k1, _ = _split_cell(cell, r, p, d)
+        if inner:
+            features.add("row 0" if row == 0 else "last row"
+                         if row == r - 1 else "middle")
+        if len(inner) == 3:
+            features.add("three")
+        if k1 > 1:
+            features.add(f"x1 mu_{k1}")
+        lead = min((e for e in cell.free_positions if e[0] == r - 1),
+                   default=None)
+        if gcd(r, d) > 1 and lead in outer:
+            features.add(f"lead mu_{gcd(r, d)}")
+    return features
+
+
+@pytest.mark.parametrize(
+    "spec, p, dim, features", SPLIT_CASES,
+    ids=[f"{s.r}-{s.n}-{s.variant}-p{p}" for s, p, _, _ in SPLIT_CASES])
+def test_histogram_matches_per_point_oracle_on_every_split(
+        monkeypatch, spec, p, dim, features):
+    # both routes restricted to the cells up to dimension dim
+    cells = tuple(c for c in enumerate_cells(spec.r, spec.n)
+                  if c.dimension <= dim)
+    d = _orbit_order(spec, p)
+    assert features <= _split_features(spec.r, spec.n, p, d, cells)
+    monkeypatch.setattr(pointcount, "enumerate_cells", lambda r, n: cells)
+    _pencil_histogram.cache_clear()
+    try:
+        assert _pencil_histogram(spec, p) == per_point_histogram(spec, p)
+    finally:
+        _pencil_histogram.cache_clear()
+
+
 ORBIT_CASES = ([((2, 4, v), p, d) for v in VARIANTS
                 for p, d in ((2, 1), (5, 4), (7, 2), (11, 2), (13, 4))]
                + [((2, 5, "arrow"), 3, 1), ((2, 5, "arrow"), 11, 5)]
@@ -280,18 +380,11 @@ def test_count_cell_matches_per_cell_oracle_at_d6():
         assert hist == per_cell_histogram(spec, p, [cell]), cell
 
 
-def _non_invariant_pencil():
-    """The (2,4) arrow pencil with p12^4 replaced by p12^3*p13, whose
-    character (0,3,1,0) mod 4 is not a multiple of (1,1,1,1)."""
-    arrow = build_pencil(2, 4)
-    return PencilSpec(2, 4, "skew", ((3, 1, 0, 0, 0, 0),)
-                      + arrow.deforming[1:], arrow.frozen)
-
-
 def test_count_cell_matches_per_cell_oracle_with_mu3_last_row():
     # d = gcd(6, 6) = 6 and g' = gcd(3, 6) = 3: the leading last-row entry
     # runs over 0 and the two cosets of mu_3.  The cells up to dimension 5
-    # have at most one last-row entry; (1, 2, 3) adds a two-entry grid
+    # and (1, 2, 3) keep it among the outer entries, with inner blocks of
+    # one to three entries in row 0 or the middle row
     spec, p = build_pencil(3, 6), 7
     d = _orbit_order(spec, p)
     assert d == 6
@@ -299,7 +392,10 @@ def test_count_cell_matches_per_cell_oracle_with_mu3_last_row():
     tables = _LineTables(p)
     cells = [c for c in enumerate_cells(3, 6)
              if c.dimension <= 5 or c.pivots == (1, 2, 3)]
-    assert {len(_split_cell(c, 3)[1]) for c in cells} == {0, 1, 2}
+    splits = [_split_cell(c, 3, p, d) for c in cells]
+    assert {len(inner) for _, _, _, inner, _, _ in splits} == {0, 1, 2, 3}
+    assert {row for row, _, _, inner, _, _ in splits if inner} == {0, 1}
+    assert any(3 in orders for _, _, orders, _, _, _ in splits)
     for cell in cells:
         hist = Counter()
         _count_cell(cell, 3, 6, p, deforming, frozen, tables, hist, d)
@@ -308,13 +404,15 @@ def test_count_cell_matches_per_cell_oracle_with_mu3_last_row():
 
 def test_last_row_runs_over_cosets_of_mu2(monkeypatch):
     # (2,4) at p = 23: d = 2 and g' = 2, so x1 takes 0 and 11 coset
-    # representatives; every plane covers 12 * 23 pairs, not 23^2
+    # representatives; every two-entry grid covers 12 * 23 pairs, not 23^2
     lengths = []
 
     class Recording(_LineTables):
-        def plane(self, *args):
-            out = super().plane(*args)
-            lengths.append(len(out))
+        def powers(self, k0, slopes, es, xs=None):
+            out = super().powers(k0, slopes, es, xs)
+            if len(slopes) == 2:
+                lengths.extend(len(v) for _, v in out
+                               if not isinstance(v, int))
             return out
 
     monkeypatch.setattr(pointcount, "_LineTables", Recording)
@@ -359,45 +457,102 @@ def test_row0_values_are_zero_and_coset_representatives(p, d):
 
 
 @pytest.mark.parametrize("r, n", [(2, 6), (3, 6), (2, 7)])
-def test_inner_block_holds_at_most_two_entries(r, n):
-    wide = 0
-    for cell in enumerate_cells(r, n):
-        outer, inner = _split_cell(cell, r)
-        assert len(inner) <= 2
-        assert outer + tuple((r - 1, j) for j in inner) == cell.free_positions
-        assert all(j > cell.pivots[-1] for j in inner)
-        wide += any(i == r - 1 for i, _ in outer)
-    assert wide  # some cells keep leading last-row entries among the outer
+def test_inner_block_holds_at_most_three_entries_of_one_row(r, n):
+    wide = middle = 0
+    for p in (3, 7, 13, 17, 61, 101):
+        for d in {1, gcd(n, p - 1)}:
+            for cell in enumerate_cells(r, n):
+                row, outer, orders, inner, k1, grid = _split_cell(
+                    cell, r, p, d)
+                own = [j for i, j in cell.free_positions if i == row]
+                assert len(inner) <= 3 and own[len(own) - len(inner):] == list(
+                    inner)
+                first = 1 + (p - 1) // k1  # the values of the first entry
+                assert grid == (first * p ** (len(inner) - 1) if inner else 1)
+                assert len(inner) < 3 or grid <= GRID_CAP
+                # the other rows' entries first, row-major, then the row's own
+                assert outer == tuple(e for e in cell.free_positions
+                                      if e[0] != row) + tuple(
+                    (row, j) for j in own[:len(own) - len(inner)])
+                # a cell with a free entry never counts one point a pass
+                assert bool(inner) == bool(cell.dimension)
+                wide += len(inner) == 3
+                middle += 0 < row < r - 1
+    assert wide  # some rows lend a third entry
+    assert middle or r == 2
 
 
-@pytest.mark.parametrize("r, n, p, calls", [(2, 5, 11, 670), (2, 6, 7, 743),
-                                            (3, 6, 3, 17034)])
-def test_upper_minors_follow_only_the_rows_above(monkeypatch, r, n, p, calls):
-    # the (r-1)-minors are recomputed when an entry above the last row
-    # changes, not for every outer assignment (2,020, 6,215 and 23,514)
-    real, counted = pointcount._det_mod, []
+@pytest.mark.parametrize("r, n, p, last_row_calls", [
+    (2, 5, 11, 670), (2, 6, 7, 743), (3, 6, 3, 17034)])
+def test_upper_minors_follow_only_the_rows_above(monkeypatch, r, n, p,
+                                                 last_row_calls):
+    # the (r-1)-minors of the rows other than the inner one are taken for
+    # each assignment of those rows, never twice: fewer calls than the
+    # last-row split made (last_row_calls), which took every complement
+    # whenever an entry above the last row changed
+    calls, cells = [], []
+    real_det, real_cell = pointcount._det_mod, pointcount._count_cell
 
-    def counting(*args):
-        counted.append(1)
-        return real(*args)
+    def counting(matrix, cols, q):
+        calls.append((cells[-1], tuple(map(tuple, matrix)), cols))
+        return real_det(matrix, cols, q)
+
+    def marking(cell, *args):
+        cells.append(cell.pivots)
+        return real_cell(cell, *args)
 
     monkeypatch.setattr(pointcount, "_det_mod", counting)
+    monkeypatch.setattr(pointcount, "_count_cell", marking)
+    spec = build_pencil(r, n)
+    d = _orbit_order(spec, p)
     _pencil_histogram.cache_clear()
-    _pencil_histogram(build_pencil(r, n), p)
-    assert len(counted) == calls
+    _pencil_histogram(spec, p)
+    _pencil_histogram.cache_clear()
+    assert len(calls) == len(set(calls)) < last_row_calls
+    # the assignments of the other rows: 1 + (p - 1)/d values in row 0,
+    # 1 + (p - 1)/gcd(r, d) for the leading last-row entry, else p
+    assignments = 0
+    for cell in enumerate_cells(r, n):
+        row = _split_cell(cell, r, p, d)[0]
+        lead = min((e for e in cell.free_positions if e[0] == r - 1),
+                   default=None)
+        sizes = [1 + (p - 1) // (d if i == 0 else gcd(r, d)
+                                 if (i, j) == lead else 1)
+                 for i, j in cell.free_positions if i != row]
+        assignments += prod(sizes) if sizes else 0
+    assert len({call[:2] for call in calls}) == assignments
 
 
 def test_line_tables_hold_at_most_p_squared_values():
     p = 5
     tables = _LineTables(p)
-    # x1 over all of F_p, or over 0 and coset representatives
-    for xs, b, s1, s2 in product((None, (0, 1), (0, 2, 3)), range(p),
-                                 range(p), (0, 1, 3)):
-        assert tables.rows(s1, 3, xs)[b] == tuple(
-            pow(b + s1 * x, 3, p) for x in xs or range(p))
-        assert tables.plane(b, s1, s2, 2, xs) == tuple(
-            pow(b + s1 * x1 + s2 * x2, 2, p)
-            for x1 in xs or range(p) for x2 in range(p))
+    # x1 over all of F_p, or over 0 and coset representatives; the later
+    # entries over F_p, x1 major
+    for xs, k0, s1, s2, s3 in product((None, (0, 1), (0, 2, 3)), range(p),
+                                      range(p), (0, 1, 3), (0, 2)):
+        xrange = xs or range(p)
+        assert {len(row) for row in tables.rows(s1, 3, xs)} == {len(xrange)}
+        assert len(tables.rows(s1, 3, xs)) == p
+        for slopes, points in (
+                ((s1,), [(x,) for x in xrange]),
+                ((s1, s2), list(product(xrange, range(p)))),
+                ((s1, s2, s3), list(product(xrange, range(p), range(p))))):
+            for e, got in tables.powers(k0, slopes, (1, 2, 4), xs):
+                want = tuple(pow(k0 + sum(map(mul, slopes, x)), e, p)
+                             for x in points)
+                assert (got == want[0] if isinstance(got, int)
+                        else got == want), (xs, k0, slopes, e)
+                assert isinstance(got, int) == (not any(slopes))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_rotated_line_tables_equal_pow_tables(p):
+    tables = _LineTables(p)
+    cosets = [_row0_values(p, k) for k in range(2, p) if (p - 1) % k == 0]
+    for s, e, xs in product(range(p), range(1, 2 * p), [None, *cosets]):
+        assert tables.rows(s, e, xs) == [
+            tuple(pow(b + s * x, e, p) for x in xs or range(p))
+            for b in range(p)], (s, e, xs)
 
 
 @pytest.mark.parametrize("spec, p", [
