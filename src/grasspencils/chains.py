@@ -47,45 +47,46 @@ def _strip_search(r, n, d, sizes):
     in sizes: strips maps each state (i, shape), i < n, from which the full
     rectangle is reachable to its successors, the shapes after adding
     index i + 1 as a horizontal strip, and count is the number of paths."""
-    full = (d,) * r
-    strips, counts = {}, {}
+    strips = {}
+    return _completions(0, (0,) * r, r, n, d, sizes, strips, {}), strips
 
-    def completions(i, shape):
-        if (i, shape) in counts:
-            return counts[i, shape]
-        if i == n:
-            return int(shape == full)
-        # row j holds no index above n - r + j + 1, so the rows
-        # j < must_fill are full once index i + 1 is placed
-        must_fill = i + 1 - (n - r)
-        ranges = [range(d if j < must_fill else shape[j],
-                        (shape[j - 1] if j else d) + 1) for j in range(r)]
-        size = sum(shape)
-        counts[i, shape] = 0
-        strips[i, shape] = []
-        for nxt in product(*ranges):
-            if sum(nxt) - size in sizes and (k := completions(i + 1, nxt)):
-                counts[i, shape] += k
-                strips[i, shape].append(nxt)
+
+def _completions(i, shape, r, n, d, sizes, strips, counts):
+    """The paths from state (i, shape) to the full rectangle, memoized in
+    counts; the successors on such paths go to strips."""
+    if (i, shape) in counts:
         return counts[i, shape]
-
-    return completions(0, (0,) * r), strips
+    if i == n:
+        return int(shape == (d,) * r)
+    # row j holds no index above n - r + j + 1, so the rows
+    # j < must_fill are full once index i + 1 is placed
+    must_fill = i + 1 - (n - r)
+    ranges = [range(d if j < must_fill else shape[j],
+                    (shape[j - 1] if j else d) + 1) for j in range(r)]
+    size = sum(shape)
+    counts[i, shape] = 0
+    strips[i, shape] = []
+    for nxt in product(*ranges):
+        if sum(nxt) - size in sizes and (k := _completions(
+                i + 1, nxt, r, n, d, sizes, strips, counts)):
+            counts[i, shape] += k
+            strips[i, shape].append(nxt)
+    return counts[i, shape]
 
 
 def _tableaux(r, n, strips):
     """The rows of every tableau along the paths of strips, depth first, as
     one list of row lists that the next tableau overwrites."""
-    rows = [[] for _ in range(r)]
+    return _walk([[] for _ in range(r)], n, strips, 0, (0,) * r)
 
-    def walk(i, shape):
-        if i == n:
-            yield rows
-            return
-        for nxt in strips[i, shape]:
-            for row, old, new in zip(rows, shape, nxt):
-                row.extend([i + 1] * (new - old))
-            yield from walk(i + 1, nxt)
-            for row, old in zip(rows, shape):
-                del row[old:]
 
-    yield from walk(0, (0,) * r)
+def _walk(rows, n, strips, i, shape):
+    if i == n:
+        yield rows
+        return
+    for nxt in strips[i, shape]:
+        for row, old, new in zip(rows, shape, nxt):
+            row.extend([i + 1] * (new - old))
+        yield from _walk(rows, n, strips, i + 1, nxt)
+        for row, old in zip(rows, shape):
+            del row[old:]

@@ -8,17 +8,23 @@ in the package-wide sign convention, and the pair (deforming sum, frozen
 product) is recorded; the histogram of those pairs answers the count for
 every parameter value t without re-enumerating.
 
-The histogram is built one cell at a time.  Every minor is linear in each
-echelon row, so the cell's widest row lends up to three trailing free
-entries to an inner block (a third only while the grid stays within
-GRID_CAP points), and one loop runs over the other, outer, entries: with
-them fixed, each Pluecker coordinate is an affine form in the inner
-entries, whose powers over the grid come from memoized line tables of
-(b + s*x)^e, each table row a rotation of row 0.  The products, sums and
-(sum, product) counts over the grid run in map, zip and Counter.update.
-histogram_work gives the passes and grid points of that loop by arithmetic
-alone; count_points and count_table refuse past ENUMERATION_GUARD grid
-points unless forced.
+The histogram is built one cell at a time, from the cell's polynomials: a
+minor is at most r! signed products of free entries, so the deforming sum
+S and the frozen product F are integer polynomials in the entries,
+expanded once per (pencil, cell) whatever p is.  In row-major order the
+trailing entries whose orbit-reduced grid holds at most LANE_CAP points
+are inner, the rest outer, and each pass is one assignment of the outer
+entries.  S and F are evaluated over the whole inner grid at once, as
+Python ints of 64-bit lanes: a power of an inner entry is a scalar
+multiple, vectors of monomials are joined with to_bytes/from_bytes, and a
+packed Barrett step, its constants taken from an exact bound on the lanes
+so that no lane carries into the next, reduces every lane mod p.  The
+keys (s*p + f)*C + class, the class marking which orbit-reduced inner
+entries are nonzero, are counted by one Counter over the lanes'
+memoryview.  histogram_work gives the passes and grid points (lanes) by
+arithmetic alone; count_points and count_table refuse past
+ENUMERATION_GUARD grid points unless forced, and refuse a prime whose
+sums or keys overflow the lanes before any cell is counted.
 
 The free entries are visited one orbit of a diagonal group at a time.
 Let d = gcd(n, p - 1); over F_p the lattice L of symmetry.py is
@@ -51,13 +57,13 @@ guard on points, the reference for checking the histogram against direct
 substitution.
 """
 
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
-from itertools import (chain, combinations, compress, islice, permutations,
-                       product, repeat)
+from functools import lru_cache
+from itertools import combinations, compress, permutations, product
 from math import gcd, prod
-from operator import mod, mul
+from operator import mul
 
 from .fields import is_prime
 from .grassmann import PencilSpec, _check_rn, plucker_indices, sort_with_sign
@@ -165,127 +171,147 @@ def count_zeros(poly, r: int, n: int, p: int, force: bool = False) -> int:
     return count
 
 
-GRID_CAP = 4096  # grid points a third inner entry may lead to
+LANE_CAP = 4096  # points of one packed inner grid
+ORDER = sys.byteorder  # of the lanes, as memoryview.cast("Q") reads them
 
 
 def _split_cell(cell: SchubertCell, r: int, p: int, d: int) -> tuple:
-    """How _count_cell walks one cell: (inner row, outer entries, their
-    orbit orders, inner columns, orbit order of the first inner entry,
-    points of the inner grid).
+    """(orbit order of each free entry, number of inner entries, lanes).
 
     An entry of orbit order k runs over 0 and the coset representatives of
     F_p^*/mu_k, 1 + (p - 1)/k values, and a nonzero value counts k times:
     k = d in row 0, gcd(r, d) for the leading free entry of the last row,
-    1 elsewhere.  Inside the inner block only the first entry keeps its
-    order.  The block is the trailing two free entries of one row, or three
-    while the grid stays within GRID_CAP points, in the row that leaves the
-    fewest outer assignments, ties going to the last row.  The outer
-    entries are the other rows' free entries, row-major, then the inner
-    row's own, so that the other rows vary slowest.
-    """
+    1 elsewhere.  The inner entries are the trailing ones, row-major, whose
+    grid of reduced values holds at most LANE_CAP points."""
     free = cell.free_positions
-    order = {e: d if e[0] == 0 else 1 for e in free}
-    lead = next((e for e in free if e[0] == r - 1 > 0), None)
-    if lead:
-        order[lead] = gcd(r, d)
-    row, inner, widest = r - 1, (), 1
-    for i in reversed(range(r)):
-        entries = tuple(e for e in free if e[0] == i)
-        m = min(2, len(entries))
-        if m == 2 < len(entries) and (
-                1 + (p - 1) // order[entries[-3]]) * p * p <= GRID_CAP:
-            m = 3
-        block = entries[len(entries) - m:]
-        reduced = prod(1 + (p - 1) // order[e] for e in block)
-        if reduced > widest:
-            row, inner, widest = i, block, reduced
-    outer = tuple(e for e in free if e[0] != row) + tuple(
-        e for e in free if e[0] == row and e not in inner)
-    k1 = order[inner[0]] if inner else 1
-    return (row, outer, tuple(map(order.get, outer)),
-            tuple(j for _, j in inner), k1,
-            (1 + (p - 1) // k1) * p ** (len(inner) - 1) if inner else 1)
+    orders = [d if i == 0 else 1 for i, _ in free]
+    lead = next((k for k, (i, _) in enumerate(free) if i == r - 1 > 0), None)
+    if lead is not None:
+        orders[lead] = gcd(r, d)
+    inner, lanes = 0, 1
+    for k in reversed(orders):
+        size = 1 + (p - 1) // k
+        if lanes * size > LANE_CAP:
+            break
+        inner, lanes = inner + 1, lanes * size
+    return tuple(orders), inner, lanes
 
 
 @lru_cache(maxsize=32)
 def histogram_work(spec: PencilSpec, p: int) -> tuple:
     """(passes, grid points) of _pencil_histogram(spec, p): the outer
-    assignments _count_cell visits over every cell, and the inner grid
-    points they cover.  Arithmetic over the orbit-reduced ranges alone."""
+    assignments _count_cell visits over every cell, and the lanes they
+    cover.  Arithmetic over the orbit-reduced ranges alone."""
     d = _orbit_order(spec, p)
     passes = points = 0
     for cell in enumerate_cells(spec.r, spec.n):
-        *_, orders, _, _, grid = _split_cell(cell, spec.r, p, d)
-        outer = prod(1 + (p - 1) // o for o in orders)
+        orders, inner, lanes = _split_cell(cell, spec.r, p, d)
+        outer = prod(1 + (p - 1) // k for k in orders[:len(orders) - inner])
         passes += outer
-        points += outer * grid
+        points += outer * lanes
     return passes, points
 
 
 def _check_work(spec: PencilSpec, p: int, force: bool):
-    """Refuse a histogram past ENUMERATION_GUARD grid points unforced."""
+    """Refuse a histogram past ENUMERATION_GUARD grid points unforced, and
+    a prime whose sums or keys do not fit the 64-bit lanes."""
     _check_size(histogram_work(spec, p)[1], "grid points of the histogram "
                 f"on G({spec.r},{spec.n})(F_{p}):", force)
+    terms = max(len(poly) for cell in enumerate_cells(spec.r, spec.n)
+                for poly in _cell_polynomials(spec, cell)[1:])
+    _reducer(terms * (p - 1) ** 2 + 1, p, 1)  # raises if no constants fit
+    if p * p << (spec.n - spec.r + 1) > 1 << 64:
+        raise ResourceLimitError(f"keys of F_{p} do not fit 64-bit lanes")
 
 
-class _LineTables:
-    """Value vectors of powers of affine forms over F_p.
+@lru_cache(maxsize=1024)
+def _cell_polynomials(spec: PencilSpec, cell: SchubertCell) -> tuple:
+    """(width, S, F): the deforming sum and frozen product as integer
+    polynomials {exponent: coefficient} in the cell's free entries.  An
+    exponent packs one width-bit field per entry, the first entry highest,
+    so that the inner entries are its low bits and a product of monomials
+    is a sum of ints."""
+    r, n, dim = spec.r, spec.n, cell.dimension
+    width = n.bit_length()  # an entry's degree is at most n
+    entry = {(i, c): 0 for i, c in enumerate(cell.pivots)}
+    for k, pos in enumerate(cell.free_positions):
+        entry[pos] = 1 << width * (dim - 1 - k)
+    coords = []
+    for idx in plucker_indices(r, n):
+        minor = Counter()
+        for perm, sign in _signed_permutations(r):
+            factors = [entry.get((i, idx[j] - 1)) for i, j in enumerate(perm)]
+            if None not in factors:
+                minor[sum(factors)] += sign
+        coords.append({e: c for e, c in minor.items() if c})
+    powers = {}
 
-    rows(s, e, xs)[b] lists (b + s*x)^e mod p for x in xs (default F_p),
-    memoized per (s, e, xs).  Over F_p, row b is row 0 rotated by b/s, so
-    a table takes p pow calls and p slices.  powers(k0, slopes, es, xs)
-    gives (e, values of (k0 + s1*x1 + s2*x2 + ...)^e) for each e: an int
-    if every slope is 0, else a vector over x1 in xs and the later entries
-    in F_p, x1 major, chained from the rows of the last entry.
-    """
+    def monomial(mono):
+        poly = {0: 1}
+        for q, e in enumerate(mono):
+            if e:
+                chain = powers.setdefault(q, [coords[q]])
+                while len(chain) < e:
+                    chain.append(_times(chain[-1], coords[q]))
+                poly = _times(poly, chain[e - 1])
+        return poly
 
-    def __init__(self, p: int):
-        self.p = p
-        self._rows = {}
-
-    def rows(self, s: int, e: int, xs=None) -> list:
-        key = (s, e, xs)
-        if key not in self._rows:
-            p = self.p
-            if s:
-                twice = tuple(pow(s * x % p, e, p) for x in range(p)) * 2
-                step = pow(s, -1, p)
-                table = [twice[c:c + p]
-                         for c in (b * step % p for b in range(p))]
-            else:
-                table = [(pow(b, e, p),) * p for b in range(p)]
-            if xs:
-                table = [tuple(map(row.__getitem__, xs)) for row in table]
-            self._rows[key] = table
-        return self._rows[key]
-
-    def powers(self, k0: int, slopes: tuple, es, xs=None) -> list:
-        if not any(slopes):
-            return [(e, pow(k0, e, self.p)) for e in es]
-        bases, last = (k0,), len(slopes) - 1  # the form without its last term
-        for i, s in enumerate(slopes[:last]):
-            bases = tuple(chain.from_iterable(
-                map(self.rows(s, 1, None if i else xs).__getitem__, bases)))
-        return [(e, tuple(chain.from_iterable(map(self.rows(
-            slopes[last], e, None if last else xs).__getitem__, bases))))
-                for e in es]
+    total = Counter()
+    for mono in spec.deforming:
+        total.update(monomial(mono))
+    return (width, {e: c for e, c in total.items() if c},
+            {e: c for e, c in monomial(spec.frozen).items() if c})
 
 
-def _monomial(mono, values, p):
-    """(constant factor, lazy product of the vector factors or None)."""
-    const, vectors = 1, []
-    for qe in mono:
-        v = values[qe]
-        if isinstance(v, int):
-            const = const * v % p
-        else:
-            vectors.append(v)
-    if not vectors or const == 0:
-        return const, None
-    terms = reduce(partial(map, mul), vectors)
-    if const != 1:
-        terms = map(mul, terms, repeat(const))
-    return const, terms
+def _times(f: dict, g: dict) -> dict:
+    out = defaultdict(int)
+    for a, x in f.items():
+        for b, y in g.items():
+            out[a + b] += x * y
+    return out
+
+
+def _reducer(bound: int, p: int, lanes: int):
+    """x -> x mod p on each of `lanes` 64-bit lanes of a packed int whose
+    lanes lie below bound: with m = ceil(2^k / p) and e = m*p - 2^k,
+    floor(x*m / 2^k) = floor(x/p) while (bound - 1)*e < 2^k, which for odd
+    p needs 2^k >= bound, and x*m stays in its lane while
+    (bound - 1)*m < 2^64."""
+    if bound <= p:
+        return lambda x: x
+    for k in range((bound - 1).bit_length(), 64):
+        m = -(-(1 << k) // p)
+        if (bound - 1) * (m * p - (1 << k)) < 1 << k and (
+                bound - 1) * m < 1 << 64:
+            mask = int.from_bytes(((1 << 64 - k) - 1).to_bytes(8, ORDER)
+                                  * lanes, ORDER)
+            return lambda x: x - p * (x * m >> k & mask)
+    raise ResourceLimitError(f"sums of F_{p} do not fit 64-bit lanes")
+
+
+def _grid_vectors(monos, values: list, width: int, p: int) -> dict:
+    """{b: packed y^b mod p} over the grid of values[0] x values[1] x ...,
+    the first entry slowest: a vector over entries j.. joins the scalar
+    multiples v^e of the vector over entries j+1.. for v in values[j].  A
+    lane is a product of residues, reduced only once the next factor could
+    take it past 2^31, and at the end."""
+    level, lanes, bound = {0: 1}, 1, 1
+    for j in reversed(range(len(values))):
+        below, size = width * (len(values) - 1 - j), len(values[j])
+        bound *= p - 1
+        keep = j > 0 and bound * (p - 1) < 1 << 31
+        reduce_ = (lambda x: x) if keep else _reducer(bound + 1, p,
+                                                      lanes * size)
+        upper = {b & ((1 << below + width) - 1) for b in monos}
+        nbytes, nxt = 8 * lanes, {}
+        for b in upper:
+            e, sub = b >> below, level[b & ((1 << below) - 1)]
+            nxt[b] = reduce_(int.from_bytes(b"".join(
+                (pow(v, e, p) * sub).to_bytes(nbytes, ORDER)
+                for v in values[j]) if e else sub.to_bytes(nbytes, ORDER)
+                * size, ORDER))
+        level, lanes, bound = nxt, lanes * size, bound if keep else p - 1
+    return level
 
 
 def _orbit_order(spec: PencilSpec, p: int) -> int:
@@ -314,112 +340,85 @@ def _row0_values(p: int, d: int) -> tuple:
     return (0,) + tuple(pow(g, i, p) for i in range(m // d))
 
 
-def _count_cell(cell, r, n, p, deforming, frozen, tables, hist, d):
+def _count_cell(cell, spec, p, d, hist):
     """Add the (sum, product) pairs of every point of one cell to hist.
 
-    Each r x r minor is linear in every echelon row, so once the entries
-    outside the inner block of _split_cell are fixed, a Pluecker
-    coordinate is an affine form k0 + s1*x1 + ... in the inner entries,
-    and the points are counted one grid at a time.  The form comes from
-    the cofactor expansion along the inner row, which vanishes outside its
-    pivot and free columns: (r-1)-minors of the other rows.  Those rows
-    vary slowest, so their minors are taken once per assignment of their
-    entries, and only the minors those entries enter.  Each coordinate in
-    use takes its form once per pass and all its powers from it, and keeps
-    its last power vectors while the form is unchanged.
+    The last outer entry x runs fastest: for each assignment of the slower
+    ones, S and F become sums of x^e * W_e over the inner grid, where each
+    W_e sums c * y^b over the inner monomials y^b, c a polynomial in the
+    slower entries.  One pass is one value of x: it adds up those W_e
+    times the powers of x, and _reducer brings every lane below p, since a
+    sum of N products of two residues stays below N*(p-1)^2.  The last
+    outer entry is a single 1 when every entry is inner.
 
-    An assignment whose nonzero outer entries have orbit orders k_1 .. k_m
-    stands for its orbit of k_1 * ... * k_m points, which share its pairs.
-    When the first inner entry x1 has order k > 1, the x1 = 0 block of
-    each grid comes first and counts once, the rest k times.  The counts
-    are kept per weight and folded into hist once the cell is done.
+    A pass whose nonzero outer entries have orbit orders k_1 .. k_m stands
+    for its orbit of k_1 * ... * k_m points, which share its pairs, and a
+    lane whose class marks nonzero inner entries of orders l_1 .. l_j
+    stands for l_1 * ... * l_j of them.  The keys are counted per outer
+    weight and folded into hist once the cell is done.
     """
-    row, outer, orders, inner, k1, grid = _split_cell(cell, r, p, d)
-    slow = sum(1 for i, _ in outer if i != row)
-    cols = (cell.pivots[row],) + tuple(j for _, j in outer[slow:]) + inner
-    width = len(cols) - len(inner)
-    at = {c: k for k, c in enumerate(cols)}
-    exponents = defaultdict(set)  # the powers each coordinate in use takes
-    for q, e in chain(frozen, *deforming):
-        exponents[q].add(e)
-    others = [[0] * n for _ in range(r - 1)]
-    for i, c in enumerate(cell.pivots[:row] + cell.pivots[row + 1:]):
-        others[i][c] = 1
-    slots = [(i - (i > row), j) for i, j in outer[:slow]]
-    # a minor of the other rows is 0 on a column they leave zero, and 1 on
-    # their pivot columns alone: only those with a varying column are taken
-    varying = {j for _, j in outer[:slow]}
-    live = varying.union(cell.pivots[:row], cell.pivots[row + 1:])
-    # (position in cols, sign, complementary columns) per coordinate
-    expansion = {}
-    for q in exponents:
-        qcols = tuple(i - 1 for i in plucker_indices(r, n)[q])
-        expansion[q] = [(at[c], -1 if (row + k) % 2 else 1, comp)
-                        for k, c in enumerate(qcols) if c in at
-                        for comp in [qcols[:k] + qcols[k + 1:]]
-                        if live.issuperset(comp)]
-    minor = {comp: 1 for terms in expansion.values() for _, _, comp in terms}
-    varying_comps = [comp for comp in minor if varying.intersection(comp)]
-    ranges = [_row0_values(p, k) for k in orders]
-    xs = _row0_values(p, k1) if k1 > 1 else None
-    block = grid // len(xs) if xs else grid  # the x1 = 0 pairs of a grid
+    width, s_poly, f_poly = _cell_polynomials(spec, cell)
+    orders, inner, lanes = _split_cell(cell, spec.r, p, d)
+    values = [_row0_values(p, k) for k in orders]
+    nout, shift, field = len(values) - inner, width * inner, (1 << width) - 1
+    nslow = max(nout - 1, 0)
+    fast, k_fast = (values[nslow], orders[nslow]) if nout else ((1,), 1)
+    slow_monos, plans = {}, []
+    for poly in (s_poly, f_poly):
+        groups = defaultdict(list)  # (e, y^b) -> [(slow monomial, c)]
+        for e, c in poly.items():
+            if c % p:
+                a = slow_monos.setdefault(e >> shift + width, len(slow_monos))
+                groups[e >> shift & field, e & (1 << shift) - 1].append(
+                    (a, c % p))
+        plans.append(groups)
+    vectors = _grid_vectors({b for g in plans for _, b in g}, values[nout:],
+                            width, p)
+    plans = [[(e, vectors[b], terms) for (e, b), terms in g.items()]
+             for g in plans]
+    exps = [sorted({e for e, _, _ in plan}) for plan in plans]
+    w_reds = [_reducer(len(plan) * (p - 1) ** 2 + 1, p, lanes)
+              for plan in plans]
+    s_red, f_red = (_reducer(len(ex) * (p - 1) ** 2 + 1, p, lanes)
+                    for ex in exps)
+    s_pows, f_pows = ([[pow(v, e, p) for e in ex] for v in fast]
+                      for ex in exps)
+    # the class of a lane: bit j set where the j-th inner entry of order
+    # > 1 is nonzero, a point standing for the product of those orders
+    classes, weights, post = 0, [1], lanes
+    for k, vals in zip(orders[nout:], values[nout:]):
+        post //= len(vals)
+        if k > 1:
+            ones = (1).to_bytes(8, ORDER) * (post * (len(vals) - 1))
+            classes += len(weights) * int.from_bytes(
+                (bytes(8 * post) + ones) * (lanes // post // len(vals)),
+                ORDER)
+            weights += [w * k for w in weights]
+    nclass, nbytes = len(weights), 8 * lanes
+    monos = [[(i, a >> width * (nslow - 1 - i) & field) for i in range(nslow)
+              if a >> width * (nslow - 1 - i) & field] for a in slow_monos]
     by_weight = defaultdict(Counter)
-    values, last_form = {}, {}  # p_q^e: an int if constant, else a vector
-    for slow_values in product(*ranges[:slow]):
-        for (i, j), v in zip(slots, slow_values):
-            others[i][j] = v
-        for comp in varying_comps:
-            minor[comp] = _det_mod(others, comp, p)
-        forms = []  # (coordinate, cofactors left of the block, slopes)
-        for q, terms in expansion.items():
-            coeffs = [0] * len(cols)
-            for k, sign, comp in terms:
-                coeffs[k] = sign * minor[comp] % p
-            forms.append((q, coeffs[:width], tuple(coeffs[width:])))
-        for fast_values in product(*ranges[slow:]):
-            w = prod(compress(orders, slow_values + fast_values))
-            head = (1,) + fast_values
-            for q, cofactors, slopes in forms:
-                form = (sum(map(mul, cofactors, head)) % p, slopes)
-                if last_form.get(q) != form:
-                    last_form[q] = form
-                    for e, v in tables.powers(*form, exponents[q], xs):
-                        values[q, e] = v
-            s, s_terms = 0, []
-            for mono in deforming:
-                const, terms = _monomial(mono, values, p)
-                if terms is None:
-                    s += const
-                else:
-                    s_terms.append(terms)
-            s %= p
-            f, f_terms = _monomial(frozen, values, p)
-            if s_terms:
-                s = map(mod, map(sum, zip(repeat(s), *s_terms)), repeat(p))
-            if f_terms is not None:
-                f = map(mod, f_terms, repeat(p))
-            if isinstance(s, int) and isinstance(f, int):
-                by_weight[w][s, f] += block
-                if xs:
-                    by_weight[w * k1][s, f] += grid - block
-            else:
-                pairs = zip(repeat(s) if isinstance(s, int) else s,
-                            repeat(f) if isinstance(f, int) else f)
-                by_weight[w].update(islice(pairs, block))
-                if xs:
-                    by_weight[w * k1].update(pairs)
+    for point in product(*values[:nslow]):
+        at = [prod(pow(point[i], e, p) for i, e in mono) % p
+              for mono in monos]
+        ws = []
+        for plan, ex, red in zip(plans, exps, w_reds):
+            w = dict.fromkeys(ex, 0)
+            for e, vec, terms in plan:
+                c = sum(at[a] * k for a, k in terms) % p
+                if c:
+                    w[e] += c * vec
+            ws.append([red(w[e]) for e in ex])
+        weight = prod(compress(orders, point))
+        for v, ps, pf in zip(fast, s_pows, f_pows):
+            key = (s_red(sum(map(mul, ps, ws[0]))) * p
+                   + f_red(sum(map(mul, pf, ws[1])))) * nclass + classes
+            by_weight[weight * k_fast if v else weight].update(
+                memoryview(key.to_bytes(nbytes, ORDER)).cast("Q"))
     for w, counts in by_weight.items():
         for key, m in counts.items():
-            hist[key] += w * m
-
-
-def _sparse_monomials(spec: PencilSpec) -> tuple:
-    """(deforming, frozen) as ((variable, exponent), ...) over the nonzero
-    exponents."""
-    deforming = [tuple((i, e) for i, e in enumerate(mono) if e)
-                 for mono in spec.deforming]
-    frozen = tuple((i, e) for i, e in enumerate(spec.frozen) if e)
-    return deforming, frozen
+            sf, c = divmod(key, nclass)
+            hist[divmod(sf, p)] += w * weights[c] * m
 
 
 @lru_cache(maxsize=32)
@@ -427,13 +426,10 @@ def _pencil_histogram(spec: PencilSpec, p: int) -> dict:
     """Histogram of (deforming sum, frozen product) pairs over all points,
     counted one Schubert cell at a time by _count_cell.  Cached on
     (pencil, p) alone; callers check the enumeration size first."""
-    deforming, frozen = _sparse_monomials(spec)
     d = _orbit_order(spec, p)
-    tables = _LineTables(p)
     hist = Counter()
     for cell in enumerate_cells(spec.r, spec.n):
-        _count_cell(cell, spec.r, spec.n, p, deforming, frozen, tables,
-                    hist, d)
+        _count_cell(cell, spec, p, d, hist)
     return hist
 
 

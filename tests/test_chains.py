@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from grasspencils import chains, poly
@@ -47,3 +49,19 @@ def test_chain_listing_counts_before_it_builds(monkeypatch):
     with pytest.raises(ResourceLimitError, match=r"standard monomials of "
                        r"G\(3,6\) in degree 3 with 980 monomials exceeds"):
         standard_monomials(3, 6, 3)
+
+
+def test_a_listing_leaves_nothing_to_the_cyclic_collector():
+    # the searches recurse through module functions, not closures that
+    # refer to themselves, so their memo dicts and rows die with the call
+    group_sizes = invariant_multiplicities(3, 6, 6)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        standard_monomials(3, 6, 6, group_sizes)
+        standard_monomials(2, 5, 4)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -87,35 +87,30 @@ def test_failed_run_makes_no_outdir(tmp_path):
     (("search", "--p", "13"), build_pencil(2, 4))])
 def test_manifest_work_is_what_the_kernel_visits(tmp_path, monkeypatch,
                                                  argv, spec):
-    # every pass takes each deforming monomial and the frozen product once,
-    # and adds its grid points to one per-weight Counter of its cell
-    calls, made = [], []
-    real = pointcount._monomial
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    # every pass counts the keys of its lanes with one Counter.update over
+    # their memoryview: the passes are those calls, the grid points their
+    # lanes
+    passes, points = [], []
 
     class Tally(Counter):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+        def update(self, iterable=None, /, **kwds):
+            if isinstance(iterable, memoryview):
+                passes.append(1)
+                points.append(len(iterable))
+            return super().update(iterable, **kwds)
 
-    monkeypatch.setattr(pointcount, "_monomial", counting)
     monkeypatch.setattr(pointcount, "Counter", Tally)
     p = int(argv[argv.index("--p") + 1])
     pointcount._pencil_histogram.cache_clear()
     try:
         assert run([*argv, "--outdir", str(tmp_path)]) == 0
-        hist = pointcount._pencil_histogram(spec, p)  # cached: not counted
     finally:
         pointcount._pencil_histogram.cache_clear()
-    passes, rest = divmod(len(calls), len(spec.deforming) + 1)
-    points = sum(sum(t.values()) for t in made if t is not hist)
     [manifest] = tmp_path.glob("*_manifest.json")
-    assert rest == 0
-    assert json.loads(manifest.read_text())["work"] == {
-        "passes": passes, "grid_points": points}
+    assert passes and json.loads(manifest.read_text())["work"] == {
+        "passes": len(passes), "grid_points": sum(points)}
+    assert (len(passes), sum(points)) == pointcount.histogram_work(spec, p)
+    assert max(points) <= pointcount.LANE_CAP
 
 
 def test_tables_check_mismatch_exits_2(tmp_path, monkeypatch):

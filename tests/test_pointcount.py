@@ -1,8 +1,8 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 from math import gcd, prod
-from operator import mul
 
 import pytest
 
@@ -11,11 +11,11 @@ from grasspencils.fields import PrimeField
 from grasspencils.grassmann import (VARIANTS, PencilSpec, build_pencil,
                                     evaluate_pencil, plucker_indices)
 from grasspencils.linalg import ResourceLimitError
-from grasspencils.pointcount import (ENUMERATION_GUARD, GRID_CAP,
-                                     PointCountRecord, _count_cell, _det_mod,
-                                     _LineTables, _orbit_order,
-                                     _pencil_histogram, _row0_values,
-                                     _sparse_monomials, _split_cell,
+from grasspencils.pointcount import (ENUMERATION_GUARD, LANE_CAP, ORDER,
+                                     PointCountRecord, _cell_polynomials,
+                                     _count_cell, _det_mod, _grid_vectors,
+                                     _orbit_order, _pencil_histogram,
+                                     _reducer, _row0_values, _split_cell,
                                      count_points, count_table, count_zeros,
                                      enumerate_cells, grassmannian_count,
                                      histogram_work, iter_plucker_points,
@@ -120,11 +120,11 @@ def test_enumeration_guard(monkeypatch):
 
 def test_work_guard_counts_grid_points_not_points(monkeypatch):
     # (2,5) at p = 41 (d = 5) has 4,871,753,210 points, but its histogram
-    # takes 31,130 passes over 51,760,378 grid points: admitted unforced,
+    # takes 30,714 passes over 51,639,418 grid points: admitted unforced,
     # while the per-point route keeps its guard on points
     spec = build_pencil(2, 5)
     assert grassmannian_count(2, 5, 41) > ENUMERATION_GUARD
-    assert histogram_work(spec, 41) == (31130, 51760378)
+    assert histogram_work(spec, 41) == (30714, 51639418)
     monkeypatch.setattr(pointcount, "_pencil_histogram",
                         lambda spec, p: Counter())
     assert len(count_table(spec, 41)) == 40
@@ -135,6 +135,21 @@ def test_work_guard_counts_grid_points_not_points(monkeypatch):
                        match=r"grid points.*pass force=True \(tables"):
         count_table(build_pencil(2, 7), 31)
     assert len(count_table(build_pencil(2, 7), 31, force=True)) == 30
+
+
+def test_primes_past_the_lanes_are_refused_before_any_work(monkeypatch):
+    # a key (s*p + f)*C + class needs p^2 * C <= 2^64, and the sums of
+    # N lanes of (p-1)^2 need Barrett constants that keep each in its
+    # lane; P^1 at p = 2^32 - 5 is past both, p = 65,521 past the second
+    def no_work(*args):
+        raise AssertionError("a cell was counted past the lanes")
+    monkeypatch.setattr(pointcount, "_count_cell", no_work)
+    spec = build_pencil(1, 2)
+    for p in (65521, 4294967291):
+        with pytest.raises(ResourceLimitError, match="64-bit lanes"):
+            count_table(spec, p, force=True)
+    with pytest.raises(ResourceLimitError, match="64-bit lanes"):
+        count_points(spec, 4294967291, 1, force=True)
 
 
 def test_one_histogram_per_pencil_and_prime():
@@ -215,20 +230,27 @@ def test_det_mod_against_cofactor_expansion(r):
 
 
 def test_minor_path_r3_matches_dual_r2_table():
-    # G(3,5) and G(2,5) are dual, so the 2 x 2 cofactors of r = 3 must
-    # reproduce the r = 2 table; at p = 5 and 7 both split their cells
-    # differently (three-entry rows, a middle inner row for r = 3)
+    # G(3,5) and G(2,5) are dual, so the cell polynomials of r = 3, built
+    # from 3 x 3 minors, must reproduce the r = 2 table; the two split
+    # their cells differently at every p
     for p in (2, 3, 5, 7):
         assert (count_table(build_pencil(3, 5), p)
                 == count_table(build_pencil(2, 5), p))
 
 
 def test_minor_path_r4_matches_dual_r2_table():
-    # G(4,6) and G(2,6) are dual; r = 4 expands along the last row with
-    # 3 x 3 cofactors
+    # G(4,6) and G(2,6) are dual; r = 4 expands 4 x 4 minors
     for p in (2, 3):
         assert (count_table(build_pencil(4, 6), p)
                 == count_table(build_pencil(2, 6), p))
+
+
+@pytest.mark.parametrize("r, dual, n, p", [(3, 2, 5, 7), (4, 2, 6, 5)])
+def test_dual_grassmannians_count_alike(r, dual, n, p):
+    # the r = 3 and r = 4 cells against r = 2 at a prime where each has
+    # outer entries, a fast one and reduced inner entries (d = 5 and 2)
+    assert count_table(build_pencil(r, n), p) == count_table(
+        build_pencil(dual, n), p)
 
 
 def _brute_force_points(r, n, p):
@@ -288,56 +310,67 @@ def _random_invariant_pencil(r, n, seed):
                       tuple(rng.sample(pool, rng.randint(1, 8))), arrow.frozen)
 
 
-# (pencil, p, largest cell dimension, the splits its cells must include):
-# the inner row is row 0, a middle row (r = 3 and 4) or the last row, and
-# holds up to three entries; d runs over 2, 4, 5, 6 and g' over 2 and 3
+# (pencil, p, largest cell dimension, lane cap, the splits its cells must
+# include): caps below LANE_CAP give the oracle-sized cells slow and fast
+# outer entries; d runs over 1, 2, 4, 5, 6 and g' over 2 and 3
 SPLIT_CASES = [
-    (build_pencil(2, 4, "quads"), 5, 4,
-     {"d 4", "row 0", "last row", "x1 mu_4"}),
-    (build_pencil(2, 4), 3, 4, {"d 2", "row 0", "last row", "x1 mu_2"}),
-    (build_pencil(2, 5), 11, 3, {"d 5", "row 0", "three", "x1 mu_5"}),
-    (build_pencil(2, 5), 3, 6, {"row 0", "last row", "three"}),
-    (build_pencil(2, 6), 3, 6, {"three", "x1 mu_2", "lead mu_2"}),
-    (build_pencil(3, 6), 7, 4, {"d 6", "row 0", "middle", "three", "x1 mu_6",
-                                "lead mu_3"}),
-    (build_pencil(3, 5), 7, 4, {"row 0", "middle", "last row"}),
-    (build_pencil(4, 6), 3, 5, {"row 0", "middle", "lead mu_2"}),
-    *[(_random_invariant_pencil(r, n, seed), p, dim, {"row 0"})
+    (build_pencil(2, 4, "quads"), 5, 4, 8,
+     {"d 4", "dimension 0", "all inner", "two rows", "reduced inner", "slow",
+      "fast mu_4", "fast mu_2", "lead mu_2"}),
+    (build_pencil(2, 4), 3, 4, 8,
+     {"d 2", "two rows", "reduced inner", "slow", "fast mu_2"}),
+    (build_pencil(2, 5), 11, 3, 30,
+     {"d 5", "reduced inner", "slow", "fast mu_5"}),
+    (build_pencil(2, 5), 3, 6, 100, {"d 1", "two rows", "slow"}),
+    (build_pencil(2, 6), 3, 6, 30,
+     {"two rows", "slow", "fast mu_2", "lead mu_2"}),
+    (build_pencil(3, 6), 7, 4, 30,
+     {"d 6", "two rows", "reduced inner", "slow", "fast mu_6", "lead mu_3"}),
+    (build_pencil(3, 5), 7, 4, 100, {"two rows", "slow"}),
+    (build_pencil(4, 6), 3, 5, 8, {"two rows", "slow", "fast mu_2",
+                                   "lead mu_2"}),
+    *[(_random_invariant_pencil(r, n, seed), p, dim, 30, {"reduced inner"})
       for seed, (r, n, p, dim) in enumerate(
           [(2, 4, 5, 4), (2, 5, 11, 3), (2, 6, 3, 6), (3, 4, 13, 3)])],
-    (PencilSpec.from_json(_non_invariant_pencil().to_json()), 5, 4,
-     {"d 1", "row 0", "last row"}),
+    (PencilSpec.from_json(_non_invariant_pencil().to_json()), 5, 4, 30,
+     {"d 1", "two rows", "slow"}),
+    (build_pencil(1, 4), 5, 3, 8, {"d 1", "dimension 0", "slow"}),
 ]
 
 
-def _split_features(r, n, p, d, cells):
+def _split_features(r, p, d, cells):
     features = {f"d {d}"}
     for cell in cells:
-        row, outer, orders, inner, k1, _ = _split_cell(cell, r, p, d)
-        if inner:
-            features.add("row 0" if row == 0 else "last row"
-                         if row == r - 1 else "middle")
-        if len(inner) == 3:
-            features.add("three")
-        if k1 > 1:
-            features.add(f"x1 mu_{k1}")
-        lead = min((e for e in cell.free_positions if e[0] == r - 1),
-                   default=None)
-        if gcd(r, d) > 1 and lead in outer:
+        orders, inner, _ = _split_cell(cell, r, p, d)
+        nout = len(orders) - inner
+        if not cell.dimension:
+            features.add("dimension 0")
+        elif not nout:
+            features.add("all inner")
+        if len({i for i, _ in cell.free_positions[nout:]}) > 1:
+            features.add("two rows")
+        if any(k > 1 for k in orders[nout:]):
+            features.add("reduced inner")
+        if nout > 1:
+            features.add("slow")
+        if nout and orders[nout - 1] > 1:
+            features.add(f"fast mu_{orders[nout - 1]}")
+        if gcd(r, d) > 1 and any(i == r - 1 for i, _ in cell.free_positions):
             features.add(f"lead mu_{gcd(r, d)}")
     return features
 
 
 @pytest.mark.parametrize(
-    "spec, p, dim, features", SPLIT_CASES,
-    ids=[f"{s.r}-{s.n}-{s.variant}-p{p}" for s, p, _, _ in SPLIT_CASES])
+    "spec, p, dim, cap, features", SPLIT_CASES,
+    ids=[f"{s.r}-{s.n}-{s.variant}-p{p}" for s, p, *_ in SPLIT_CASES])
 def test_histogram_matches_per_point_oracle_on_every_split(
-        monkeypatch, spec, p, dim, features):
+        monkeypatch, spec, p, dim, cap, features):
     # both routes restricted to the cells up to dimension dim
     cells = tuple(c for c in enumerate_cells(spec.r, spec.n)
                   if c.dimension <= dim)
-    d = _orbit_order(spec, p)
-    assert features <= _split_features(spec.r, spec.n, p, d, cells)
+    monkeypatch.setattr(pointcount, "LANE_CAP", cap)
+    assert features <= _split_features(spec.r, p, _orbit_order(spec, p),
+                                       cells)
     monkeypatch.setattr(pointcount, "enumerate_cells", lambda r, n: cells)
     _pencil_histogram.cache_clear()
     try:
@@ -370,57 +403,62 @@ def test_count_cell_matches_per_cell_oracle_at_d6():
     spec, p = build_pencil(2, 6), 7
     d = _orbit_order(spec, p)
     assert d == 6
-    deforming, frozen = _sparse_monomials(spec)
-    tables = _LineTables(p)
     cells = [c for c in enumerate_cells(2, 6) if c.dimension <= 6]
     assert max(c.dimension for c in cells) == 6
     for cell in cells:
         hist = Counter()
-        _count_cell(cell, 2, 6, p, deforming, frozen, tables, hist, d)
+        _count_cell(cell, spec, p, d, hist)
         assert hist == per_cell_histogram(spec, p, [cell]), cell
 
 
-def test_count_cell_matches_per_cell_oracle_with_mu3_last_row():
+def test_count_cell_matches_per_cell_oracle_with_mu3_last_row(monkeypatch):
     # d = gcd(6, 6) = 6 and g' = gcd(3, 6) = 3: the leading last-row entry
-    # runs over 0 and the two cosets of mu_3.  The cells up to dimension 5
-    # and (1, 2, 3) keep it among the outer entries, with inner blocks of
-    # one to three entries in row 0 or the middle row
+    # runs over 0 and the two cosets of mu_3.  At LANE_CAP the cells up to
+    # dimension 7 hold it inside the grid, behind slow outer entries; caps
+    # of 20 and 2 make it the fast outer entry or a slow one
     spec, p = build_pencil(3, 6), 7
     d = _orbit_order(spec, p)
     assert d == 6
-    deforming, frozen = _sparse_monomials(spec)
-    tables = _LineTables(p)
-    cells = [c for c in enumerate_cells(3, 6)
-             if c.dimension <= 5 or c.pivots == (1, 2, 3)]
-    splits = [_split_cell(c, 3, p, d) for c in cells]
-    assert {len(inner) for _, _, _, inner, _, _ in splits} == {0, 1, 2, 3}
-    assert {row for row, _, _, inner, _, _ in splits if inner} == {0, 1}
-    assert any(3 in orders for _, _, orders, _, _, _ in splits)
-    for cell in cells:
-        hist = Counter()
-        _count_cell(cell, 3, 6, p, deforming, frozen, tables, hist, d)
-        assert hist == per_cell_histogram(spec, p, [cell]), cell
+    cells = [c for c in enumerate_cells(3, 6) if c.dimension <= 7]
+    oracle = {cell: per_cell_histogram(spec, p, [cell]) for cell in cells}
+    where = set()
+    for cap in (LANE_CAP, 20, 2):
+        monkeypatch.setattr(pointcount, "LANE_CAP", cap)
+        for cell in cells:
+            orders, inner, _ = _split_cell(cell, 3, p, d)
+            nout = len(orders) - inner
+            if 3 in orders:
+                k = orders.index(3)
+                where.add("inner" if k >= nout else "fast" if k == nout - 1
+                          else "slow")
+            hist = Counter()
+            _count_cell(cell, spec, p, d, hist)
+            assert hist == oracle[cell], (cap, cell)
+    assert where == {"inner", "fast", "slow"}
 
 
 def test_last_row_runs_over_cosets_of_mu2(monkeypatch):
-    # (2,4) at p = 23: d = 2 and g' = 2, so x1 takes 0 and 11 coset
-    # representatives; every two-entry grid covers 12 * 23 pairs, not 23^2
-    lengths = []
+    # (2,4) at p = 23: d = 2 and g' = 2, so the leading last-row entry
+    # takes 0 and 11 coset representatives; every grid that holds both
+    # last-row entries covers 12 * 23 of their pairs, not 23^2
+    grids = []
+    real = pointcount._grid_vectors
 
-    class Recording(_LineTables):
-        def powers(self, k0, slopes, es, xs=None):
-            out = super().powers(k0, slopes, es, xs)
-            if len(slopes) == 2:
-                lengths.extend(len(v) for _, v in out
-                               if not isinstance(v, int))
-            return out
+    def recording(monos, values, width, q):
+        grids.append(tuple(map(len, values)))
+        return real(monos, values, width, q)
 
-    monkeypatch.setattr(pointcount, "_LineTables", Recording)
-    _pencil_histogram.cache_clear()
     spec, p = build_pencil(2, 4, "squares+quads"), 23
-    assert _pencil_histogram(spec, p) == per_cell_histogram(spec, p)
+    oracle = per_cell_histogram(spec, p)
+    monkeypatch.setattr(pointcount, "_grid_vectors", recording)
     _pencil_histogram.cache_clear()
-    assert lengths and set(lengths) == {12 * 23}
+    try:
+        assert _pencil_histogram(spec, p) == oracle
+    finally:
+        _pencil_histogram.cache_clear()
+    assert (12, 12, 23) in grids  # the top cell: row 0's (0,3) and row 1
+    assert all(grid[-2:] == (12, 23) for grid in grids
+               if len(grid) >= 2 and 23 in grid)
 
 
 def test_non_invariant_pencil_keeps_the_full_route():
@@ -430,10 +468,9 @@ def test_non_invariant_pencil_keeps_the_full_route():
     oracle = per_point_histogram(spec, p)
     assert _pencil_histogram(spec, p) == oracle
     # the guard is not vacuous: weighting this pencil by mu_4 is wrong
-    deforming, frozen = _sparse_monomials(spec)
-    tables, forced = _LineTables(p), Counter()
+    forced = Counter()
     for cell in enumerate_cells(2, 4):
-        _count_cell(cell, 2, 4, p, deforming, frozen, tables, forced, 4)
+        _count_cell(cell, spec, p, 4, forced)
     assert forced != oracle
 
 
@@ -457,102 +494,148 @@ def test_row0_values_are_zero_and_coset_representatives(p, d):
 
 
 @pytest.mark.parametrize("r, n", [(2, 6), (3, 6), (2, 7)])
-def test_inner_block_holds_at_most_three_entries_of_one_row(r, n):
-    wide = middle = 0
+def test_inner_entries_are_the_trailing_ones_within_the_lane_cap(r, n):
+    spans = slow = 0
     for p in (3, 7, 13, 17, 61, 101):
         for d in {1, gcd(n, p - 1)}:
             for cell in enumerate_cells(r, n):
-                row, outer, orders, inner, k1, grid = _split_cell(
-                    cell, r, p, d)
-                own = [j for i, j in cell.free_positions if i == row]
-                assert len(inner) <= 3 and own[len(own) - len(inner):] == list(
-                    inner)
-                first = 1 + (p - 1) // k1  # the values of the first entry
-                assert grid == (first * p ** (len(inner) - 1) if inner else 1)
-                assert len(inner) < 3 or grid <= GRID_CAP
-                # the other rows' entries first, row-major, then the row's own
-                assert outer == tuple(e for e in cell.free_positions
-                                      if e[0] != row) + tuple(
-                    (row, j) for j in own[:len(own) - len(inner)])
-                # a cell with a free entry never counts one point a pass
-                assert bool(inner) == bool(cell.dimension)
-                wide += len(inner) == 3
-                middle += 0 < row < r - 1
-    assert wide  # some rows lend a third entry
-    assert middle or r == 2
+                orders, inner, lanes = _split_cell(cell, r, p, d)
+                free = cell.free_positions
+                lead = next((e for e in free if e[0] == r - 1), None)
+                assert orders == tuple(
+                    d if i == 0 else gcd(r, d) if (i, j) == lead else 1
+                    for i, j in free)
+                sizes = [1 + (p - 1) // k for k in orders]
+                nout = len(sizes) - inner
+                # the longest run of trailing entries within the cap
+                assert lanes == prod(sizes[nout:]) <= LANE_CAP
+                assert not nout or lanes * sizes[nout - 1] > LANE_CAP
+                spans += len({i for i, _ in free[nout:]}) > 1
+                slow += nout > 1
+    assert spans and slow  # grids across rows, passes with slow entries
 
 
-@pytest.mark.parametrize("r, n, p, last_row_calls", [
-    (2, 5, 11, 670), (2, 6, 7, 743), (3, 6, 3, 17034)])
-def test_upper_minors_follow_only_the_rows_above(monkeypatch, r, n, p,
-                                                 last_row_calls):
-    # the (r-1)-minors of the rows other than the inner one are taken for
-    # each assignment of those rows, never twice: fewer calls than the
-    # last-row split made (last_row_calls), which took every complement
-    # whenever an entry above the last row changed
-    calls, cells = [], []
-    real_det, real_cell = pointcount._det_mod, pointcount._count_cell
+@pytest.mark.parametrize("r, n, p", [(2, 5, 11), (2, 6, 7), (3, 6, 3)])
+def test_cell_polynomials_are_expanded_once_per_pencil(monkeypatch, r, n,
+                                                       p):
+    # counting takes no minor: each cell's S and F are expanded once per
+    # (pencil, cell), whatever p, and equal the sum and product of the
+    # minors of the echelon matrix at random assignments
+    def no_minor(*args):
+        raise AssertionError("a minor was taken while counting")
 
-    def counting(matrix, cols, q):
-        calls.append((cells[-1], tuple(map(tuple, matrix)), cols))
-        return real_det(matrix, cols, q)
-
-    def marking(cell, *args):
-        cells.append(cell.pivots)
-        return real_cell(cell, *args)
-
-    monkeypatch.setattr(pointcount, "_det_mod", counting)
-    monkeypatch.setattr(pointcount, "_count_cell", marking)
+    monkeypatch.setattr(pointcount, "_det_mod", no_minor)
     spec = build_pencil(r, n)
-    d = _orbit_order(spec, p)
+    _cell_polynomials.cache_clear()
     _pencil_histogram.cache_clear()
-    _pencil_histogram(spec, p)
-    _pencil_histogram.cache_clear()
-    assert len(calls) == len(set(calls)) < last_row_calls
-    # the assignments of the other rows: 1 + (p - 1)/d values in row 0,
-    # 1 + (p - 1)/gcd(r, d) for the leading last-row entry, else p
-    assignments = 0
+    try:
+        for q in (2, 3, p):
+            _pencil_histogram(spec, q)
+        assert _cell_polynomials.cache_info().misses == len(
+            enumerate_cells(r, n))
+    finally:
+        _pencil_histogram.cache_clear()
+    rng, q = random.Random(r * n), 1000003
+    col_sets = [tuple(i - 1 for i in idx) for idx in plucker_indices(r, n)]
     for cell in enumerate_cells(r, n):
-        row = _split_cell(cell, r, p, d)[0]
-        lead = min((e for e in cell.free_positions if e[0] == r - 1),
-                   default=None)
-        sizes = [1 + (p - 1) // (d if i == 0 else gcd(r, d)
-                                 if (i, j) == lead else 1)
-                 for i, j in cell.free_positions if i != row]
-        assignments += prod(sizes) if sizes else 0
-    assert len({call[:2] for call in calls}) == assignments
+        width, s_poly, f_poly = _cell_polynomials(spec, cell)
+        xs = [rng.randrange(q) for _ in cell.free_positions]
+        matrix = [[0] * n for _ in range(r)]
+        for i, c in enumerate(cell.pivots):
+            matrix[i][c] = 1
+        for (i, j), x in zip(cell.free_positions, xs):
+            matrix[i][j] = x
+        coords = [_det_mod(matrix, cols, q) for cols in col_sets]
+
+        def at(poly):
+            return sum(c * prod(pow(x, e >> width * (len(xs) - 1 - k)
+                                    & (1 << width) - 1, q)
+                                for k, x in enumerate(xs))
+                       for e, c in poly.items()) % q
+
+        assert at(s_poly) == sum(prod(pow(c, e, q) for c, e in
+                                      zip(coords, mono))
+                                 for mono in spec.deforming) % q
+        assert at(f_poly) == prod(pow(c, e, q) for c, e in
+                                  zip(coords, spec.frozen)) % q
 
 
-def test_line_tables_hold_at_most_p_squared_values():
-    p = 5
-    tables = _LineTables(p)
-    # x1 over all of F_p, or over 0 and coset representatives; the later
-    # entries over F_p, x1 major
-    for xs, k0, s1, s2, s3 in product((None, (0, 1), (0, 2, 3)), range(p),
-                                      range(p), (0, 1, 3), (0, 2)):
-        xrange = xs or range(p)
-        assert {len(row) for row in tables.rows(s1, 3, xs)} == {len(xrange)}
-        assert len(tables.rows(s1, 3, xs)) == p
-        for slopes, points in (
-                ((s1,), [(x,) for x in xrange]),
-                ((s1, s2), list(product(xrange, range(p)))),
-                ((s1, s2, s3), list(product(xrange, range(p), range(p))))):
-            for e, got in tables.powers(k0, slopes, (1, 2, 4), xs):
-                want = tuple(pow(k0 + sum(map(mul, slopes, x)), e, p)
-                             for x in points)
-                assert (got == want[0] if isinstance(got, int)
-                        else got == want), (xs, k0, slopes, e)
-                assert isinstance(got, int) == (not any(slopes))
+def _lanes(packed, lanes):
+    return memoryview(packed.to_bytes(8 * lanes, ORDER)).cast("Q").tolist()
 
 
 @pytest.mark.parametrize("p", [5, 7])
-def test_rotated_line_tables_equal_pow_tables(p):
-    tables = _LineTables(p)
-    cosets = [_row0_values(p, k) for k in range(2, p) if (p - 1) % k == 0]
-    for s, e, xs in product(range(p), range(1, 2 * p), [None, *cosets]):
-        assert tables.rows(s, e, xs) == [
-            tuple(pow(b + s * x, e, p) for x in xs or range(p))
-            for b in range(p)], (s, e, xs)
+def test_grid_vectors_equal_pow_tables(p):
+    # each entry over all of F_p or over 0 and coset representatives, the
+    # first entry slowest; every monomial of up to three entries
+    width = 3
+    cosets = [_row0_values(p, k) for k in range(1, p) if (p - 1) % k == 0]
+    for values in [*([v] for v in cosets), *product(cosets, cosets),
+                   (cosets[0], cosets[-1], cosets[1])]:
+        powers = list(product(range(5), repeat=len(values)))
+        monos = {sum(e << width * (len(values) - 1 - k)
+                     for k, e in enumerate(es)): es for es in powers}
+        vectors = _grid_vectors(set(monos), list(values), width, p)
+        grid = list(product(*values))
+        for b, es in monos.items():
+            assert _lanes(vectors[b], len(grid)) == [
+                prod(pow(x, e, p) for x, e in zip(point, es)) % p
+                for point in grid], (values, es)
+
+
+def test_grid_vectors_hold_one_reduced_lane_per_grid_point():
+    # one vector per requested monomial, none for the other exponents of
+    # an entry, and each vector no wider than its grid: len(grid) lanes of
+    # residues below p, the constant monomial a vector of ones
+    p, width = 23, 4
+    values = [_row0_values(p, 2), list(range(p)), _row0_values(p, 11)]
+    grid = list(product(*values))
+    monos = {0, 5 << 2 * width, (1 << width) | 3, (7 << 2 * width) | 15}
+    vectors = _grid_vectors(monos, values, width, p)
+    assert set(vectors) == monos
+    assert _lanes(vectors[0], len(grid)) == [1] * len(grid)
+    for v in vectors.values():
+        assert v.bit_length() <= 64 * len(grid)
+        assert max(_lanes(v, len(grid))) < p
+
+
+@pytest.mark.parametrize("p, most",[(2, 400), (3, 400), (23, 400),
+                                     (61, 400), (181, 400), (32749, 2)])
+def test_reducer_is_exact_below_its_bound(p, most):
+    # the bounds _count_cell uses: N products of two residues
+    rng = random.Random(p)
+    for terms in (1, 2, 13, 400):
+        if terms > most:
+            continue
+        bound = terms * (p - 1) ** 2 + 1
+        xs = [x for x in (0, 1, p - 1, p, bound - 1 - (bound - 1) % p)
+              if x < bound]
+        xs += [bound - 1, *(rng.randrange(bound) for _ in range(200))]
+        packed = int.from_bytes(b"".join(x.to_bytes(8, ORDER) for x in xs),
+                                ORDER)
+        reduced = _reducer(bound, p, len(xs))(packed)
+        assert _lanes(reduced, len(xs)) == [x % p for x in xs], terms
+
+
+def test_memory_stays_within_the_lanes():
+    # (2,4) arrow at p = 61: the largest grid holds 31 * 61 = 1,891 lanes.
+    # Alive at once: 8 monomial vectors of the top cell, its 7 W_e and at
+    # most 9 temporaries, 24 * LANE_CAP * 8 B = 768 KiB, besides the
+    # histogram of at most p^2 = 3,721 pairs and the key counts of one
+    # cell, together about 1 MiB.  The line tables of the earlier kernel
+    # held p^2 values per slope and exponent: 2.3 MiB here, 62 MB at
+    # p = 181
+    spec, p = build_pencil(2, 4), 61
+    count_table(spec, 5)  # the polynomials, built once per pencil
+    _pencil_histogram.cache_clear()
+    tracemalloc.start()
+    try:
+        count_table(spec, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _pencil_histogram.cache_clear()
+    assert peak < 24 * LANE_CAP * 8 + 1024 * 1024 + 256 * 1024
 
 
 @pytest.mark.parametrize("spec, p", [
