@@ -9,10 +9,10 @@ parameters, package version, per-step timings, a sha256 digest of each
 output file and, for tables and search, the order d of the diagonal-group
 orbits the point count was taken over (orbit_order) and the passes and
 grid points of its histogram (work); for hodge, the character blocks of
-the slice (blocks).  Output files are
-deterministic (fixed iteration orders, no timestamps), so re-running an
-experiment reproduces the digests bit for bit; timings live only in the
-manifest.
+the slice (blocks) and the monomials whose normal forms the process holds
+after the run (normal_forms).  Output files are deterministic (fixed
+iteration orders, no timestamps), so re-running an experiment reproduces
+the digests bit for bit; timings live only in the manifest.
 
 Exit status: 0 = computed (and passed --check); 2 = failed --check, or
 refused a malformed or oversized input; 3 = the specializations of either
@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .fields import RATIONALS
-from .grassmann import PencilSpec, build_pencil
+from .grassmann import PencilSpec, build_pencil, normal_form
 from .griffiths import (SpecializationMismatch, ci_bigraded_quotient,
                         ci_context_for_pencil, consensus, invariant_subspace)
 from .linalg import ResourceLimitError
@@ -259,7 +259,8 @@ def cmd_hodge(args) -> int:
     run.manifest({"rn": [r, n], "variant": spec.variant,
                   "degree": report.degree, "t": list(t_values),
                   "primes": list(primes), "rationals": include_q},
-                 blocks=report.blocks)
+                 blocks=report.blocks,
+                 normal_forms=normal_form.cache_info().currsize)
     print(f"quotient dimension {report.quotient_dim}, "
           f"invariant dimension {report.invariant_dim}")
     print("survivors:", ", ".join(report.survivor_names))

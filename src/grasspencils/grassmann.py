@@ -204,7 +204,10 @@ def straightening_rules(r: int, n: int) -> MappingProxyType:
     are exactly the incomparable pairs of indices.  Then the monomials
     divisible by no leading pair are the chains, which hilbert_function
     counts in every degree, so the leading terms generate the initial ideal
-    in every degree and the rules are a Groebner basis."""
+    in every degree and the rules are a Groebner basis.  Last, every tail
+    monomial must have the lead's index content (the count of each index
+    1..n), so a normal form keeps the content, and so the character block,
+    of the monomial it rewrites."""
     names = _plucker_names(r, n)
 
     def named(pairs):
@@ -237,6 +240,19 @@ def straightening_rules(r: int, n: int) -> MappingProxyType:
     if extra := rules.keys() - incomparable:
         raise ValueError(f"G({r},{n}) relations lead with the comparable "
                          f"pair(s) {named(extra)}")
+    for (i, j), tail in rules.items():
+        for shift, _ in tail:
+            content = [0] * (n + 1)
+            for k, idx in zip(shift, indices):
+                if k:
+                    for x in idx:
+                        content[x] += k
+            if any(content):
+                term = [k + (v in (i, j)) for v, k in enumerate(shift)]
+                raise ValueError(
+                    f"a G({r},{n}) relation leads with {named([(i, j)])} "
+                    f"but holds the term {monomial_name(term, r, n)} of "
+                    "another index content")
     return MappingProxyType(rules)  # cached: shared by every caller
 
 

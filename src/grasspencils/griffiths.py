@@ -22,8 +22,8 @@ specializing t to several rational values and/or several large prime
 fields and demanding unanimity; disagreement raises, it is never averaged
 away.  Every generator is linear in f_t = frozen + t*deforming and the
 normal form is Z-linear, so the row of each generator multiple is a + t*b
-with integer rows a and b, built once per pencil and slice, held by
-linalg._RowPairs and kept for later calls.  The diagonal group grades the
+with integer rows a and b, built once per call and slice and held by
+linalg._RowPairs until the call returns.  The diagonal group grades the
 slice, so the rows fall into character blocks: the rank is the sum of the
 block ranks, and only the trivial block meets the invariant monomials.
 The rows free of t are eliminated once per field; a specialization adds
@@ -153,19 +153,23 @@ def grassmann_jacobian_generators(f: SparsePolynomial, r: int,
 # -- graded slices of the generalized Jacobian ring --------------------
 
 
-def _multiple_rows(generators, grade, multipliers, row, what):
+def _multiple_rows(generators, grade, multipliers, row, what, block=None):
     """The rows of every generator multiple landing in one slice.
 
     A generator is a tuple of polynomials, the coefficients of a polynomial
     in t (the pair (g, h) stands for g + t*h), whose terms all have one
     grade(exponent); multipliers(grade) lists the monomials that take it
-    into the slice.  Each multiple yields the tuple of rows row(mult, g),
-    unless all are zero.  The entries yielded are counted against linalg's
-    entry limit, since a caller may hold them all; `what` names the rows.
+    into the slice.  Each multiple yields (key, the tuple of rows
+    row(mult, g)), unless all rows are zero, where key is block(mult * m)
+    for one term m of the generator, or None if block is None: the caller
+    must know that every column of the rows lies in that block.  The
+    entries yielded are counted against linalg's entry limit, since a
+    caller may hold them all; `what` names the rows.
     """
     lists, entries = {}, 0
     for parts in generators:
-        grades = {grade(e) for g in parts for e in g.terms}
+        terms = [e for g in parts for e in g.terms]
+        grades = set(map(grade, terms))
         if len(grades) > 1:
             raise ValueError(f"{what}: a generator is not homogeneous")
         for gr in grades:
@@ -179,13 +183,14 @@ def _multiple_rows(generators, grade, multipliers, row, what):
                         raise ResourceLimitError(
                             f"{what}: {entries} entries exceed the "
                             f"{_ENTRY_LIMIT} entry limit")
-                    yield rows
+                    yield (None if block is None else
+                           block(tuple(map(add, mult, terms[0]))), rows)
 
 
-def _slice_rows(r, n, degree, generators):
-    """_multiple_rows of G(r,n) in one degree, in standard monomials.  The
-    multipliers are the standard monomials, listed as chains once the
-    straightening rules are certified: modulo the Pluecker ideal
+def _slice_rows(r, n, degree, generators, block=None):
+    """_multiple_rows of G(r,n) in one degree, in standard monomials, keyed
+    by block.  The multipliers are the standard monomials, listed as chains
+    once the straightening rules are certified: modulo the Pluecker ideal
     m*g = NF(m)*g, so they span what every monomial multiple spans."""
     # imported on first use: the point-count subcommands list no chains
     from .chains import standard_monomials
@@ -202,7 +207,7 @@ def _slice_rows(r, n, degree, generators):
     return _multiple_rows(
         generators, sum, multipliers,
         lambda mult, g: _standard_row(r, n, mult, g, key),
-        f"generator rows of G({r},{n}) in degree {degree}")
+        f"generator rows of G({r},{n}) in degree {degree}", block)
 
 
 def _standard_row(r, n, mult_exp, poly, key):
@@ -252,7 +257,7 @@ def graded_quotient(r: int, n: int, degree: int,
     return GradedPieceReport(
         label=f"G({r},{n}) degree {degree}",
         rn=(r, n), degree=degree, t=None, field=fld.name,
-        **_dims(r, n, degree, basis.add_rows(row for (row,) in rows)))
+        **_dims(r, n, degree, basis.add_rows(row for _, (row,) in rows)))
 
 
 # -- complete-intersection Jacobian ring -------------------------------
@@ -419,48 +424,23 @@ def consensus(results, keys, what):
     return first
 
 
-# Slices whose rows a later call reuses, oldest first: a sweep asks for one
-# pencil's slice over several fields in turn, as the Q step after the mod-p
-# step.  At most eight are held, and their rows and t-free bases hold at
-# most _ENTRY_LIMIT entries together, counted as a slice is added; older
-# slices are dropped first.
-_HELD, _HELD_SLICES = {}, 8
-
-
-def _held_rows(spec, degree):
-    """_pencil_rows(spec, degree), reused if an earlier call holds them.
-    Rows past the entry limit now in force are built again, which refuses
-    them."""
-    rows = _HELD.pop((spec, degree), None)
-    if rows is None or rows.entries > _ENTRY_LIMIT:
-        rows = _pencil_rows(spec, degree)
-    _HELD[spec, degree] = rows
-    while len(_HELD) > _HELD_SLICES or len(_HELD) > 1 and sum(
-            held.held for held in _HELD.values()) > _ENTRY_LIMIT:
-        del _HELD[next(iter(_HELD))]
-    return rows
-
-
 def _pencil_rows(spec, degree):
     """The rows of the generator multiples of f_t = frozen + t*deforming in
     one slice, as integer pairs (a, b) whose row at t is a + t*b: frozen
-    and deforming have int coefficients over Q, and ints stay ints.  They
-    are grouped by character block, each pair checked to lie in one."""
+    and deforming have int coefficients over Q, and ints stay ints.  Each
+    pair is filed under the character block of one of its monomials before
+    straightening: the terms of a generator share a block (D^i_j shifts the
+    content of every term by e_i - e_j), and straightening keeps the
+    content (straightening_rules checks every rule), so the pair's columns
+    all lie in that block."""
     r, n, nv = spec.r, spec.n, spec.nvars
     frozen, deforming = (
         grassmann_jacobian_generators(
             SparsePolynomial(nv, RATIONALS, terms), r, n)
         for terms in ({spec.frozen: 1}, dict.fromkeys(spec.deforming, 1)))
-    block_of, keys = pencil_blocks(spec), {}
-
-    def block(c):  # c: the int of an exponent vector, or the vector
-        if c not in keys:
-            keys[c] = block_of(c if type(c) is tuple
-                               else c.to_bytes(nv, "big"))
-        return keys[c]
-
-    return _RowPairs(_slice_rows(r, n, degree, zip(frozen, deforming)),
-                     hilbert_function(r, n, degree), block)
+    return _RowPairs(_slice_rows(r, n, degree, zip(frozen, deforming),
+                                 pencil_blocks(spec)),
+                     hilbert_function(r, n, degree))
 
 
 def _block_counts(rows, n) -> dict:
@@ -500,7 +480,7 @@ def invariant_subspace(spec: PencilSpec, degree=None,
     """Consensus dimension of the invariant part of a graded slice.
 
     The generator rows of the slice are built once over Z, as pairs a, b
-    with row a + t*b, and held for later calls (_held_rows).  For every
+    with row a + t*b, and dropped when the call returns.  For every
     specialization (t over Q, and t mod every given prime) the rows a + t*b
     are eliminated in the field, one character block at a time, and the
     standard invariant monomials, each the unit row {e: 1}, are fed to the
@@ -539,7 +519,7 @@ def invariant_subspace(spec: PencilSpec, degree=None,
     straightening_rules(r, n)
     candidates = standard_monomials(r, n, degree,
                                     invariant_multiplicities(r, n, degree))
-    rows = _held_rows(spec, degree)
+    rows = _pencil_rows(spec, degree)
     results = [_one_specialization(spec, degree, rows, fld, t, candidates,
                                    span_check_monomials)
                for fld in fields for t in t_values]

@@ -12,12 +12,12 @@ the rows a basis accepts.  A copy shares the stored rows and takes new
 ones on its own.  Bases that live side by side share one entry budget.
 
 _RowPairs holds rows linear in a parameter t, as pairs (a, b) of rows
-a + t*b, grouped in blocks whose columns no other block uses, so a rank is
-the sum of the block ranks.  Per field it eliminates the rows that do not
-depend on t once in each block; every t then starts from copies of those
-bases, and a block of one row is counted by whether that row vanishes.
-All the bases of one t, and the t-free ones, store at most _ENTRY_LIMIT
-entries together, as one basis of the whole slice would.
+a + t*b, each filed under the block its caller names, so a rank is the sum
+of the block ranks.  Per field it eliminates the rows that do not depend on
+t once in each block; every t then starts from copies of those bases, and a
+block of one row is counted by whether that row vanishes.  All the bases of
+one t, and the t-free ones, store at most _ENTRY_LIMIT entries together, as
+one basis of the whole slice would.
 
 Every row enters through _integer_row.  A row of ints enters in one pass,
 its zero entries dropped and, over F_p, its entries reduced mod p; a row
@@ -36,10 +36,12 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 # Cap on the entries stored by one basis, or by the bases that share its
-# budget.  tracemalloc put the stored rows of the arrow slices of (2,4),
-# (2,5) and (2,6) in degree n at <= 78 bytes per entry over Q and <= 90
-# over F_p (Python 3.11), so 5e6 entries stay near 450 MB, under 1 GiB with
-# room for larger integers.
+# budget, and on the row entries built for one slice (griffiths'
+# _multiple_rows), the count that reaches it first.  tracemalloc (Python
+# 3.11) on the slice of hodge --rn 2,5 --degree 10: its 263,729 row-pair
+# entries take 25.2 MiB, about 100 bytes each, and a stored basis entry
+# takes 58 bytes over Q and 68 over F_p.  So 5e6 pair entries hold about
+# 500 MB, and bases at the cap about 350 MB more.
 _ENTRY_LIMIT = 5_000_000
 _INT = frozenset((int,))
 
@@ -171,38 +173,29 @@ def _at(pairs, t):
 
 class _RowPairs:
     """Rows linear in a parameter: pairs (a, b), the row at t being a + t*b.
-    They are kept in the order given and grouped by block, the key block(c)
-    shared by every column c of a pair (one block if block is None), each
-    block as (its rows free of t, its pairs that carry t): a pair with a = {}
-    or b = {} stands for the row b or a, as t != 0 in the field.  Over the
-    last field asked for, the rows free of t are eliminated once per block;
-    a specialization adds the others to a copy of that basis."""
+    They come as (key, pair) and are kept in the order given and grouped by
+    key, a block whose columns no other block uses, each block as (its rows
+    free of t, its pairs that carry t): a pair with a = {} or b = {} stands
+    for the row b or a, as t != 0 in the field.  Over the last field asked
+    for, the rows free of t are eliminated once per block; a specialization
+    adds the others to a copy of that basis."""
 
-    def __init__(self, pairs, ncols, block=None):
-        self.pairs, self.ncols, self._fixed = tuple(pairs), ncols, (None, {})
-        self.entries = sum(len(a) + len(b) for a, b in self.pairs)
-        self.blocks = {}
-        for pair in self.pairs:
-            keys = {None} if block is None else {block(c) for row in pair
-                                                   for c in row}
-            if len(keys) != 1:
-                raise ValueError(f"a row spans {len(keys)} blocks")
-            key = keys.pop()
+    def __init__(self, keyed_pairs, ncols):
+        self.ncols, self._fixed = ncols, (None, {})
+        self.pairs, self.blocks = [], {}
+        for key, pair in keyed_pairs:
+            self.pairs.append(pair)
             if key not in self.blocks:
                 self.blocks[key] = [], []
-            free, pairs = self.blocks[key]
+            free, carried = self.blocks[key]
             if all(pair):
-                pairs.append(pair)
+                carried.append(pair)
             else:
                 free.append(pair[0] or pair[1])
+        self.entries = sum(len(a) + len(b) for a, b in self.pairs)
 
     def __iter__(self):
         return iter(self.pairs)
-
-    @property
-    def held(self):
-        """The entries of the pairs and of the t-free bases kept with them."""
-        return self.entries + sum(b.entries for b in self._fixed[1].values())
 
     def fixed(self, fld):
         """{block: the basis over fld of its rows free of t}, for the blocks

@@ -115,8 +115,9 @@ def pencil_blocks(spec):
     """exponent vector -> its character_block on the pencil's G(r,n).  The
     diagonal group grades the Jacobian ideal of an invariant pencil: the
     row of m*D^i_j f lies in the block of content(m) + e_i - e_j, as
-    straightening keeps the content.  A pencil with a non-invariant
-    monomial is one block, the trivial (0, ..., 0)."""
+    straightening keeps the content (grassmann.straightening_rules checks
+    every rule).  A pencil with a non-invariant monomial is one block, the
+    trivial (0, ..., 0)."""
     group = build_group(spec.n, spec.r)
     if all(is_invariant(e, group) for e in spec.deforming + (spec.frozen,)):
         return partial(character_block, group=group)

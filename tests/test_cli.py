@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from grasspencils import chains, cli, griffiths, linalg, pointcount, poly
-from grasspencils.grassmann import PencilSpec, build_pencil
+from grasspencils.grassmann import PencilSpec, build_pencil, normal_form
 from grasspencils.griffiths import SpecializationMismatch
 
 
@@ -58,8 +58,11 @@ def test_manifest_times_steps_and_digests_outputs(tmp_path, argv, name,
     assert run([*argv, "--outdir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
     keys = {"experiment", "parameters", "version", "timings_ms", "outputs",
-            *(("orbit_order", "work") if orbit_order else ("blocks",))}
+            *(("orbit_order", "work") if orbit_order
+              else ("blocks", "normal_forms"))}
     assert set(manifest) == keys
+    if not orbit_order:
+        assert manifest["normal_forms"] == normal_form.cache_info().currsize
     assert manifest["experiment"] == name
     assert manifest.get("orbit_order") == orbit_order
     assert set(manifest["timings_ms"]) == timings

@@ -1,5 +1,6 @@
 import json
 import random
+import weakref
 from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
@@ -13,7 +14,7 @@ from grasspencils.grassmann import (PencilSpec, _leading_pair, build_pencil,
                                     monomial_name, normal_form,
                                     plucker_indices,
                                     plucker_relations, straightening_rules)
-from grasspencils import griffiths, linalg, poly
+from grasspencils import grassmann, griffiths, linalg, poly
 from grasspencils.chains import standard_monomials
 from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
                                     apply_derivation,
@@ -400,6 +401,22 @@ def test_invariant_subspace_25():
     assert len(report.specializations) == 8
 
 
+@pytest.mark.parametrize("dual,rn,dims", [
+    ((3, 5), (2, 5), (1151, 11)), ((4, 6), (2, 6), (13824, 24)),
+    ((5, 7), (2, 7), (169835, 50))], ids=["3-5", "4-6", "5-7"])
+def test_dual_grassmannians_give_the_same_hodge_dimensions(dual, rn, dims):
+    # G(r,n) and G(n-r,n) are one variety: every count of the invariant
+    # slice, and its character blocks, agree.  The duals file their row
+    # pairs under block keys at r >= 3, and G(4,6) at gcd(r, n) = 2
+    reports = [invariant_subspace(build_pencil(*x), t_values=(2,),
+                                  primes=(1048583,)) for x in (dual, rn)]
+    keys = ("ambient", "relation_rank", "ideal_rank", "quotient_dim",
+            "invariant_dim", "blocks")
+    first, second = ({k: getattr(rep, k) for k in keys} for rep in reports)
+    assert first == second
+    assert (first["quotient_dim"], first["invariant_dim"]) == dims
+
+
 ORACLE_FIELDS = (RATIONALS, PrimeField(1048583), PrimeField(2097169))
 
 
@@ -614,14 +631,13 @@ def test_block_route_matches_the_one_basis_route(spec, degree, fields,
 
 @contextmanager
 def _cold_row_caches():
-    """Drop the held rows of the slices (and the bases kept with them)
-    before and after the block, so it builds and eliminates its own."""
-    griffiths._HELD.clear()
+    """Drop the cached complete-intersection pairs (and the bases kept with
+    them) before and after the block, so it builds and eliminates its own;
+    the rows of a Griffiths slice are never kept between calls."""
     griffiths._pencil_ci_rows.cache_clear()
     try:
         yield
     finally:
-        griffiths._HELD.clear()
         griffiths._pencil_ci_rows.cache_clear()
 
 
@@ -901,8 +917,8 @@ def test_plain_ci_context_takes_the_pair_route_with_no_t_part(fld,
     assert tuple(ci_bigraded_quotient(ctx, (0, b)).quotient_dim
                  for b in (0, 1)) == (1, 89)
     for pairs, bidegree in zip(held, ((0, 0), (0, 1))):
-        assert all(b == {} for _, b in pairs)
-        assert ([a for a, _ in pairs if a]
+        assert all(key is None and b == {} for key, (_, b) in pairs)
+        assert ([a for _, (a, _) in pairs if a]
                 == _direct_ci_rows(ctx, bidegree))
 
 
@@ -1095,12 +1111,19 @@ def test_report_json_is_the_asdict_rendering(rn, variant):
     (2, 4, "quads", 4, (13, 4, 4, 3)),
     (2, 4, "squares+quads", 4, (13, 4, 4, 3)),
     (2, 5, "arrow", 5, (21, 5, 5, 4)), (2, 6, "arrow", 6, (31, 6, 6, 5)),
-    (2, 4, "arrow", 8, (32, 84, 84, 315))])
+    (2, 4, "arrow", 8, (32, 84, 84, 315)),
+    # the variant slot holds the pencil itself
+    *[pytest.param(spec.r, spec.n, spec, spec.n, blocks, id=spec.variant)
+      for spec, blocks in zip(map(_random_invariant_pencil, range(6)), (
+          (13, 4, 4, 3), (21, 5, 5, 8), (21, 1, 1, 2), (13, 4, 4, 5),
+          (21, 3, 3, 2), (21, 5, 5, 4)))]])
 def test_slices_split_into_character_blocks(r, n, variant, degree, blocks):
-    # every pair's columns share one block key; in degree n each
+    # each pair is filed under the block of one of its monomials; every
+    # column of every pair lies in that block.  In degree n each
     # off-diagonal generator is alone, f and the n - 1 differences share
     # the trivial block, and the differences of the frozen term vanish
-    spec = build_pencil(r, n, variant)
+    spec = (variant if isinstance(variant, PencilSpec)
+            else build_pencil(r, n, variant))
     rows = griffiths._pencil_rows(spec, degree)
     assert griffiths._block_counts(rows, n) == dict(zip(
         ("blocks", "largest_block_rows", "trivial_block_rows",
@@ -1113,47 +1136,46 @@ def test_slices_split_into_character_blocks(r, n, variant, degree, blocks):
     assert block_of(spec.frozen) == (0,) * n
 
 
-def test_a_row_across_two_blocks_is_refused():
-    with pytest.raises(ValueError, match="a row spans 2 blocks"):
-        linalg._RowPairs([({1: 1}, {}), ({2: 1}, {3: 1})], 4,
-                         lambda c: c % 2)
+def test_a_rule_that_changes_the_index_content_is_refused(monkeypatch):
+    # a pair is filed under the block of one monomial, which holds only
+    # while straightening keeps the index content.  The tail p12*p24 of
+    # p14*p23 (content 1,2,2,4 against 1,2,3,4) is lex-greater, and
+    # p14*p23 is the one incomparable pair of G(2,4), so only the content
+    # check refuses the relation, before any row is built
+    broken = SparsePolynomial(6, RATIONALS, {(1, 0, 0, 0, 0, 1): 1,
+                                             (1, 0, 0, 0, 1, 0): -1,
+                                             (0, 0, 1, 1, 0, 0): 1})
+    monkeypatch.setattr(grassmann, "plucker_relations",
+                        lambda r, n: (broken,))
+    monkeypatch.setattr(griffiths, "_pencil_rows", None)  # never reached
+    straightening_rules.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"a G\(2,4\) relation leads "
+                           r"with p14\*p23 but holds the term p12\*p24 of "
+                           r"another index content"):
+            straightening_rules(2, 4)
+        with pytest.raises(ValueError, match="another index content"):
+            invariant_subspace(build_pencil(2, 4), t_values=(2,))
+    finally:
+        straightening_rules.cache_clear()
 
 
-def test_rows_are_held_for_later_calls_within_the_entry_limit(monkeypatch):
-    # the Q step reuses the rows of the mod-p step; a limit lowered in
-    # between refuses them as building them again would, and the held
-    # slices are dropped oldest first past the limit or eight slices
+def test_rows_are_built_on_every_call_and_dropped_when_it_returns(
+        monkeypatch):
+    # two calls on one slice build its rows twice; the first call's rows
+    # are gone once it returns, as nothing outside the call refers to them
     built = []
     real = griffiths._pencil_rows
-    monkeypatch.setattr(griffiths, "_pencil_rows",
-                        lambda *key: built.append(key) or real(*key))
+
+    def recording(*key):
+        rows = real(*key)
+        built.append((key, weakref.ref(rows)))
+        return rows
+
+    monkeypatch.setattr(griffiths, "_pencil_rows", recording)
     spec = build_pencil(2, 5)
-    with _cold_row_caches():
-        invariant_subspace(spec, t_values=(2,), primes=(1048583,))
-        invariant_subspace(spec, t_values=(3,), include_rationals=True)
-        assert built == [(spec, 5)]
-        # 149 row entries and the 21 of the t-free basis over Q
-        assert griffiths._HELD[spec, 5].held == 170
-        monkeypatch.setattr(griffiths, "_ENTRY_LIMIT", 148)
-        with pytest.raises(ResourceLimitError,
-                           match="G\\(2,5\\) in degree 5: 149 entries exceed "
-                                 "the 148 entry limit"):
-            invariant_subspace(spec, t_values=(2,), primes=(1048583,))
-        assert built == [(spec, 5)] * 2 and not griffiths._HELD
-        # (2,5) and (2,4) hold 149 + 64 row entries; the (2,4) call over Q
-        # adds a t-free basis of 10, counted when the next slice comes
-        monkeypatch.setattr(griffiths, "_ENTRY_LIMIT", 149 + 64 + 5)
-        arrow = build_pencil(2, 4)
-        for held in ((spec, 5), (arrow, 4)):
-            griffiths._held_rows(*held)
-        invariant_subspace(arrow, t_values=(2,))
-        assert list(griffiths._HELD) == [(spec, 5), (arrow, 4)]
-        griffiths._held_rows(arrow, 4)
-        assert list(griffiths._HELD) == [(arrow, 4)]
-        monkeypatch.setattr(griffiths, "_ENTRY_LIMIT", 10 ** 6)
-        slices = [(build_pencil(2, 4, variant), degree) for degree in (4, 6)
-                  for variant in ("arrow", "squares", "quads",
-                                  "squares+quads")] + [(spec, 5)]
-        for held in slices:
-            griffiths._held_rows(*held)
-        assert list(griffiths._HELD) == slices[1:]
+    invariant_subspace(spec, t_values=(2,), primes=(1048583,))
+    assert len(built) == 1 and built[0][1]() is None
+    invariant_subspace(spec, t_values=(3,), include_rationals=True)
+    assert [key for key, _ in built] == [(spec, 5)] * 2
+    assert built[1][1]() is None
