@@ -10,7 +10,7 @@ as tableaux, one index at a time, without listing the whole slice.
 
 from itertools import product
 
-from .grassmann import index_position
+from .grassmann import _exponent_of
 from .poly import check_listing_size
 
 
@@ -30,16 +30,9 @@ def standard_monomials(r: int, n: int, d: int, multiplicities=None) -> tuple:
                 ([range(d + 1)] if multiplicities is None else multiplicities)]
     check_listing_size(sum(count for count, _ in searches),
                        f"standard monomials of G({r},{n}) in degree {d}")
-    pos = index_position(r, n)
-    chains = sorted(tuple(pos[col] for col in zip(*rows)) for _, strips
-                    in searches for rows in _tableaux(r, n, strips))
-    out = []
-    for chain in chains:
-        e = [0] * len(pos)
-        for v in chain:
-            e[v] += 1
-        out.append(tuple(e))
-    return tuple(out)
+    return tuple(sorted((_exponent_of(zip(*rows), r, n) for _, strips
+                         in searches for rows in _tableaux(r, n, strips)),
+                        reverse=True))
 
 
 def _strip_search(r, n, d, sizes):

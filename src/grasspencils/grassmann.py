@@ -182,6 +182,19 @@ def hilbert_function(r: int, n: int, d: int) -> int:
             // prod(d - j + r - i + 1 for i, j in cells))  # hook lengths
 
 
+def index_content(e, r: int, n: int) -> tuple:
+    """How often each index 1..n occurs among the Pluecker factors of the
+    monomial with exponent vector e, with multiplicity: entry i - 1 counts
+    index i.  A negative exponent, as in a straightening shift, counts its
+    factor's indices negatively."""
+    counts = [0] * n
+    for k, idx in zip(e, plucker_indices(r, n)):
+        if k:
+            for i in idx:
+                counts[i - 1] += k
+    return tuple(counts)
+
+
 def _leading_pair(e, rules):
     """The first leading pair (i, j) of rules dividing e, or None."""
     support = [v for v, k in enumerate(e) if k]
@@ -242,12 +255,7 @@ def straightening_rules(r: int, n: int) -> MappingProxyType:
                          f"pair(s) {named(extra)}")
     for (i, j), tail in rules.items():
         for shift, _ in tail:
-            content = [0] * (n + 1)
-            for k, idx in zip(shift, indices):
-                if k:
-                    for x in idx:
-                        content[x] += k
-            if any(content):
+            if any(index_content(shift, r, n)):
                 term = [k + (v in (i, j)) for v, k in enumerate(shift)]
                 raise ValueError(
                     f"a G({r},{n}) relation leads with {named([(i, j)])} "

@@ -40,9 +40,9 @@ from operator import add, mul
 
 from .fields import PrimeField, RATIONALS
 from .grassmann import (PencilSpec, evaluate_pencil, hilbert_function,
-                        index_position, monomial_name, normal_form,
-                        plucker_indices, plucker_relations, sort_with_sign,
-                        straightening_rules)
+                        index_content, index_position, monomial_name,
+                        normal_form, plucker_indices, plucker_relations,
+                        sort_with_sign, straightening_rules)
 from .linalg import _ENTRY_LIMIT, ResourceLimitError, _RowPairs, row_basis
 from .poly import SparsePolynomial, check_listing_size, monomials_of_degree
 from .symmetry import invariant_multiplicities, pencil_blocks
@@ -111,8 +111,7 @@ def apply_derivation(i: int, j: int, g: SparsePolynomial, r: int,
     out = {}
     for exps, coeff in g.terms.items():
         if i == j:
-            out[exps] = coeff * sum(e for e, idx in zip(exps, indices)
-                                    if i in idx)
+            out[exps] = coeff * index_content(exps, r, n)[i - 1]
             continue
         for v, e in enumerate(exps):
             if not e:
@@ -253,7 +252,7 @@ def graded_quotient(r: int, n: int, degree: int,
     generators = list(ideal_generators)
     fld = generators[0].field if generators else RATIONALS
     rows = _slice_rows(r, n, degree, ((g,) for g in generators))
-    basis = row_basis(hilbert_function(r, n, degree), fld)
+    basis = row_basis(None, fld)
     return GradedPieceReport(
         label=f"G({r},{n}) degree {degree}",
         rn=(r, n), degree=degree, t=None, field=fld.name,
@@ -367,7 +366,7 @@ def ci_bigraded_quotient(ctx: CIJacobianContext,
     else:
         zero = SparsePolynomial.zero(ctx.nvars, ctx.field)
         rows = _RowPairs(_ci_rows(ctx, (a, b), ((g, zero) for g in
-                                                _ci_generators(ctx))), ambient)
+                                                _ci_generators(ctx))))
     fld = ctx.field
     ideal_rank, _ = rows.at(fld, ctx.t)
     return GradedPieceReport(
@@ -398,10 +397,8 @@ def _pencil_ci_rows(spec, bidegree):
     cached _RowPairs are handed to every caller, with the bases of their
     t-free rows."""
     at0, at1 = (ci_context_for_pencil(spec, t) for t in (0, 1))
-    return _RowPairs(
-        _ci_rows(at0, bidegree, ((g, g1 - g) for g, g1 in zip(
-            _ci_generators(at0), _ci_generators(at1)))),
-        len(bigraded_monomials(at0, bidegree)))
+    return _RowPairs(_ci_rows(at0, bidegree, ((g, g1 - g) for g, g1 in zip(
+        _ci_generators(at0), _ci_generators(at1)))))
 
 
 # -- invariant subspaces across specializations ------------------------
@@ -439,8 +436,7 @@ def _pencil_rows(spec, degree):
             SparsePolynomial(nv, RATIONALS, terms), r, n)
         for terms in ({spec.frozen: 1}, dict.fromkeys(spec.deforming, 1)))
     return _RowPairs(_slice_rows(r, n, degree, zip(frozen, deforming),
-                                 pencil_blocks(spec)),
-                     hilbert_function(r, n, degree))
+                                 pencil_blocks(spec)))
 
 
 def _block_counts(rows, n) -> dict:

@@ -1,7 +1,7 @@
 """Exact linear algebra: echelon row bases over Q and F_p.
 
-Every rank the package reports comes from row_basis(ncols, field), one
-sparse echelon kernel for both fields.  Rows are {column: value} dicts,
+Every rank the package reports comes from row_basis, one sparse echelon
+kernel for both fields.  Rows are {column: value} dicts, of any width,
 where a column is any hashable, comparable key (griffiths uses ints ordered
 as its monomials are), and the stored rows are kept in a dict keyed by
 pivot column, where the pivot of a row is its smallest column.  Reducing a
@@ -53,7 +53,7 @@ class ResourceLimitError(RuntimeError):
 class _RowBasis:
     """Incremental echelon row set on sparse {column: value} rows."""
 
-    def __init__(self, ncols, field, spent=None):
+    def __init__(self, field, spent=None):
         self.field = field
         self.rows = {}    # pivot column -> row (monic mod p, primitive over Q)
         self.entries = 0  # stored nonzeros
@@ -133,7 +133,7 @@ class _RowBasis:
         stored row is never changed, so the two share them.  The copy
         spends from spent, a budget that already counts the shared rows,
         or else from a new one that counts them."""
-        basis = _RowBasis(None, self.field, spent or [self.entries])
+        basis = _RowBasis(self.field, spent or [self.entries])
         basis.rows, basis.entries = dict(self.rows), self.entries
         return basis
 
@@ -157,9 +157,10 @@ def _integer_row(row_dict, p=None):
 
 
 def row_basis(ncols, field, spent=None):
-    """Empty echelon row set on ncols columns over field (Q or F_p), its
-    entries counted in spent, a budget shared with other bases, if given."""
-    return _RowBasis(ncols, field, spent)
+    """Empty echelon row set over field (Q or F_p), its entries counted in
+    spent, a budget shared with other bases, if given.  ncols is unused:
+    a row may hold any column."""
+    return _RowBasis(field, spent)
 
 
 def _at(pairs, t):
@@ -180,8 +181,8 @@ class _RowPairs:
     for, the rows free of t are eliminated once per block; a specialization
     adds the others to a copy of that basis."""
 
-    def __init__(self, keyed_pairs, ncols):
-        self.ncols, self._fixed = ncols, (None, {})
+    def __init__(self, keyed_pairs):
+        self._fixed = None, {}
         self.pairs, self.blocks = [], {}
         for key, pair in keyed_pairs:
             self.pairs.append(pair)
@@ -206,7 +207,7 @@ class _RowPairs:
             self._fixed, spent, bases = (None, {}), [0], {}
             for key, (free, _) in self.blocks.items():
                 if free:
-                    bases[key] = row_basis(self.ncols, fld, spent)
+                    bases[key] = row_basis(None, fld, spent)
                     bases[key].add_rows(free)
             self._fixed = fld, bases
         return self._fixed[1]
@@ -228,12 +229,12 @@ class _RowPairs:
                 continue
             basis = fixed.get(key)
             if basis is None:
-                basis = row_basis(self.ncols, fld, spent)
+                basis = row_basis(None, fld, spent)
             elif pairs or key in keep:
                 basis = basis.copy(spent)
             rank += basis.rank + basis.add_rows(_at(pairs, t))
             if key in keep:
                 bases[key] = basis
         for key in set(keep) - bases.keys():
-            bases[key] = row_basis(self.ncols, fld, spent)
+            bases[key] = row_basis(None, fld, spent)
         return rank, bases

@@ -68,7 +68,7 @@ from operator import mul
 from .fields import is_prime
 from .grassmann import PencilSpec, _check_rn, plucker_indices, sort_with_sign
 from .linalg import ResourceLimitError
-from .symmetry import build_group, is_invariant
+from .symmetry import is_invariant_pencil
 
 ENUMERATION_GUARD = 10 ** 9  # points, or grid points, to refuse unforced
 
@@ -320,9 +320,7 @@ def _orbit_order(spec: PencilSpec, p: int) -> int:
     d = gcd(n, p - 1) when r >= 2 and every deforming and frozen monomial
     is invariant under the diagonal group; otherwise 1, the full route.
     """
-    group = build_group(spec.n, spec.r)
-    if spec.r < 2 or not all(is_invariant(e, group)
-                             for e in spec.deforming + (spec.frozen,)):
+    if spec.r < 2 or not is_invariant_pencil(spec):
         return 1
     return gcd(spec.n, p - 1)
 
@@ -435,7 +433,8 @@ def _pencil_histogram(spec: PencilSpec, p: int) -> dict:
 
 def count_points(spec: PencilSpec, p: int, t: int,
                  force: bool = False) -> PointCountRecord:
-    """Points of the pencil member at parameter t over F_p.
+    """Points of the pencil member at parameter t over F_p: the record of
+    count_table for t mod p.
 
     t = 0 is rejected: it does not give a smooth pencil member.
     """
@@ -444,10 +443,7 @@ def count_points(spec: PencilSpec, p: int, t: int,
     t = t % p
     if t == 0:
         raise ValueError("t = 0 is excluded")
-    _check_work(spec, p, force)
-    hist = _pencil_histogram(spec, p)
-    count = sum(m for (s, f), m in hist.items() if (t * s + f) % p == 0)
-    return PointCountRecord(p=p, t=t, count=count, residue=count % p)
+    return count_table(spec, p, force)[t - 1]
 
 
 def count_table(spec: PencilSpec, p: int, force: bool = False) -> list:

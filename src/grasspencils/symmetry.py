@@ -4,11 +4,11 @@ The group of diagonal matrices diag(z_1,...,z_n) with z_i^n = 1 and
 (prod z_i)^r = 1 acts on Pluecker coordinates by p_I -> z_{i1}...z_{ir} p_I.
 Additively this is the lattice L = {a in (Z/n)^n : r * sum(a) = 0 mod n};
 roots of unity never appear, everything is exponent arithmetic mod n.  A
-monomial is invariant iff its character (the vector of index multiplicities
-mod n) pairs to zero with every element of L.  With g = gcd(r, n), L holds
-every e_i - e_j and (n/g) * e_1, so the characters it fixes are exactly
-c * (1,...,1) with g | c; is_invariant reads that off the character, and
-no basis of L is stored.
+monomial is invariant iff its character (its index content,
+grassmann.index_content, reduced mod n) pairs to zero with every element
+of L.  With g = gcd(r, n), L holds every e_i - e_j and (n/g) * e_1, so
+the characters it fixes are exactly c * (1,...,1) with g | c;
+is_invariant reads that off the character, and no basis of L is stored.
 
 The effective group, L modulo the line (1,...,1), has order |L|/n and is
 Z/g x (Z/n)^(n-2); build_group derives this closed form.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd
 
-from .grassmann import _check_rn, plucker_indices
+from .grassmann import _check_rn, index_content, plucker_indices
 from .poly import monomials_of_degree
 
 
@@ -80,20 +80,12 @@ def build_group(n: int, r: int) -> SymmetryGroup:
 
 
 def character(exponents, group: SymmetryGroup) -> tuple:
-    """Index-multiplicity vector of a monomial, reduced mod n.
-
-    Entry i counts how often index i+1 occurs among the Pluecker factors of
-    the monomial, with multiplicity.
-    """
-    indices = plucker_indices(group.r, group.n)
-    if len(exponents) != len(indices):
+    """The index content of a monomial (grassmann.index_content), reduced
+    mod n."""
+    r, n = group.r, group.n
+    if len(exponents) != len(plucker_indices(r, n)):
         raise ValueError("exponent vector does not match the variable set")
-    counts = [0] * group.n
-    for e, idx in zip(exponents, indices):
-        if e:
-            for i in idx:
-                counts[i - 1] += e
-    return tuple(c % group.n for c in counts)
+    return tuple(c % n for c in index_content(exponents, r, n))
 
 
 def character_block(exponents, group: SymmetryGroup) -> tuple:
@@ -111,6 +103,13 @@ def is_invariant(exponents, group: SymmetryGroup) -> bool:
     return not any(character_block(exponents, group))
 
 
+def is_invariant_pencil(spec) -> bool:
+    """True iff every deforming monomial of the pencil and its frozen
+    product are invariant under the diagonal group of its G(r,n)."""
+    group = build_group(spec.n, spec.r)
+    return all(is_invariant(e, group) for e in spec.deforming + (spec.frozen,))
+
+
 def pencil_blocks(spec):
     """exponent vector -> its character_block on the pencil's G(r,n).  The
     diagonal group grades the Jacobian ideal of an invariant pencil: the
@@ -118,9 +117,8 @@ def pencil_blocks(spec):
     straightening keeps the content (grassmann.straightening_rules checks
     every rule).  A pencil with a non-invariant monomial is one block, the
     trivial (0, ..., 0)."""
-    group = build_group(spec.n, spec.r)
-    if all(is_invariant(e, group) for e in spec.deforming + (spec.frozen,)):
-        return partial(character_block, group=group)
+    if is_invariant_pencil(spec):
+        return partial(character_block, group=build_group(spec.n, spec.r))
     return lambda e: (0,) * spec.n
 
 

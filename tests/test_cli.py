@@ -707,6 +707,25 @@ def test_package_imports_without_numpy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.mark.parametrize("argv,imports_chains", [
+    (("tables", "--p", "5"), False),
+    (("search", "--p", "5"), False),
+    (("hodge", "--rn", "2,4", "--t", "2", "--primes", "1048583"), True)])
+def test_chains_are_imported_on_first_use(tmp_path, argv, imports_chains):
+    # the point-count subcommands list no chains, so they never import
+    # the module: it would add to the import size of every run
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; from grasspencils import cli; "
+            "code = cli.main(sys.argv[1:]); "
+            "print('grasspencils.chains' in sys.modules); sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--outdir", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(imports_chains)
+
+
 def test_python_dash_m_runs_the_command_line(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

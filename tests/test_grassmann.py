@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -10,7 +12,8 @@ from grasspencils import grassmann, poly
 from grasspencils.grassmann import (PencilSpec, build_pencil,
                                     enumerate_arrow_partitions,
                                     evaluate_pencil, frozen_variables,
-                                    hilbert_function, index_to_partition,
+                                    hilbert_function, index_content,
+                                    index_to_partition,
                                     monomial_name, normal_form,
                                     normalize_partition, partition_to_index,
                                     plucker_indices, plucker_names,
@@ -18,6 +21,7 @@ from grasspencils.grassmann import (PencilSpec, build_pencil,
                                     sort_with_sign, straightening_rules)
 from grasspencils.linalg import ResourceLimitError, row_basis
 from grasspencils.poly import SparsePolynomial, monomials_of_degree
+from grasspencils.symmetry import build_group, character
 from rank_oracle import _rank_rational
 
 
@@ -247,6 +251,40 @@ def test_straightening_certificate_rejects_a_comparable_lead(monkeypatch):
     with pytest.raises(ValueError, match=r"no G\(2,4\) relation leads with "
                        r"the incomparable pair\(s\) p14\*p23$"):
         straightening_rules.__wrapped__(2, 4)
+
+
+def _content_of_factors(e, r, n):
+    """Index content by writing the monomial out as its list of factors,
+    a factor of negative exponent counting -1 per index."""
+    factors = [(idx, 1 if k > 0 else -1)
+               for k, idx in zip(e, plucker_indices(r, n))
+               for _ in range(abs(k))]
+    counts = Counter()
+    for idx, sign in factors:
+        for i in idx:
+            counts[i] += sign
+    return tuple(counts[i] for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("r,n", [(2, 4), (3, 6), (2, 11)])
+def test_index_content_counts_the_indices_of_the_factors(r, n):
+    # random monomials, and every straightening shift, whose negative
+    # entries cancel: (2,11) has two-digit indices, as n > 9
+    rng = random.Random(r * 100 + n)
+    nv = len(plucker_indices(r, n))
+    shifts = [shift for tail in straightening_rules(r, n).values()
+              for shift, _ in tail]
+    monomials = [tuple(rng.randint(0, 3) for _ in range(nv))
+                 for _ in range(50)]
+    signed = [tuple(rng.randint(-3, 3) for _ in range(nv))
+              for _ in range(50)]
+    group = build_group(n, r)
+    for e in shifts + monomials + signed:
+        content = index_content(e, r, n)
+        assert content == _content_of_factors(e, r, n), e
+        assert character(e, group) == tuple(c % n for c in content)
+    assert not any(any(index_content(e, r, n)) for e in shifts)
+    assert any(min(e) < 0 for e in shifts)
 
 
 def test_rule_keys_are_the_incomparable_pairs():

@@ -163,8 +163,7 @@ def _two_block_pairs():
     # block c % 2: in each, one row free of t (2 entries) and one pair that
     # adds a row of 2 entries at every t != 0
     return linalg._RowPairs([(0, ({0: 1, 2: 1}, {})), (0, ({2: 1}, {4: 1})),
-                             (1, ({1: 1, 3: 1}, {})), (1, ({3: 1}, {5: 1}))],
-                            6)
+                             (1, ({1: 1, 3: 1}, {})), (1, ({3: 1}, {5: 1}))])
 
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)],

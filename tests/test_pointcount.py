@@ -109,6 +109,26 @@ def test_count_points_rejects_bad_input():
             count_table(spec, p)
 
 
+@pytest.mark.parametrize("variant", ["arrow", "squares+quads"])
+def test_count_points_reads_the_record_of_count_table(variant):
+    spec = build_pencil(2, 4, variant)
+    for p in (5, 7):
+        table = count_table(spec, p)
+        assert [count_points(spec, p, t) for t in range(1, p)] == table
+        assert count_points(spec, p, 1 - p) == table[0]
+
+
+def test_count_points_refuses_bad_input_before_counting(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("counted before the input was checked")
+    monkeypatch.setattr(pointcount, "count_table", no_count)
+    spec = build_pencil(2, 4)
+    with pytest.raises(ValueError, match="t = 0 is excluded"):
+        count_points(spec, 5, 10)
+    with pytest.raises(ValueError, match="6 is not prime"):
+        count_points(spec, 6, 1)
+
+
 def test_enumeration_guard(monkeypatch):
     def no_work(*args):
         raise AssertionError("a cell was counted past the guard")

@@ -1,15 +1,19 @@
+import json
 import random
 from itertools import product
 from math import gcd, prod
 
 import pytest
 
-from grasspencils.grassmann import (build_pencil, monomial_name,
+from grasspencils.grassmann import (PencilSpec, build_pencil, monomial_name,
                                     plucker_indices)
+from grasspencils.griffiths import _pencil_rows
+from grasspencils.pointcount import _orbit_order
 from grasspencils.poly import monomials_of_degree
 from grasspencils.symmetry import (build_group, character, invariant_monomials,
                                    invariant_monomials_json,
-                                   invariant_multiplicities, is_invariant)
+                                   invariant_multiplicities, is_invariant,
+                                   is_invariant_pencil, pencil_blocks)
 
 
 def test_group_orders_and_structure():
@@ -145,13 +149,30 @@ def test_is_invariant_examples():
 
 def test_pencil_monomials_are_invariant():
     for r, n, variants in [(2, 4, ("arrow", "squares", "quads",
-                                   "squares+quads")), (2, 5, ("arrow",))]:
+                                   "squares+quads")), (2, 5, ("arrow",)),
+                           (3, 5, ("arrow",)), (3, 6, ("arrow",)),
+                           (2, 7, ("arrow",)), (1, 4, ("arrow",))]:
         group = build_group(n, r)
         for variant in variants:
             spec = build_pencil(r, n, variant)
             for mono in spec.deforming + (spec.frozen,):
                 assert is_invariant(mono, group), \
                     f"{monomial_name(mono, r, n)} not fixed ({variant})"
+            assert is_invariant_pencil(spec)
+
+
+def test_a_non_invariant_pencil_is_one_block_and_counted_point_by_point():
+    # the (2,4) arrow pencil read from JSON with p12^3*p13 added, of
+    # character (0,3,1,0) mod 4: both layers take their fallback
+    doc = json.loads(build_pencil(2, 4).to_json())
+    doc["variant"] = "skew"
+    doc["monomials"].append([3, 1, 0, 0, 0, 0])
+    spec = PencilSpec.from_json(json.dumps(doc))
+    assert not is_invariant_pencil(spec)
+    assert [_orbit_order(spec, p) for p in (5, 7, 13)] == [1, 1, 1]
+    blocks = pencil_blocks(spec)
+    assert {blocks(e) for e in monomials_of_degree(6, 4)} == {(0,) * 4}
+    assert len(_pencil_rows(spec, 4).blocks) == 1
 
 
 def test_invariant_monomials_24_exact_list():
