@@ -22,14 +22,16 @@ specializing t to several rational values and/or several large prime
 fields and demanding unanimity; disagreement raises, it is never averaged
 away.  Every generator is linear in f_t = frozen + t*deforming and the
 normal form is Z-linear, so the row of each generator multiple is a + t*b
-with integer rows a and b, built once per call and slice and held by
-linalg._RowPairs until the call returns.  The diagonal group grades the
-slice, so the rows fall into character blocks: the rank is the sum of the
-block ranks, and only the trivial block meets the invariant monomials.
-The rows free of t are eliminated once per field; a specialization adds
-the others.  So do the slices of the complete-intersection model of a
-(2,4) pencil, as one block.  A column is the int _column(e) of a
-monomial, ordered as the exponents e.
+with integer rows a and b, built once per call and slice and dropped when
+the call returns.  The diagonal group grades the slice, so the rows fall
+into character blocks: the rank is the sum of the block ranks, and only
+the trivial block meets the invariant monomials.  The specializations run
+one block at a time: over each field the block's rows free of t are
+eliminated once, each t extends a copy of that basis, and every basis is
+dropped when its block is done.  The complete-intersection model of a
+(2,4) pencil keeps the basis over Q of its rows free of t, one slice per
+bidegree, and each member extends a copy.  A column is the int _column(e)
+of a monomial, ordered as the exponents e.
 """
 
 import json
@@ -43,7 +45,7 @@ from .grassmann import (PencilSpec, evaluate_pencil, hilbert_function,
                         index_content, index_position, monomial_name,
                         normal_form, plucker_indices, plucker_relations,
                         sort_with_sign, straightening_rules)
-from .linalg import _ENTRY_LIMIT, ResourceLimitError, _RowPairs, row_basis
+from .linalg import _ENTRY_LIMIT, ResourceLimitError, _integer_row, row_basis
 from .poly import SparsePolynomial, check_listing_size, monomials_of_degree
 from .symmetry import invariant_multiplicities, pencil_blocks
 
@@ -184,6 +186,29 @@ def _multiple_rows(generators, grade, multipliers, row, what, block=None):
                             f"{_ENTRY_LIMIT} entry limit")
                     yield (None if block is None else
                            block(tuple(map(add, mult, terms[0]))), rows)
+
+
+def _split(keyed_pairs):
+    """The pairs (a, b) of _multiple_rows, the row at t being a + t*b, as
+    {key: (its rows free of t, its pairs that carry t)} in the order given:
+    a pair with a = {} or b = {} stands for the row b or a, as t != 0."""
+    blocks = {}
+    for key, (a, b) in keyed_pairs:
+        free, pairs = blocks.setdefault(key, ([], []))
+        if a and b:
+            pairs.append((a, b))
+        else:
+            free.append(a or b)
+    return blocks
+
+
+def _at(pairs, t):
+    """Each pair (a, b) of rows as the one row a + t*b."""
+    for a, b in pairs:
+        row = dict(a)
+        for c, v in b.items():
+            row[c] = row.get(c, 0) + t * v
+        yield row
 
 
 def _slice_rows(r, n, degree, generators, block=None):
@@ -354,21 +379,21 @@ def ci_bigraded_quotient(ctx: CIJacobianContext,
     """Dimension of one bigraded piece of the Jacobian ring.
 
     The span is every product (monomial) * (generator) landing in the
-    requested bidegree.  Its rows are the pairs (a, b) of _ci_rows taken at
-    the context's t, a + t*b: a pencil's pairs are built once per bidegree
-    for every member, with their t-free rows eliminated once per field, and
-    a plain context's have b = {}.
+    requested bidegree, its rows all eliminated in one basis.  A pencil
+    member's rows are the pairs (a, b) of _pencil_ci_rows taken at its t,
+    a + t*b: it extends a copy of the basis of their t-free rows.
     """
     a, b = bidegree
     ambient = len(bigraded_monomials(ctx, bidegree))
-    if ctx.pencil is not None:
-        rows = _pencil_ci_rows(ctx.pencil, (a, b))
-    else:
-        zero = SparsePolynomial.zero(ctx.nvars, ctx.field)
-        rows = _RowPairs(_ci_rows(ctx, (a, b), ((g, zero) for g in
-                                                _ci_generators(ctx))))
     fld = ctx.field
-    ideal_rank, _ = rows.at(fld, ctx.t)
+    if ctx.pencil is not None:
+        fixed, pairs = _pencil_ci_rows(ctx.pencil, (a, b))
+        basis, rows = fixed.copy(), _at(pairs, ctx.t)
+    else:
+        basis = row_basis(None, fld)
+        rows = (row for _, (row,) in _ci_rows(
+            ctx, (a, b), ((g,) for g in _ci_generators(ctx))))
+    ideal_rank = basis.rank + basis.add_rows(rows)
     return GradedPieceReport(
         label=f"CI in P^{ctx.nx - 1} bidegree {bidegree}",
         rn=None, degree=(a, b), t=None, field=fld.name,
@@ -382,7 +407,7 @@ def ci_context_for_pencil(spec: PencilSpec, t):
     The six Pluecker coordinates become projective coordinates; the member
     is cut out by the quartic pencil polynomial and the Pluecker quadric.
     The context names the pencil and t, so its rows come from the pairs
-    shared by every member.
+    shared by every member, and its field is Q.
     """
     if (spec.r, spec.n) != (2, 4):
         raise ValueError("the projective-space model is specific to (2,4)")
@@ -392,13 +417,17 @@ def ci_context_for_pencil(spec: PencilSpec, t):
 
 @lru_cache(maxsize=2)  # the two bidegrees the cross-check takes at each t
 def _pencil_ci_rows(spec, bidegree):
-    """_ci_rows of a (2,4) pencil: each generator is linear in t, so it is
-    g + t*h with g its value at t = 0 and h = (its value at 1) - g.  The
-    cached _RowPairs are handed to every caller, with the bases of their
-    t-free rows."""
+    """_ci_rows of a (2,4) pencil, as (the basis over Q of the rows free of
+    t, the pairs that carry t): each generator is linear in t, so it is
+    g + t*h with g its value at t = 0 and h = (its value at 1) - g.  Every
+    caller extends a copy of the basis."""
     at0, at1 = (ci_context_for_pencil(spec, t) for t in (0, 1))
-    return _RowPairs(_ci_rows(at0, bidegree, ((g, g1 - g) for g, g1 in zip(
-        _ci_generators(at0), _ci_generators(at1)))))
+    rows = _ci_rows(at0, bidegree, ((g, g1 - g) for g, g1 in zip(
+        _ci_generators(at0), _ci_generators(at1))))
+    free, pairs = _split(rows).get(None, ((), ()))
+    fixed = row_basis(None, RATIONALS)
+    fixed.add_rows(free)
+    return fixed, pairs
 
 
 # -- invariant subspaces across specializations ------------------------
@@ -423,7 +452,8 @@ def consensus(results, keys, what):
 
 def _pencil_rows(spec, degree):
     """The rows of the generator multiples of f_t = frozen + t*deforming in
-    one slice, as integer pairs (a, b) whose row at t is a + t*b: frozen
+    one slice, as integer pairs (a, b) whose row at t is a + t*b, split by
+    character block: {block: (rows free of t, pairs that carry t)}.  frozen
     and deforming have int coefficients over Q, and ints stay ints.  Each
     pair is filed under the character block of one of its monomials before
     straightening: the terms of a generator share a block (D^i_j shifts the
@@ -435,38 +465,79 @@ def _pencil_rows(spec, degree):
         grassmann_jacobian_generators(
             SparsePolynomial(nv, RATIONALS, terms), r, n)
         for terms in ({spec.frozen: 1}, dict.fromkeys(spec.deforming, 1)))
-    return _RowPairs(_slice_rows(r, n, degree, zip(frozen, deforming),
-                                 pencil_blocks(spec)))
+    return _split(_slice_rows(r, n, degree, zip(frozen, deforming),
+                              pencil_blocks(spec)))
 
 
 def _block_counts(rows, n) -> dict:
     """The character blocks of a slice's _pencil_rows on G(r,n): how many,
     the rows of the largest and of the trivial one, and the pairs that
     carry no t."""
-    blocks = rows.blocks
     sizes = {key: len(free) + len(pairs)
-             for key, (free, pairs) in blocks.items()}
+             for key, (free, pairs) in rows.items()}
     return {"blocks": len(sizes),
             "largest_block_rows": max(sizes.values(), default=0),
             "trivial_block_rows": sizes.get((0,) * n, 0),
-            "t_free_pairs": sum(len(free) for free, _ in blocks.values())}
+            "t_free_pairs": sum(len(free) for free, _ in rows.values())}
 
 
-def _one_specialization(spec, degree, rows, fld, t, candidates, span_checks):
+def _specializations(spec, degree, rows, fields, t_values, candidates,
+                     span_checks):
+    """The result of every specialization of a slice's _pencil_rows, in
+    fields x t_values order, walking block -> field -> t.  Over each field
+    a block's rows free of t are eliminated once, and each t extends a
+    copy of that basis with the rows a + t*b.  The trivial block then
+    offers the candidates, each the unit row {e: 1}, to the greedy rank
+    extension, and the block of a span-check monomial tests its normal
+    form; both are visited even when they hold no rows.  Any other block
+    of one pair needs no basis: it adds 1 exactly when the row is nonzero
+    in the field after _integer_row, as it would enter a basis.  Every
+    basis is dropped when its block is done.  The bases of the rows free
+    of t of one field share one entry budget; the bases of one
+    specialization share another, which counts the rows free of t they
+    start from, as one basis of the whole slice would."""
     r, n = spec.r, spec.n
     key = _column_key(degree)
-    block_of = span_checks and pencil_blocks(spec)
-    blocks = {e: block_of(e) for e in span_checks}
     trivial = (0,) * n
-    ideal_rank, bases = rows.at(fld, t, {trivial, *blocks.values()})
-    survivors = tuple(e for e in candidates
-                      if bases[trivial].add_row({key(e): 1}))
-    checks = {monomial_name(e, r, n): bases[blocks[e]].contains(
-        {key(s): c for s, c in normal_form(r, n, e)}) for e in span_checks}
-    return {"t": str(t), "field": fld.name,
-            **_dims(r, n, degree, ideal_rank),
-            "invariant_dim": len(survivors), "survivors": survivors,
-            "span_checks": checks}
+    names = [monomial_name(e, r, n) for e in span_checks]
+    tests = {}
+    if span_checks:  # pencil_blocks checks the pencil's invariance
+        block_of = pencil_blocks(spec)
+        for e, name in zip(span_checks, names):
+            tests.setdefault(block_of(e), []).append(
+                (name, {key(s): c for s, c in normal_form(r, n, e)}))
+    blocks = dict(rows)
+    for block in (trivial, *tests):
+        blocks.setdefault(block, ((), ()))
+    runs = [(fld, t) for fld in fields for t in t_values]
+    ranks, survivors = [0] * len(runs), [()] * len(runs)
+    checks = [dict.fromkeys(names) for _ in runs]
+    free_spent, spent = [[0] for _ in fields], [[0] for _ in runs]
+    for block, (free, pairs) in blocks.items():
+        offered = candidates if block == trivial else ()
+        tested = tests.get(block, ())
+        if len(pairs) == 1 and not (free or offered or tested):
+            for i, (fld, t) in enumerate(runs):
+                ranks[i] += bool(_integer_row(next(_at(pairs, t)),
+                                              fld.modulus))
+            continue
+        for k, fld in enumerate(fields):
+            fixed = row_basis(None, fld, free_spent[k])
+            fixed.add_rows(free)
+            for i, t in enumerate(t_values, k * len(t_values)):
+                basis = fixed.copy(spent[i])
+                ranks[i] += basis.rank + basis.add_rows(_at(pairs, t))
+                if offered:
+                    survivors[i] = tuple(
+                        e for e in offered if basis.add_row({key(e): 1}))
+                for name, row in tested:
+                    checks[i][name] = basis.contains(row)
+        fixed = basis = None  # no basis outlives its block
+    return [{"t": str(t), "field": fld.name, **_dims(r, n, degree, rank),
+             "invariant_dim": len(kept), "survivors": kept,
+             "span_checks": found}
+            for (fld, t), rank, kept, found in zip(runs, ranks, survivors,
+                                                   checks)]
 
 
 def invariant_subspace(spec: PencilSpec, degree=None,
@@ -516,9 +587,8 @@ def invariant_subspace(spec: PencilSpec, degree=None,
     candidates = standard_monomials(r, n, degree,
                                     invariant_multiplicities(r, n, degree))
     rows = _pencil_rows(spec, degree)
-    results = [_one_specialization(spec, degree, rows, fld, t, candidates,
-                                   span_check_monomials)
-               for fld in fields for t in t_values]
+    results = _specializations(spec, degree, rows, fields, t_values,
+                               candidates, span_check_monomials)
 
     keys = ("ambient", "relation_rank", "ideal_rank", "quotient_dim",
             "invariant_dim", "survivors")

@@ -9,15 +9,8 @@ vector repeatedly eliminates the smallest of its columns that is a stored
 pivot; that only creates larger columns, so each pivot is met at most
 once.  Ranks, quotient dimensions and greedy rank extensions are counts of
 the rows a basis accepts.  A copy shares the stored rows and takes new
-ones on its own.  Bases that live side by side share one entry budget.
-
-_RowPairs holds rows linear in a parameter t, as pairs (a, b) of rows
-a + t*b, each filed under the block its caller names, so a rank is the sum
-of the block ranks.  Per field it eliminates the rows that do not depend on
-t once in each block; every t then starts from copies of those bases, and a
-block of one row is counted by whether that row vanishes.  All the bases of
-one t, and the t-free ones, store at most _ENTRY_LIMIT entries together, as
-one basis of the whole slice would.
+ones on its own.  Bases may share one entry budget, so that together they
+store at most _ENTRY_LIMIT entries; a copy counts the rows it shares there.
 
 Every row enters through _integer_row.  A row of ints enters in one pass,
 its zero entries dropped and, over F_p, its entries reduced mod p; a row
@@ -105,12 +98,7 @@ class _RowBasis:
         res = self.reduce(row_dict)
         if not res:
             return False
-        stored = self.spent[0]
-        if stored + len(res) > _ENTRY_LIMIT:
-            raise ResourceLimitError(
-                f"echelon basis over {self.field.name}: {stored} "
-                f"stored + {len(res)} new entries exceed the "
-                f"{_ENTRY_LIMIT} entry limit")
+        self._spend(len(res))
         pc = min(res)
         p = self.field.modulus
         if p:
@@ -122,8 +110,18 @@ class _RowBasis:
                 g = -g
             self.rows[pc] = {c: v // g for c, v in res.items()}
         self.entries += len(res)
-        self.spent[0] += len(res)
         return True
+
+    def _spend(self, count):
+        """Count count new entries in the budget, refusing them past the
+        cap."""
+        stored = self.spent[0]
+        if stored + count > _ENTRY_LIMIT:
+            raise ResourceLimitError(
+                f"echelon basis over {self.field.name}: {stored} "
+                f"stored + {count} new entries exceed the "
+                f"{_ENTRY_LIMIT} entry limit")
+        self.spent[0] += count
 
     def add_rows(self, row_dicts) -> int:
         return sum(1 for r in row_dicts if self.add_row(r))
@@ -131,9 +129,10 @@ class _RowBasis:
     def copy(self, spent=None):
         """A basis holding the same rows, to be extended on its own; a
         stored row is never changed, so the two share them.  The copy
-        spends from spent, a budget that already counts the shared rows,
-        or else from a new one that counts them."""
-        basis = _RowBasis(self.field, spent or [self.entries])
+        spends from spent, or else from a new budget, and first counts the
+        shared rows there, as entries a basis of its own would store."""
+        basis = _RowBasis(self.field, spent)
+        basis._spend(self.entries)
         basis.rows, basis.entries = dict(self.rows), self.entries
         return basis
 
@@ -162,79 +161,3 @@ def row_basis(ncols, field, spent=None):
     a row may hold any column."""
     return _RowBasis(field, spent)
 
-
-def _at(pairs, t):
-    """Each pair (a, b) of rows as the one row a + t*b."""
-    for a, b in pairs:
-        row = dict(a)
-        for c, v in b.items():
-            row[c] = row.get(c, 0) + t * v
-        yield row
-
-
-class _RowPairs:
-    """Rows linear in a parameter: pairs (a, b), the row at t being a + t*b.
-    They come as (key, pair) and are kept in the order given and grouped by
-    key, a block whose columns no other block uses, each block as (its rows
-    free of t, its pairs that carry t): a pair with a = {} or b = {} stands
-    for the row b or a, as t != 0 in the field.  Over the last field asked
-    for, the rows free of t are eliminated once per block; a specialization
-    adds the others to a copy of that basis."""
-
-    def __init__(self, keyed_pairs):
-        self._fixed = None, {}
-        self.pairs, self.blocks = [], {}
-        for key, pair in keyed_pairs:
-            self.pairs.append(pair)
-            if key not in self.blocks:
-                self.blocks[key] = [], []
-            free, carried = self.blocks[key]
-            if all(pair):
-                carried.append(pair)
-            else:
-                free.append(pair[0] or pair[1])
-        self.entries = sum(len(a) + len(b) for a, b in self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def fixed(self, fld):
-        """{block: the basis over fld of its rows free of t}, for the blocks
-        that have such rows, all spending from one budget.  They are
-        eliminated on the first call for fld, and replace the bases of the
-        field asked for before."""
-        if self._fixed[0] != fld:
-            self._fixed, spent, bases = (None, {}), [0], {}
-            for key, (free, _) in self.blocks.items():
-                if free:
-                    bases[key] = row_basis(None, fld, spent)
-                    bases[key].add_rows(free)
-            self._fixed = fld, bases
-        return self._fixed[1]
-
-    def at(self, fld, t, keep=()):
-        """(rank, bases): the rank over fld of the rows a + t*b, summed over
-        the blocks, and the basis at t of each block in keep.  Every other
-        block's basis is dropped once its rank is counted, and a block of
-        one row that carries t needs none: it adds 1 exactly when the row
-        is nonzero in fld after _integer_row, as it would enter a basis.
-        The bases made here, and the later rows of those in keep, spend
-        from one budget that starts at the entries of the t-free bases."""
-        fixed = self.fixed(fld)
-        spent = [sum(basis.entries for basis in fixed.values())]
-        rank, bases = 0, {}
-        for key, (free, pairs) in self.blocks.items():
-            if key not in keep and len(pairs) == 1 and not free:
-                rank += bool(_integer_row(next(_at(pairs, t)), fld.modulus))
-                continue
-            basis = fixed.get(key)
-            if basis is None:
-                basis = row_basis(None, fld, spent)
-            elif pairs or key in keep:
-                basis = basis.copy(spent)
-            rank += basis.rank + basis.add_rows(_at(pairs, t))
-            if key in keep:
-                bases[key] = basis
-        for key in set(keep) - bases.keys():
-            bases[key] = row_basis(None, fld, spent)
-        return rank, bases

@@ -9,8 +9,8 @@ of them are eliminated in one basis, not one basis per character block.
 """
 
 from grasspencils.grassmann import normal_form
-from grasspencils.griffiths import _column_key, _dims
-from grasspencils.linalg import _at, row_basis
+from grasspencils.griffiths import _at, _column_key, _dims
+from grasspencils.linalg import row_basis
 from grasspencils.poly import monomials_of_degree
 from grasspencils.symmetry import invariant_monomials
 
@@ -25,10 +25,13 @@ def invariant_candidates(r, n, degree):
 
 
 def one_basis(spec, degree, rows, fld, t):
-    """(basis, dims): every row a + t*b of the slice eliminated over fld in
-    one basis, whatever its character block, and the dims of the slice."""
+    """(basis, dims): every row of the slice's _pencil_rows at t, free of t
+    or a + t*b, eliminated over fld in one basis, whatever its character
+    block, and the dims of the slice."""
     basis = row_basis(None, fld)
-    return basis, _dims(spec.r, spec.n, degree, basis.add_rows(_at(rows, t)))
+    return basis, _dims(spec.r, spec.n, degree, sum(
+        basis.add_rows(free) + basis.add_rows(_at(pairs, t))
+        for free, pairs in rows.values()))
 
 
 def full_candidate_greedy(spec, degree, rows, fld, t):

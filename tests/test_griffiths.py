@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
@@ -285,7 +287,7 @@ def test_ci_generators_are_all_checked_before_any_elimination(monkeypatch):
         def add_rows(self, rows):
             return self.inner.add_rows(added.append(r) or r for r in rows)
 
-    monkeypatch.setattr(linalg, "row_basis", Recording)
+    monkeypatch.setattr(griffiths, "row_basis", Recording)
     x0 = SparsePolynomial.variable(4, 0)
     x1 = SparsePolynomial.variable(4, 1)
     ctx = CIJacobianContext(2, (2, 1), (x0 * x0, x0 + x0 * x1))
@@ -427,10 +429,11 @@ def _against_the_full_candidate_greedy(spec, degree, fields, t_values):
     rows = griffiths._pencil_rows(spec, degree)
     candidates = standard_monomials(r, n, degree,
                                     invariant_multiplicities(r, n, degree))
+    results = iter(griffiths._specializations(spec, degree, rows, fields,
+                                              t_values, candidates, ()))
     for fld in fields:
         for t in t_values:
-            res = griffiths._one_specialization(spec, degree, rows, fld, t,
-                                                candidates, ())
+            res = next(results)
             assert ((res["ideal_rank"], res["survivors"])
                     == full_candidate_greedy(spec, degree, rows, fld, t)), (
                 fld.name, t)
@@ -522,15 +525,16 @@ def test_shared_relation_basis_matches_fresh_slices(r, n, variant, degree,
                                                     monkeypatch):
     # the standard-monomial route reports what the full slice, relation
     # rows included, gives for every specialization
-    real = griffiths._one_specialization
+    real = griffiths._specializations
     recorded = []
 
-    def recording(spec, degree, rows, fld, t, candidates, span_checks):
-        res = real(spec, degree, rows, fld, t, candidates, span_checks)
-        recorded.append((fld, t, res))
-        return res
+    def recording(spec, degree, rows, fields, t_values, *args):
+        results = real(spec, degree, rows, fields, t_values, *args)
+        recorded.extend((fld, t, res) for (fld, t), res in zip(
+            ((fld, t) for fld in fields for t in t_values), results))
+        return results
 
-    monkeypatch.setattr(griffiths, "_one_specialization", recording)
+    monkeypatch.setattr(griffiths, "_specializations", recording)
     spec = build_pencil(r, n, variant)
     # reference bases ship for G(2,4) and G(2,5) in degree n only
     checks = _span_checks(r, n) if (n, degree) in ((4, 4), (5, 5)) else ()
@@ -615,18 +619,83 @@ def test_block_route_matches_the_one_basis_route(spec, degree, fields,
                                     invariant_multiplicities(r, n, degree))
     # in degree n every off-diagonal D^i_j f is alone in its block
     single_rows = sum(len(free) + len(pairs) == 1
-                      for free, pairs in rows.blocks.values())
+                      for free, pairs in rows.values())
     if spec is _SKEW_24 or degree > n:
         assert single_rows == 0
     else:
         assert single_rows >= n * (n - 1)
+    results = iter(griffiths._specializations(spec, degree, rows, fields,
+                                              t_values, candidates, checks))
     for fld in fields:
         for t in t_values:
-            fast = griffiths._one_specialization(spec, degree, rows, fld, t,
-                                                 candidates, checks)
+            fast = next(results)
             slow = _one_basis_specialization(spec, degree, rows, fld, t,
                                              candidates, checks)
             assert {k: fast[k] for k in slow} == slow, (fld.name, t)
+
+
+@pytest.mark.parametrize("degree,fields,t_values,checks,made", [
+    # the trivial block and the blocks of the two non-invariant checks,
+    # each with a basis per field and its copy at each t
+    (4, ORACLE_FIELDS[:2], (2, 3), REFERENCE_BASIS_24 + _NON_INVARIANT_24,
+     3 * 2 * (1 + 2)),
+    (8, ORACLE_FIELDS[1:2], (2, 3), (), 32 * (1 + 2))],
+    ids=["2-4-checks", "2-4-degree-8-modp"])
+def test_no_basis_outlives_its_block(degree, fields, t_values, checks, made,
+                                     monkeypatch):
+    # a block starts with the basis of its rows free of t over the first
+    # field; by then every basis of the blocks before it, copies included,
+    # is gone, and when the call returns none is left
+    refs, real_copy = [], linalg._RowBasis.copy
+
+    def dead():
+        gc.collect()
+        return all(ref() is None for ref in refs)
+
+    def made_here(ncols, field, spent=None):
+        if field == fields[0]:
+            assert dead(), f"a basis outlived its block ({len(refs)} made)"
+        basis = row_basis(ncols, field, spent)
+        refs.append(weakref.ref(basis))
+        return basis
+
+    def copied(basis, spent=None):
+        copy = real_copy(basis, spent)
+        refs.append(weakref.ref(copy))
+        return copy
+
+    monkeypatch.setattr(griffiths, "row_basis", made_here)
+    monkeypatch.setattr(linalg._RowBasis, "copy", copied)
+    report = invariant_subspace(
+        _ARROW_24, degree=degree, t_values=t_values,
+        primes=[fld.modulus for fld in fields if fld.modulus],
+        include_rationals=RATIONALS in fields, span_check_monomials=checks)
+    assert report.invariant_dim == {4: 5, 8: 6}[degree]
+    assert len(refs) == made and dead()
+
+
+def test_blocks_without_rows_keep_every_candidate_and_fail_every_check():
+    # no rows in the trivial block, nor in the blocks of the non-invariant
+    # span checks: each is still visited, so every candidate survives, the
+    # checks in those blocks are False, and an invariant check lies in the
+    # span of the survivors, as one basis for the whole slice gives (the
+    # hand-made block's columns are negative, so no candidate meets them)
+    rows = griffiths._split([("other", ({-1: 1, -3: 1}, {})),
+                             ("other", ({-3: 1}, {-5: 1}))])
+    candidates = standard_monomials(2, 4, 4, invariant_multiplicities(2, 4, 4))
+    checks = REFERENCE_BASIS_24[:1] + _NON_INVARIANT_24
+    fields, t_values = ORACLE_FIELDS[:2], (2, 3)
+    results = griffiths._specializations(_ARROW_24, 4, rows, fields, t_values,
+                                         candidates, checks)
+    names = [monomial_name(e, 2, 4) for e in checks]
+    for res, (fld, t) in zip(results, [(fld, t) for fld in fields
+                                       for t in t_values]):
+        assert (res["t"], res["field"]) == (str(t), fld.name)
+        assert (res["ideal_rank"], res["survivors"]) == (2, candidates)
+        assert res["span_checks"] == dict(zip(names, (True, False, False)))
+        slow = _one_basis_specialization(_ARROW_24, 4, rows, fld, t,
+                                         candidates, checks)
+        assert {k: res[k] for k in slow} == slow
 
 
 @contextmanager
@@ -700,7 +769,7 @@ def test_integer_rows_match_the_fraction_oracle(r, n, variant, degree,
         fresh.append(_OracleTwin(ncols, field, twins, spent))
         return fresh[-1]
 
-    monkeypatch.setattr(linalg, "row_basis", twin)
+    monkeypatch.setattr(griffiths, "row_basis", twin)
     spec = build_pencil(r, n, variant)
     checks = _span_checks(r, n) if degree == n else ()
     with _cold_row_caches():
@@ -711,13 +780,13 @@ def test_integer_rows_match_the_fraction_oracle(r, n, variant, degree,
                 ctx = ci_context_for_pencil(spec, Fraction(t))
                 for b in (0, 1):
                     ci_bigraded_quotient(ctx, (0, b))
-    # the rows free of t are eliminated once per block over Q (the trivial
-    # block in degree n and the quadric multiples of bidegree (0, 1); 31 of
-    # the 32 blocks in degree 8); each t copies those bases, and takes a
-    # fresh basis for a larger block without such rows; a block of one row
-    # needs no basis
+    # the rows free of t are eliminated once per block over Q, in a basis
+    # that each t copies: the trivial block in degree n, each of the 32
+    # blocks in degree 8 (one of them with no such rows), and each of the
+    # two bidegrees of the complete-intersection model (bidegree (0, 0)
+    # with no rows at all); a block of one row needs no basis
     assert (len(fresh), len(twins)) == {
-        4: (1 + 1, 2 + 2 * 2), 5: (1, 1 + 1), 8: (31 + 1, 32 + 31)}[degree]
+        4: (1 + 2, 3 + 3 * 2), 5: (1, 1 + 1), 8: (32, 32 + 32)}[degree]
     for tw in twins:
         fast, slow = tw.fast, tw.slow
         assert fast.rows.keys() == slow.rows.keys()
@@ -739,6 +808,30 @@ def _field_rows(rows, fld):
     return out
 
 
+def _rows_at_match(blocks, t, rows, fld):
+    """Whether a {key: (rows free of t, pairs)} split gives at t the rows,
+    up to their order: each pair (a, b) exactly as a + t*b, and each row
+    free of t as it is or times t (a pair (0, b) is held as b).  Rows that
+    vanish in fld are left out on both sides, as _field_rows does."""
+    rest = Counter(tuple(sorted(row.items()))
+                   for row in _field_rows(rows, fld))
+
+    def take(*options):
+        options = _field_rows(options, fld)
+        for row in options:
+            if rest[key := tuple(sorted(row.items()))]:
+                rest[key] -= 1
+                return True
+        return not options
+
+    for free, pairs in blocks.values():
+        if not (all(take(row) for row in griffiths._at(pairs, t))
+                and all(take(row, {c: t * v for c, v in row.items()})
+                        for row in free)):
+            return False
+    return not any(rest.values())
+
+
 @pytest.mark.parametrize("fld", [RATIONALS, PrimeField(1048583)],
                          ids=lambda f: f.name)
 @pytest.mark.parametrize("r,n,variant,degree", [
@@ -746,9 +839,10 @@ def _field_rows(rows, fld):
     (2, 4, "squares+quads", 4), (2, 5, "arrow", 5), (2, 4, "arrow", 8)])
 def test_pencil_rows_match_the_rows_of_each_specialization(r, n, variant,
                                                            degree, fld):
-    # the rows a + t*b built once over Z are, row by row, the standard rows
-    # of the generator multiples of f_t by the standard monomials, built in
-    # the field; t = -1 cancels the shared monomials of the quads pencils
+    # the rows a + t*b built once over Z are, row by row up to order, the
+    # standard rows of the generator multiples of f_t by the standard
+    # monomials, built in the field (a row free of t possibly times t);
+    # t = -1 cancels the shared monomials of the quads pencils
     spec = build_pencil(r, n, variant)
     nv = len(plucker_indices(r, n))
     rows = griffiths._pencil_rows(spec, degree)
@@ -760,8 +854,7 @@ def test_pencil_rows_match_the_rows_of_each_specialization(r, n, variant,
         key = griffiths._column_key(degree)
         slow = [griffiths._standard_row(r, n, mult, g, key) for g in gens
                 if g for mult in standard]
-        assert (_field_rows(linalg._at(rows, t), fld)
-                == _field_rows(slow, fld)), t
+        assert _rows_at_match(rows, t, slow, fld), t
 
 
 @pytest.mark.parametrize("r,n,variant,degree,pairs,entries", [
@@ -774,14 +867,16 @@ def test_shipped_slices_hold_their_rows_below_the_entry_limit(
     # every row pair is held for the whole call, so the guard counts them;
     # no shipped slice comes near it
     rows = griffiths._pencil_rows(build_pencil(r, n, variant), degree)
-    assert len(rows.pairs) == pairs
-    assert all(type(v) is int for pair in rows for row in pair
+    held = [(row,) for free, _ in rows.values() for row in free] + [
+        pair for _, carried in rows.values() for pair in carried]
+    assert len(held) == pairs
+    assert all(type(v) is int for pair in held for row in pair
                for v in row.values())
-    assert sum(len(a) + len(b) for a, b in rows) == rows.entries == entries
+    assert sum(len(row) for pair in held for row in pair) == entries
     assert entries < griffiths._ENTRY_LIMIT
 
 
-_ONE_SPECIALIZATION = griffiths._one_specialization
+_SPECIALIZATIONS = griffiths._specializations
 _COPY = linalg._RowBasis.copy
 
 
@@ -793,18 +888,20 @@ def _keyed_runs(spec, degree, fld, monkeypatch, key):
     bases, results = [], []
 
     def recording(*args):
-        results.append(_ONE_SPECIALIZATION(*args))
-        return results[-1]
+        found = _SPECIALIZATIONS(*args)
+        results.extend(found)
+        return found
 
     def kept(basis):
         bases.append(basis)
         return basis
 
-    monkeypatch.setattr(linalg, "row_basis", lambda ncols, field, spent: (
-        kept(row_basis(ncols, field, spent))))
+    monkeypatch.setattr(griffiths, "row_basis",
+                        lambda ncols, field, spent=None: (
+                            kept(row_basis(ncols, field, spent))))
     monkeypatch.setattr(linalg._RowBasis, "copy",
-                        lambda basis, spent: kept(_COPY(basis, spent)))
-    monkeypatch.setattr(griffiths, "_one_specialization", recording)
+                        lambda basis, spent=None: kept(_COPY(basis, spent)))
+    monkeypatch.setattr(griffiths, "_specializations", recording)
     checks = _span_checks(spec.r, spec.n) if degree == spec.n else ()
     with _cold_row_caches():
         invariant_subspace(spec, degree=degree, t_values=(2, 3, -1),
@@ -832,13 +929,13 @@ def test_int_columns_match_exponent_tuple_columns(r, n, variant, degree, fld,
     fast = _keyed_runs(spec, degree, fld, monkeypatch, column)
     slow = _keyed_runs(spec, degree, fld, monkeypatch, lambda e: e)
     assert fast[0] == slow[0]
-    # the bases of the rows free of t, then per t their copies and the
-    # fresh basis of the one degree-8 block without such rows (counts as in
-    # test_integer_rows_match_the_fraction_oracle, over three t); over Q on
-    # G(2,4) bidegree (0, 1) adds its basis and a copy at each of two t
+    # per block the basis of the rows free of t and its copy at each of
+    # three t (blocks as in test_integer_rows_match_the_fraction_oracle);
+    # over Q on G(2,4) each bidegree adds its basis and a copy at each of
+    # two t
     assert len(fast[1]) == len(slow[1]) == {
-        4: 1 + 3 + (1 + 2) * (fld == RATIONALS), 5: 1 + 3,
-        8: 31 + 3 * 32}[degree]
+        4: 1 + 3 + 2 * (1 + 2) * (fld == RATIONALS), 5: 1 + 3,
+        8: 32 + 3 * 32}[degree]
     for by_int, by_tuple in zip(fast[1], slow[1]):
         assert all(type(pc) is int for pc in by_int.rows)
         assert by_int.rows == {
@@ -880,33 +977,47 @@ def _direct_ci_rows(ctx, bidegree):
 
 @pytest.mark.parametrize("variant", ["arrow", "squares", "quads",
                                      "squares+quads"])
-def test_ci_pairs_match_the_rows_of_each_member(variant):
+def test_ci_pairs_match_the_rows_of_each_member(variant, monkeypatch):
     # the pairs (a, b) built once per pencil give at t the rows of the
-    # member's own context; t = -1 cancels the shared monomials of quads
+    # member's own context, up to order (a row free of t possibly times t);
+    # the cached basis is that of the rows free of t.  t = -1 cancels the
+    # shared monomials of quads
     spec = build_pencil(2, 4, variant)
     quadric = plucker_relations(2, 4)[0]
+    real, split = griffiths._split, []
+    monkeypatch.setattr(griffiths, "_split", lambda rows: (
+        split.append(real(rows)) or split[-1]))
+    with _cold_row_caches():
+        held = [griffiths._pencil_ci_rows(spec, bd) for bd in ((0, 0), (0, 1))]
+    blocks = split[:2]
+    for (fixed, pairs), block in zip(held, blocks):
+        free, carried = block.get(None, ((), ()))
+        assert pairs is carried
+        basis = row_basis(None, RATIONALS)
+        assert basis.add_rows(free) == fixed.rank
+        assert basis.rows == fixed.rows
     for t in (2, 3, -1, Fraction(1, 2)):
         member = ci_context([evaluate_pencil(spec, t), quadric])
         ctx = ci_context_for_pencil(spec, t)
         assert (ctx.pencil, ctx.t, ctx.polys) == (spec, t, member.polys)
-        for bidegree in ((0, 0), (0, 1)):
-            pairs = griffiths._pencil_ci_rows(spec, bidegree)
-            assert (_field_rows(linalg._at(pairs, t), RATIONALS)
-                    == _field_rows(_direct_ci_rows(member, bidegree),
-                                   RATIONALS)), (t, bidegree)
+        for bidegree, block in zip(((0, 0), (0, 1)), blocks):
+            assert _rows_at_match(block, t, _direct_ci_rows(member, bidegree),
+                                  RATIONALS), (t, bidegree)
         assert tuple(ci_bigraded_quotient(ctx, (0, b)).quotient_dim
                      for b in (0, 1)) == (1, 89)
 
 
 @pytest.mark.parametrize("fld", [RATIONALS, PrimeField(1048583)],
                          ids=lambda f: f.name)
-def test_plain_ci_context_takes_the_pair_route_with_no_t_part(fld,
-                                                              monkeypatch):
+def test_plain_ci_context_eliminates_its_rows_in_one_basis(fld,
+                                                           monkeypatch):
+    # a context that names no pencil builds the rows of its own generators
+    # and eliminates them in one basis per bidegree, copying none
     spec = build_pencil(2, 4, "squares+quads")
     ctx = ci_context([evaluate_pencil(spec, 3, fld),
                       plucker_relations(2, 4)[0].convert(fld)])
     assert (ctx.pencil, ctx.t) == (None, 0)
-    held = []
+    held, bases = [], []
     real = griffiths._ci_rows
 
     def recording(*args):
@@ -914,20 +1025,25 @@ def test_plain_ci_context_takes_the_pair_route_with_no_t_part(fld,
         return held[-1]
 
     monkeypatch.setattr(griffiths, "_ci_rows", recording)
+    monkeypatch.setattr(griffiths, "row_basis", lambda ncols, field: (
+        bases.append(row_basis(ncols, field)) or bases[-1]))
+    monkeypatch.setattr(linalg._RowBasis, "copy", None)  # never reached
     assert tuple(ci_bigraded_quotient(ctx, (0, b)).quotient_dim
                  for b in (0, 1)) == (1, 89)
-    for pairs, bidegree in zip(held, ((0, 0), (0, 1))):
-        assert all(key is None and b == {} for key, (_, b) in pairs)
-        assert ([a for _, (a, _) in pairs if a]
-                == _direct_ci_rows(ctx, bidegree))
+    assert [basis.field for basis in bases] == [fld, fld]
+    for rows, bidegree in zip(held, ((0, 0), (0, 1))):
+        assert all(key is None and len(row) == 1 for key, row in rows)
+        assert [row for _, (row,) in rows] == _direct_ci_rows(ctx, bidegree)
 
 
 def test_held_ci_pairs_count_against_the_entry_limit(monkeypatch):
     spec = build_pencil(2, 4, "squares")
-    griffiths._pencil_ci_rows.cache_clear()
-    entries = sum(len(a) + len(b)
-                  for a, b in griffiths._pencil_ci_rows(spec, (0, 1)))
-    griffiths._pencil_ci_rows.cache_clear()
+    held, real = [], griffiths._ci_rows
+    monkeypatch.setattr(griffiths, "_ci_rows", lambda *args: (
+        held.append(real(*args)) or held[-1]))
+    with _cold_row_caches():
+        griffiths._pencil_ci_rows(spec, (0, 1))
+    entries = sum(len(row) for _, pair in held[0] for row in pair)
     ctx = ci_context_for_pencil(spec, 2)
     monkeypatch.setattr(griffiths, "_ENTRY_LIMIT", entries)
     assert ci_bigraded_quotient(ctx, (0, 1)).quotient_dim == 89
@@ -1049,22 +1165,21 @@ def test_invariant_subspace_rejects_bad_inputs(monkeypatch):
 def test_specialization_mismatch_raised_on_disagreement(monkeypatch):
     from grasspencils import griffiths as g
 
-    real = g._one_specialization
+    real = g._specializations
     calls = []
 
     def wobbly(*args):
-        res = real(*args)
-        calls.append(res)
-        if len(calls) == 2:
-            res = dict(res)
-            res["invariant_dim"] += 1
-        return res
+        results = real(*args)
+        calls.append(results)
+        results[1] = dict(results[1], invariant_dim=results[1][
+            "invariant_dim"] + 1)
+        return results
 
-    monkeypatch.setattr(g, "_one_specialization", wobbly)
+    monkeypatch.setattr(g, "_specializations", wobbly)
     with pytest.raises(SpecializationMismatch) as excinfo:
         g.invariant_subspace(build_pencil(2, 4), t_values=(2, 3),
                              include_rationals=True)
-    assert len(excinfo.value.results) == 2
+    assert len(calls) == 1 and len(excinfo.value.results) == 2
     message = str(excinfo.value)
     assert "t=3 over QQ: invariant_dim" in message
     assert "ideal_rank" not in message
@@ -1129,7 +1244,7 @@ def test_slices_split_into_character_blocks(r, n, variant, degree, blocks):
         ("blocks", "largest_block_rows", "trivial_block_rows",
          "t_free_pairs"), blocks))
     block_of = pencil_blocks(spec)
-    for key, (free, pairs) in rows.blocks.items():
+    for key, (free, pairs) in rows.items():
         for row in [*free, *(row for pair in pairs for row in pair)]:
             assert all(block_of(c.to_bytes(spec.nvars, "big")) == key
                        for c in row)
@@ -1163,19 +1278,32 @@ def test_a_rule_that_changes_the_index_content_is_refused(monkeypatch):
 def test_rows_are_built_on_every_call_and_dropped_when_it_returns(
         monkeypatch):
     # two calls on one slice build its rows twice; the first call's rows
-    # are gone once it returns, as nothing outside the call refers to them
-    built = []
-    real = griffiths._pencil_rows
+    # are gone once it returns, as nothing outside the call refers to them.
+    # The weak references are to the dicts the splitter builds, which
+    # _pencil_rows must hand back itself, so rows kept inside _pencil_rows
+    # (a cache, say) stay alive and fail the test
+    built, calls = [], []
+    split, real = griffiths._split, griffiths._pencil_rows
+
+    class Rows(dict):  # a dict that takes a weak reference
+        pass
+
+    def splitting(keyed_pairs):
+        rows = Rows(split(keyed_pairs))
+        built.append(weakref.ref(rows))
+        return rows
 
     def recording(*key):
         rows = real(*key)
-        built.append((key, weakref.ref(rows)))
+        calls.append(key)
+        assert built and rows is built[-1]()
         return rows
 
+    monkeypatch.setattr(griffiths, "_split", splitting)
     monkeypatch.setattr(griffiths, "_pencil_rows", recording)
     spec = build_pencil(2, 5)
     invariant_subspace(spec, t_values=(2,), primes=(1048583,))
-    assert len(built) == 1 and built[0][1]() is None
+    assert len(built) == 1 and built[0]() is None
     invariant_subspace(spec, t_values=(3,), include_rationals=True)
-    assert [key for key, _ in built] == [(spec, 5)] * 2
-    assert built[1][1]() is None
+    assert calls == [(spec, 5)] * 2
+    assert len(built) == 2 and built[1]() is None

@@ -4,8 +4,9 @@ import re
 import pytest
 from fractions import Fraction
 
-from grasspencils import linalg
+from grasspencils import griffiths, linalg
 from grasspencils.fields import PrimeField, RATIONALS, next_prime
+from grasspencils.grassmann import build_pencil
 from grasspencils.linalg import ResourceLimitError, row_basis
 from rank_oracle import FractionRowBasis, _rank_rational
 
@@ -157,48 +158,96 @@ def test_row_basis_copy_extends_on_its_own(field):
     copied = {pc: dict(row) for pc, row in copy.rows.items()}
     assert basis.add_row({2: 1, 3: 2})
     assert (copy.rows, copy.entries) == (copied, 7)
+    # a copy counts the rows it shares in its budget, a new one or the one
+    # it is given, and is refused past the cap as those rows would be
+    assert copy.spent == [7]
+    assert basis.copy([10]).spent == [10 + 6]
+    with pytest.raises(ResourceLimitError, match=re.escape(
+            f"{linalg._ENTRY_LIMIT - 5} stored + 6 new entries")):
+        basis.copy([linalg._ENTRY_LIMIT - 5])
 
 
 def _two_block_pairs():
     # block c % 2: in each, one row free of t (2 entries) and one pair that
     # adds a row of 2 entries at every t != 0
-    return linalg._RowPairs([(0, ({0: 1, 2: 1}, {})), (0, ({2: 1}, {4: 1})),
+    return griffiths._split([(0, ({0: 1, 2: 1}, {})), (0, ({2: 1}, {4: 1})),
                              (1, ({1: 1, 3: 1}, {})), (1, ({3: 1}, {5: 1}))])
+
+
+def _specialize(fields, t_values):
+    # the specializations of the two blocks, read as a slice of G(2,4)
+    # with no candidates and no span checks, so the trivial block, visited
+    # last, holds nothing
+    return griffiths._specializations(build_pencil(2, 4), 4,
+                                      _two_block_pairs(), fields, t_values,
+                                      (), ())
+
+
+def _recorded(monkeypatch, name, made):
+    # the bases griffiths makes through row_basis, or by copying one
+    if name == "row_basis":
+        monkeypatch.setattr(griffiths, name, lambda ncols, field, spent: (
+            made.append(row_basis(ncols, field, spent)) or made[-1]))
+    else:
+        real = linalg._RowBasis.copy
+        monkeypatch.setattr(linalg._RowBasis, name, lambda basis, spent: (
+            made.append(real(basis, spent)) or made[-1]))
 
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)],
                          ids=lambda f: f.name)
 def test_row_pairs_spend_one_entry_budget_per_t(field, monkeypatch):
-    # each block's basis stores 4 entries, the two together 8: the cap
-    # bounds the sum, as it bounded the one basis of the whole slice
-    rows = _two_block_pairs()
+    # each block's basis stores 4 entries at each t, the two together 8:
+    # the cap bounds the sum, as it bounded the one basis of the whole slice
+    fixed, copies = [], []
+    _recorded(monkeypatch, "row_basis", fixed)
+    _recorded(monkeypatch, "copy", copies)
     monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 8)
-    for t in (2, 3):
-        rank, bases = rows.at(field, t, {0, 1})
-        assert rank == 4
-        assert [bases[k].entries for k in (0, 1)] == [4, 4]
-        assert bases[0].spent is bases[1].spent == [8]
+    assert [res["ideal_rank"] for res in _specialize((field,), (2, 3))] == [
+        4, 4]
+    # blocks 0, 1 and the trivial block, each eliminated once and copied
+    # at each t: the t-free bases share one budget, the bases of one t
+    # another, which counts the t-free rows they start from
+    assert [basis.entries for basis in fixed] == [2, 2, 0]
+    assert fixed[0].spent is fixed[1].spent is fixed[2].spent == [4]
+    for at_t in (copies[0::2], copies[1::2]):
+        assert [basis.entries for basis in at_t] == [4, 4, 0]
+        assert at_t[0].spent is at_t[1].spent is at_t[2].spent == [8]
     for limit, stored in ((7, 6), (5, 4)):
         monkeypatch.setattr(linalg, "_ENTRY_LIMIT", limit)
         with pytest.raises(ResourceLimitError, match=re.escape(
                 f"over {field.name}: {stored} stored + 2 new entries "
                 f"exceed the {limit} entry limit")):
-            rows.at(field, 2)
-    # the t-free bases spend from a budget of their own, kept with them
+            _specialize((field,), (2,))
+    # at t = 2 the first block's pair row is refused; with no t, the
+    # budget of the t-free bases, shared by the blocks, refuses the second
+    # block's row free of t
     monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 3)
-    with pytest.raises(ResourceLimitError, match="2 stored \\+ 2 new"):
-        _two_block_pairs().at(field, 2)
+    for t_values in ((2,), ()):
+        with pytest.raises(ResourceLimitError, match="2 stored \\+ 2 new"):
+            _specialize((field,), t_values)
 
 
-def test_row_pairs_keep_the_t_free_bases_of_one_field():
-    rows = _two_block_pairs()
-    fixed = rows.fixed(RATIONALS)
-    assert rows.fixed(RATIONALS) is fixed
-    assert [fixed[k].rows for k in (0, 1)] == [{0: {0: 1, 2: 1}},
-                                               {1: {1: 1, 3: 1}}]
-    assert rows.at(PrimeField(7), 3) == (4, {})
-    assert rows._fixed[0] == PrimeField(7)
-    assert rows.fixed(RATIONALS) is not fixed
+def test_row_pairs_eliminate_the_t_free_rows_once_per_field(monkeypatch):
+    # however many t there are, each block's rows free of t enter one
+    # basis per field, and every t starts from a copy of it
+    real, added = linalg._RowBasis.add_row, []
+    monkeypatch.setattr(linalg._RowBasis, "add_row", lambda basis, row: (
+        added.append((basis.field, row)) or real(basis, row)))
+    fields = (RATIONALS, PrimeField(7))
+    for t_values in ((2,), (2, 3, 5, -1)):
+        fixed, added[:] = [], []
+        _recorded(monkeypatch, "row_basis", fixed)
+        results = _specialize(fields, t_values)
+        assert [res["ideal_rank"] for res in results] == [4] * 2 * len(
+            t_values)
+        assert [(basis.field, basis.rows) for basis in fixed] == [
+            (fld, rows) for rows in ({0: {0: 1, 2: 1}}, {1: {1: 1, 3: 1}}, {})
+            for fld in fields]
+        for row in ({0: 1, 2: 1}, {1: 1, 3: 1}):
+            assert [fld for fld, r in added if r == row] == list(fields)
+
+
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)])
 def test_row_basis_refuses_rows_past_entry_cap(field, monkeypatch):
     # the cap counts stored entries of reduced rows and refuses a row

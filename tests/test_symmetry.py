@@ -172,7 +172,7 @@ def test_a_non_invariant_pencil_is_one_block_and_counted_point_by_point():
     assert [_orbit_order(spec, p) for p in (5, 7, 13)] == [1, 1, 1]
     blocks = pencil_blocks(spec)
     assert {blocks(e) for e in monomials_of_degree(6, 4)} == {(0,) * 4}
-    assert len(_pencil_rows(spec, 4).blocks) == 1
+    assert len(_pencil_rows(spec, 4)) == 1
 
 
 def test_invariant_monomials_24_exact_list():
