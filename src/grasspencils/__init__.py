@@ -20,7 +20,7 @@ from .grassmann import (PencilSpec, plucker_indices, partition_to_index,
                         frozen_variables, plucker_relations, build_pencil,
                         evaluate_pencil, monomial_name, plucker_names)
 from .symmetry import (SymmetryGroup, build_group, character, is_invariant,
-                       invariant_monomials, invariant_monomials_json)
+                       invariant_monomials)
 from .pointcount import (SchubertCell, PointCountRecord, enumerate_cells,
                          grassmannian_count, count_points, count_table,
                          count_zeros, records_to_csv)

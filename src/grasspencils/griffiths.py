@@ -81,7 +81,7 @@ class GradedPieceReport:
     survivors: tuple | None = None
     survivor_names: tuple | None = None
     specializations: tuple | None = None
-    span_checks: dict | None = None
+    span_checks: None = None  # always null: kept for the output format
     elapsed_ms: None = None  # always null: timings go to the manifest
     # the character blocks of an invariant slice, for the manifest only
     blocks: dict | None = field(default=None, compare=False)
@@ -481,42 +481,29 @@ def _block_counts(rows, n) -> dict:
             "t_free_pairs": sum(len(free) for free, _ in rows.values())}
 
 
-def _specializations(spec, degree, rows, fields, t_values, candidates,
-                     span_checks):
+def _specializations(spec, degree, rows, fields, t_values, candidates):
     """The result of every specialization of a slice's _pencil_rows, in
     fields x t_values order, walking block -> field -> t.  Over each field
     a block's rows free of t are eliminated once, and each t extends a
     copy of that basis with the rows a + t*b.  The trivial block then
     offers the candidates, each the unit row {e: 1}, to the greedy rank
-    extension, and the block of a span-check monomial tests its normal
-    form; both are visited even when they hold no rows.  Any other block
+    extension; it is visited even when it holds no rows.  Any other block
     of one pair needs no basis: it adds 1 exactly when the row is nonzero
     in the field after _integer_row, as it would enter a basis.  Every
     basis is dropped when its block is done.  The bases of the rows free
     of t of one field share one entry budget; the bases of one
     specialization share another, which counts the rows free of t they
     start from, as one basis of the whole slice would."""
-    r, n = spec.r, spec.n
     key = _column_key(degree)
-    trivial = (0,) * n
-    names = [monomial_name(e, r, n) for e in span_checks]
-    tests = {}
-    if span_checks:  # pencil_blocks checks the pencil's invariance
-        block_of = pencil_blocks(spec)
-        for e, name in zip(span_checks, names):
-            tests.setdefault(block_of(e), []).append(
-                (name, {key(s): c for s, c in normal_form(r, n, e)}))
+    trivial = (0,) * spec.n
     blocks = dict(rows)
-    for block in (trivial, *tests):
-        blocks.setdefault(block, ((), ()))
+    blocks.setdefault(trivial, ((), ()))
     runs = [(fld, t) for fld in fields for t in t_values]
     ranks, survivors = [0] * len(runs), [()] * len(runs)
-    checks = [dict.fromkeys(names) for _ in runs]
     free_spent, spent = [[0] for _ in fields], [[0] for _ in runs]
     for block, (free, pairs) in blocks.items():
         offered = candidates if block == trivial else ()
-        tested = tests.get(block, ())
-        if len(pairs) == 1 and not (free or offered or tested):
+        if len(pairs) == 1 and not (free or offered):
             for i, (fld, t) in enumerate(runs):
                 ranks[i] += bool(_integer_row(next(_at(pairs, t)),
                                               fld.modulus))
@@ -530,20 +517,16 @@ def _specializations(spec, degree, rows, fields, t_values, candidates,
                 if offered:
                     survivors[i] = tuple(
                         e for e in offered if basis.add_row({key(e): 1}))
-                for name, row in tested:
-                    checks[i][name] = basis.contains(row)
         fixed = basis = None  # no basis outlives its block
-    return [{"t": str(t), "field": fld.name, **_dims(r, n, degree, rank),
-             "invariant_dim": len(kept), "survivors": kept,
-             "span_checks": found}
-            for (fld, t), rank, kept, found in zip(runs, ranks, survivors,
-                                                   checks)]
+    return [{"t": str(t), "field": fld.name,
+             **_dims(spec.r, spec.n, degree, rank),
+             "invariant_dim": len(kept), "survivors": kept}
+            for (fld, t), rank, kept in zip(runs, ranks, survivors)]
 
 
 def invariant_subspace(spec: PencilSpec, degree=None,
                        t_values=(2, 3, 5), primes=(),
-                       include_rationals=None,
-                       span_check_monomials=()) -> GradedPieceReport:
+                       include_rationals=None) -> GradedPieceReport:
     """Consensus dimension of the invariant part of a graded slice.
 
     The generator rows of the slice are built once over Z, as pairs a, b
@@ -588,17 +571,15 @@ def invariant_subspace(spec: PencilSpec, degree=None,
                                     invariant_multiplicities(r, n, degree))
     rows = _pencil_rows(spec, degree)
     results = _specializations(spec, degree, rows, fields, t_values,
-                               candidates, span_check_monomials)
+                               candidates)
 
     keys = ("ambient", "relation_rank", "ideal_rank", "quotient_dim",
             "invariant_dim", "survivors")
-    agreed = consensus(results, keys + ("span_checks",),
-                       f"{spec.variant} on G({r},{n})")
+    agreed = consensus(results, keys, f"{spec.variant} on G({r},{n})")
     return GradedPieceReport(
         label=f"G({r},{n}) {spec.variant} invariant slice, degree {degree}",
         rn=(r, n), degree=degree, t=None, field="consensus",
         **{k: agreed[k] for k in keys},
-        span_checks=agreed["span_checks"] or None,
         survivor_names=tuple(monomial_name(e, r, n)
                              for e in agreed["survivors"]),
         specializations=tuple(

@@ -206,6 +206,8 @@ def truncation_search(p: int, counts) -> list:
     for rec in counts:
         if rec.p != p:
             raise ValueError(f"record for p={rec.p} in a p={p} search")
+        if rec.t % p in residues:
+            raise ValueError(f"t = {rec.t % p} appears twice in the counts")
         residues[rec.t % p] = rec.residue
     if sorted(residues) != list(range(1, p)):
         raise ValueError("counts must cover t = 1..p-1 exactly")

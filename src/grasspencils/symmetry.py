@@ -14,7 +14,6 @@ The effective group, L modulo the line (1,...,1), has order |L|/n and is
 Z/g x (Z/n)^(n-2); build_group derives this closed form.
 """
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd
@@ -149,17 +148,3 @@ def invariant_monomials(r: int, n: int, degree: int,
     nv = len(plucker_indices(r, n))
     return tuple(e for e in monomials_of_degree(nv, degree)
                  if is_invariant(e, group))
-
-
-def invariant_monomials_json(r: int, n: int, degree: int,
-                             group: SymmetryGroup | None = None) -> str:
-    """Invariant monomials as a JSON document with the order flagged."""
-    mons = invariant_monomials(r, n, degree, group)
-    doc = {
-        "r": r,
-        "n": n,
-        "degree": degree,
-        "canonical_order": "graded-lex-descending",
-        "monomials": [list(e) for e in mons],
-    }
-    return json.dumps(doc, sort_keys=True)

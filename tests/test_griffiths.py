@@ -13,9 +13,8 @@ import pytest
 from grasspencils.fields import PrimeField, RATIONALS
 from grasspencils.grassmann import (PencilSpec, _leading_pair, build_pencil,
                                     evaluate_pencil, hilbert_function,
-                                    monomial_name, normal_form,
-                                    plucker_indices,
-                                    plucker_relations, straightening_rules)
+                                    plucker_indices, plucker_relations,
+                                    straightening_rules)
 from grasspencils import grassmann, griffiths, linalg, poly
 from grasspencils.chains import standard_monomials
 from grasspencils.griffiths import (CIJacobianContext, SpecializationMismatch,
@@ -32,7 +31,8 @@ from grasspencils.symmetry import (invariant_monomials,
 from candidate_oracle import (full_candidate_greedy, invariant_candidates,
                               one_basis)
 from rank_oracle import FractionRowBasis, _rank_rational
-from test_acceptance import REFERENCE_MONOMIALS_25
+from test_acceptance import (MODIFIED_BASIS_24, REFERENCE_BASIS_24,
+                             quotient_with_monomials, reference_basis_25)
 
 def _coord(idx, r=2, n=4, field=RATIONALS):
     pos = {i: k for k, i in enumerate(plucker_indices(r, n))}
@@ -324,57 +324,21 @@ def test_ci_model_only_for_24():
         ci_context_for_pencil(build_pencil(2, 5), Fraction(2))
 
 
-REFERENCE_BASIS_24 = (
-    (0, 0, 0, 0, 0, 4),   # p34^4
-    (0, 0, 2, 2, 0, 0),   # p14^2 p23^2
-    (0, 2, 0, 0, 2, 0),   # p13^2 p24^2
-    (0, 0, 0, 0, 4, 0),   # p24^4
-    (0, 0, 0, 4, 0, 0),   # p23^4
-)
-
-MODIFIED_BASIS_24 = (
-    (0, 0, 0, 4, 0, 0),   # p23^4
-    (0, 1, 1, 1, 1, 0),   # p13 p14 p23 p24
-    (0, 0, 0, 0, 0, 4),   # p34^4
-    (0, 0, 2, 2, 0, 0),   # p14^2 p23^2
-    (0, 0, 0, 0, 4, 0),   # p24^4
-)
-
-
-def _quotient_with_monomials(spec, monomials):
-    """Degree-n quotient dimension at t = 2 over Q, before and after the
-    given monomials join the Jacobian generators."""
-    r, n = spec.r, spec.n
-    gens = grassmann_jacobian_generators(
-        evaluate_pencil(spec, Fraction(2)), r, n)
-    extra = [SparsePolynomial.monomial(e) for e in monomials]
-    return (graded_quotient(r, n, n, gens).quotient_dim,
-            graded_quotient(r, n, n, gens + extra).quotient_dim)
-
-
 @pytest.mark.parametrize("variant,basis,after", [
     ("arrow", REFERENCE_BASIS_24, 84),
     ("arrow", MODIFIED_BASIS_24, 85),   # rank 4 modulo the arrow ideal
     ("squares", MODIFIED_BASIS_24, 84),
+    ("quads", MODIFIED_BASIS_24, 84),
+    ("squares+quads", MODIFIED_BASIS_24, 84),
 ])
 def test_reference_bases_are_independent_mod_ideal(variant, basis, after):
-    before, with_basis = _quotient_with_monomials(
-        build_pencil(2, 4, variant), basis)
-    assert (before, with_basis) == (89, after)
-
-
-def _span_checks(r, n):
-    """The reference invariant basis of G(2,4) or G(2,5), as exponents."""
-    if n == 4:
-        return REFERENCE_BASIS_24
-    name_to_exp = {monomial_name(e, r, n): e
-                   for e in invariant_monomials(r, n, n)}
-    return tuple(name_to_exp[name] for name in REFERENCE_MONOMIALS_25)
+    assert quotient_with_monomials(
+        build_pencil(2, 4, variant), basis) == (89, after)
 
 
 def test_reference_basis_25_is_independent_mod_ideal():
-    assert _quotient_with_monomials(
-        build_pencil(2, 5), _span_checks(2, 5)) == (1151, 1140)
+    assert quotient_with_monomials(
+        build_pencil(2, 5), reference_basis_25()) == (1151, 1140)
 
 
 @pytest.mark.parametrize("variant", ["arrow", "squares", "quads",
@@ -383,15 +347,10 @@ def test_invariant_subspace_dimension_five(variant):
     spec = build_pencil(2, 4, variant)
     report = invariant_subspace(
         spec, t_values=(2, 3, 5), primes=(1048583, 2097169),
-        include_rationals=True, span_check_monomials=REFERENCE_BASIS_24)
+        include_rationals=True)
     assert report.invariant_dim == 5
     assert report.quotient_dim == 89
     assert len(report.specializations) == 9  # 3 over Q + 3 per prime
-    # membership only: every invariant monomial lies in ideal + survivors
-    # span, so this cannot tell a basis from a dependent set (see
-    # test_reference_bases_are_independent_mod_ideal)
-    assert all(report.span_checks.values())
-    assert report.invariant_dim <= report.quotient_dim
 
 
 def test_invariant_subspace_25():
@@ -430,7 +389,7 @@ def _against_the_full_candidate_greedy(spec, degree, fields, t_values):
     candidates = standard_monomials(r, n, degree,
                                     invariant_multiplicities(r, n, degree))
     results = iter(griffiths._specializations(spec, degree, rows, fields,
-                                              t_values, candidates, ()))
+                                              t_values, candidates))
     for fld in fields:
         for t in t_values:
             res = next(results)
@@ -477,7 +436,7 @@ def test_standard_candidates_match_the_oracle_on_random_pencils(seed):
     _against_the_full_candidate_greedy(spec, n, ORACLE_FIELDS, (2, 3, -1))
 
 
-def _fresh_specialization(spec, degree, fld, t, span_checks):
+def _fresh_specialization(spec, degree, fld, t):
     """One specialization on the full slice: relation rows, generator rows,
     then the invariant monomials in canonical order, all in the ambient
     monomial basis."""
@@ -499,13 +458,10 @@ def _fresh_specialization(spec, degree, fld, t, span_checks):
     ideal_rank = basis.add_rows(rows(grassmann_jacobian_generators(f, r, n)))
     survivors = tuple(e for e in invariant_monomials(r, n, degree)
                       if basis.add_row({pos[e]: 1}))
-    checks = {monomial_name(e, r, n): basis.contains({pos[e]: 1})
-              for e in span_checks}
     return {"ambient": len(ambient), "relation_rank": relation_rank,
             "ideal_rank": ideal_rank,
             "quotient_dim": len(ambient) - relation_rank - ideal_rank,
-            "invariant_dim": len(survivors), "survivors": survivors,
-            "span_checks": checks}
+            "invariant_dim": len(survivors), "survivors": survivors}
 
 
 @pytest.mark.parametrize("r,n,variant,degree,t_values,fields", [
@@ -536,30 +492,22 @@ def test_shared_relation_basis_matches_fresh_slices(r, n, variant, degree,
 
     monkeypatch.setattr(griffiths, "_specializations", recording)
     spec = build_pencil(r, n, variant)
-    # reference bases ship for G(2,4) and G(2,5) in degree n only
-    checks = _span_checks(r, n) if (n, degree) in ((4, 4), (5, 5)) else ()
     invariant_subspace(spec, degree=degree, t_values=t_values,
-                       primes=(1048583,), include_rationals="QQ" in fields,
-                       span_check_monomials=checks)
+                       primes=(1048583,), include_rationals="QQ" in fields)
     assert [(fld.name, str(t)) for fld, t, _ in recorded] == [
         (name, str(t)) for name in fields for t in t_values]
     for fld, t, res in recorded:
-        fresh = _fresh_specialization(spec, degree, fld, t, checks)
+        fresh = _fresh_specialization(spec, degree, fld, t)
         assert {k: res[k] for k in fresh} == fresh, (fld.name, t)
 
 
-def _one_basis_specialization(spec, degree, rows, fld, t, candidates,
-                              span_checks):
+def _one_basis_specialization(spec, degree, rows, fld, t, candidates):
     """The route the character blocks replace: every row a + t*b of the
-    slice in one basis, offered the candidates, then the span checks."""
-    r, n = spec.r, spec.n
+    slice in one basis, offered the candidates."""
     key = griffiths._column_key(degree)
     basis, dims = one_basis(spec, degree, rows, fld, t)
     survivors = tuple(e for e in candidates if basis.add_row({key(e): 1}))
-    return {**dims, "survivors": survivors, "span_checks": {
-        monomial_name(e, r, n): basis.contains(
-            {key(s): c for s, c in normal_form(r, n, e)})
-        for e in span_checks}}
+    return {**dims, "survivors": survivors}
 
 
 def _pencil_json(spec, variant, monomials):
@@ -577,8 +525,6 @@ _CANCEL_24 = _pencil_json(_ARROW_24, "cancel",
 # p12^3*p13 is not invariant, so the slice is one block
 _SKEW_24 = _pencil_json(_ARROW_24, "skew", ((3, 1, 0, 0, 0, 0),)
                         + _ARROW_24.deforming[1:])
-# p12^3*p13 and p12*p13*p14*p34 lie in the blocks of D^3_2 f and D^1_2 f
-_NON_INVARIANT_24 = ((3, 1, 0, 0, 0, 0), (1, 1, 1, 0, 0, 1))
 
 
 def _random_invariant_pencil(seed):
@@ -590,28 +536,26 @@ def _random_invariant_pencil(seed):
                         rng.sample(pool, rng.randint(1, 8)))
 
 
-@pytest.mark.parametrize("spec,degree,fields,t_values,checks", [
-    *[(build_pencil(2, 4, v), 4, ORACLE_FIELDS[:2], (2, 3, -1),
-       REFERENCE_BASIS_24 + _NON_INVARIANT_24) for v in
+@pytest.mark.parametrize("spec,degree,fields,t_values", [
+    *[(build_pencil(2, 4, v), 4, ORACLE_FIELDS[:2], (2, 3, -1)) for v in
       ("arrow", "squares", "quads", "squares+quads")],
-    (build_pencil(2, 5), 5, ORACLE_FIELDS[:2], (2, 3, -1),
-     ((1, 0, 0, 0, 1, 1, 0, 2, 0, 0), (5,) + (0,) * 9)),
-    (_ARROW_24, 8, ORACLE_FIELDS[:2], (2, -1), ()),
+    (build_pencil(2, 5), 5, ORACLE_FIELDS[:2], (2, 3, -1)),
+    (_ARROW_24, 8, ORACLE_FIELDS[:2], (2, -1)),
     # about 1 s and 1.5 s per specialization on the two routes
-    (_ARROW_24, 12, ORACLE_FIELDS[:1], (-1,), ()),
-    (_ARROW_24, 12, ORACLE_FIELDS[1:2], (2,), ()),
-    (_CANCEL_24, 4, ORACLE_FIELDS[:2], (2, -1), _NON_INVARIANT_24),
-    (_SKEW_24, 4, ORACLE_FIELDS[:2], (2, 3), _NON_INVARIANT_24),
-    *[(_random_invariant_pencil(seed), None, ORACLE_FIELDS[:2], (2, 3, -1),
-       ()) for seed in range(6)]],
+    (_ARROW_24, 12, ORACLE_FIELDS[:1], (-1,)),
+    (_ARROW_24, 12, ORACLE_FIELDS[1:2], (2,)),
+    (_CANCEL_24, 4, ORACLE_FIELDS[:2], (2, -1)),
+    (_SKEW_24, 4, ORACLE_FIELDS[:2], (2, 3)),
+    *[(_random_invariant_pencil(seed), None, ORACLE_FIELDS[:2], (2, 3, -1))
+      for seed in range(6)]],
     ids=["2-4-arrow", "2-4-squares", "2-4-quads", "2-4-squares+quads",
          "2-5-arrow", "2-4-arrow-degree-8", "2-4-arrow-degree-12-QQ",
          "2-4-arrow-degree-12-modp", "2-4-cancel", "2-4-skew",
          *[f"random{seed}" for seed in range(6)]])
 def test_block_route_matches_the_one_basis_route(spec, degree, fields,
-                                                 t_values, checks):
-    # ideal_rank, quotient_dim, the survivors and the span checks, on
-    # invariant monomials and others, are those of one basis for the slice
+                                                 t_values):
+    # ideal_rank, quotient_dim and the survivors are those of one basis for
+    # the slice
     r, n = spec.r, spec.n
     degree = degree or n
     rows = griffiths._pencil_rows(spec, degree)
@@ -625,23 +569,22 @@ def test_block_route_matches_the_one_basis_route(spec, degree, fields,
     else:
         assert single_rows >= n * (n - 1)
     results = iter(griffiths._specializations(spec, degree, rows, fields,
-                                              t_values, candidates, checks))
+                                              t_values, candidates))
     for fld in fields:
         for t in t_values:
             fast = next(results)
             slow = _one_basis_specialization(spec, degree, rows, fld, t,
-                                             candidates, checks)
+                                             candidates)
             assert {k: fast[k] for k in slow} == slow, (fld.name, t)
 
 
-@pytest.mark.parametrize("degree,fields,t_values,checks,made", [
-    # the trivial block and the blocks of the two non-invariant checks,
-    # each with a basis per field and its copy at each t
-    (4, ORACLE_FIELDS[:2], (2, 3), REFERENCE_BASIS_24 + _NON_INVARIANT_24,
-     3 * 2 * (1 + 2)),
-    (8, ORACLE_FIELDS[1:2], (2, 3), (), 32 * (1 + 2))],
-    ids=["2-4-checks", "2-4-degree-8-modp"])
-def test_no_basis_outlives_its_block(degree, fields, t_values, checks, made,
+@pytest.mark.parametrize("degree,fields,t_values,made", [
+    # the trivial block, with a basis per field and its copy at each t;
+    # every other block in degree n is one row
+    (4, ORACLE_FIELDS[:2], (2, 3), 2 * (1 + 2)),
+    (8, ORACLE_FIELDS[1:2], (2, 3), 32 * (1 + 2))],
+    ids=["2-4", "2-4-degree-8-modp"])
+def test_no_basis_outlives_its_block(degree, fields, t_values, made,
                                      monkeypatch):
     # a block starts with the basis of its rows free of t over the first
     # field; by then every basis of the blocks before it, copies included,
@@ -669,32 +612,27 @@ def test_no_basis_outlives_its_block(degree, fields, t_values, checks, made,
     report = invariant_subspace(
         _ARROW_24, degree=degree, t_values=t_values,
         primes=[fld.modulus for fld in fields if fld.modulus],
-        include_rationals=RATIONALS in fields, span_check_monomials=checks)
+        include_rationals=RATIONALS in fields)
     assert report.invariant_dim == {4: 5, 8: 6}[degree]
     assert len(refs) == made and dead()
 
 
-def test_blocks_without_rows_keep_every_candidate_and_fail_every_check():
-    # no rows in the trivial block, nor in the blocks of the non-invariant
-    # span checks: each is still visited, so every candidate survives, the
-    # checks in those blocks are False, and an invariant check lies in the
-    # span of the survivors, as one basis for the whole slice gives (the
-    # hand-made block's columns are negative, so no candidate meets them)
+def test_a_trivial_block_without_rows_keeps_every_candidate():
+    # no rows in the trivial block: it is still visited, so every candidate
+    # survives, as one basis for the whole slice gives (the hand-made
+    # block's columns are negative, so no candidate meets them)
     rows = griffiths._split([("other", ({-1: 1, -3: 1}, {})),
                              ("other", ({-3: 1}, {-5: 1}))])
     candidates = standard_monomials(2, 4, 4, invariant_multiplicities(2, 4, 4))
-    checks = REFERENCE_BASIS_24[:1] + _NON_INVARIANT_24
     fields, t_values = ORACLE_FIELDS[:2], (2, 3)
     results = griffiths._specializations(_ARROW_24, 4, rows, fields, t_values,
-                                         candidates, checks)
-    names = [monomial_name(e, 2, 4) for e in checks]
+                                         candidates)
     for res, (fld, t) in zip(results, [(fld, t) for fld in fields
                                        for t in t_values]):
         assert (res["t"], res["field"]) == (str(t), fld.name)
         assert (res["ideal_rank"], res["survivors"]) == (2, candidates)
-        assert res["span_checks"] == dict(zip(names, (True, False, False)))
         slow = _one_basis_specialization(_ARROW_24, 4, rows, fld, t,
-                                         candidates, checks)
+                                         candidates)
         assert {k: res[k] for k in slow} == slow
 
 
@@ -712,7 +650,7 @@ def _cold_row_caches():
 
 class _OracleTwin:
     """row_basis over Q run beside the Fraction echelon oracle; every
-    add_row and contains answer of the two must agree.  Each twin, copies
+    add_row answer of the two must agree.  Each twin, copies
     included, is appended to made."""
 
     def __init__(self, ncols, field, made, spent=None):
@@ -745,11 +683,6 @@ class _OracleTwin:
     def add_rows(self, rows):
         return sum(1 for row in rows if self.add_row(row))
 
-    def contains(self, row):
-        inside = self.fast.contains(row)
-        assert inside == self.slow.contains(row)
-        return inside
-
 
 @pytest.mark.parametrize("r,n,variant,degree,t_values", [
     (2, 4, "arrow", 4, (2, 3)), (2, 4, "squares", 4, (2, 3)),
@@ -762,7 +695,7 @@ def test_integer_rows_match_the_fraction_oracle(r, n, variant, degree,
     # every basis over Q of a shipped slice, and of the complete-
     # intersection model of each (2,4) pencil, stores at each pivot a
     # primitive int multiple of the oracle's monic row, so the ranks,
-    # entries, survivors and span checks are the oracle's
+    # entries and survivors are the oracle's
     fresh, twins = [], []
 
     def twin(ncols, field, spent=None):
@@ -771,10 +704,8 @@ def test_integer_rows_match_the_fraction_oracle(r, n, variant, degree,
 
     monkeypatch.setattr(griffiths, "row_basis", twin)
     spec = build_pencil(r, n, variant)
-    checks = _span_checks(r, n) if degree == n else ()
     with _cold_row_caches():
-        invariant_subspace(spec, degree=degree, t_values=t_values,
-                           span_check_monomials=checks)
+        invariant_subspace(spec, degree=degree, t_values=t_values)
         if degree == n == 4:
             for t in t_values:
                 ctx = ci_context_for_pencil(spec, Fraction(t))
@@ -902,11 +833,9 @@ def _keyed_runs(spec, degree, fld, monkeypatch, key):
     monkeypatch.setattr(linalg._RowBasis, "copy",
                         lambda basis, spent=None: kept(_COPY(basis, spent)))
     monkeypatch.setattr(griffiths, "_specializations", recording)
-    checks = _span_checks(spec.r, spec.n) if degree == spec.n else ()
     with _cold_row_caches():
         invariant_subspace(spec, degree=degree, t_values=(2, 3, -1),
-                           primes=() if fld == RATIONALS else (fld.modulus,),
-                           span_check_monomials=checks)
+                           primes=() if fld == RATIONALS else (fld.modulus,))
         if fld == RATIONALS and degree == spec.n == 4:
             for t in (2, -1):
                 ctx = ci_context_for_pencil(spec, t)
@@ -1206,6 +1135,7 @@ def test_report_json_round_trip():
     assert doc["invariant_dim"] == 5
     assert doc["ambient"] == 126
     assert doc["elapsed_ms"] is None  # timings live in the manifest
+    assert doc["span_checks"] is None
 
 
 @pytest.mark.parametrize("rn,variant", [
@@ -1214,8 +1144,7 @@ def test_report_json_round_trip():
 def test_report_json_is_the_asdict_rendering(rn, variant):
     # to_json reads the fields without deep-copying the survivors
     report = invariant_subspace(build_pencil(*rn, variant), t_values=(2, 3),
-                                primes=(1048583,), include_rationals=True,
-                                span_check_monomials=_span_checks(*rn))
+                                primes=(1048583,), include_rationals=True)
     doc = asdict(report)
     assert doc.pop("blocks") == report.blocks
     assert report.to_json() == json.dumps(doc, sort_keys=True, default=str)

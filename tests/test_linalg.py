@@ -176,11 +176,10 @@ def _two_block_pairs():
 
 def _specialize(fields, t_values):
     # the specializations of the two blocks, read as a slice of G(2,4)
-    # with no candidates and no span checks, so the trivial block, visited
-    # last, holds nothing
+    # with no candidates, so the trivial block, visited last, holds nothing
     return griffiths._specializations(build_pencil(2, 4), 4,
                                       _two_block_pairs(), fields, t_values,
-                                      (), ())
+                                      ())
 
 
 def _recorded(monkeypatch, name, made):

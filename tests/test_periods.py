@@ -236,6 +236,17 @@ def test_truncation_search_requires_complete_counts():
         truncation_search(7, count_table(spec, 5))
 
 
+def test_truncation_search_rejects_a_repeated_t():
+    # a second t = 1 record with another residue would otherwise replace
+    # the first, and the search would answer for counts it was not given
+    records = count_table(build_pencil(2, 4), 7)
+    first = next(rec for rec in records if rec.t == 1)
+    other = first.count + 1
+    with pytest.raises(ValueError, match="t = 1 appears twice"):
+        truncation_search(7, records + [PointCountRecord(
+            p=7, t=1, count=other, residue=other % 7)])
+
+
 def test_truncation_search_finds_planted_relation():
     # positive control: residues manufactured from the truncation itself
     # must be recovered, so the empty result above is not vacuous

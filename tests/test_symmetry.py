@@ -11,7 +11,6 @@ from grasspencils.griffiths import _pencil_rows
 from grasspencils.pointcount import _orbit_order
 from grasspencils.poly import monomials_of_degree
 from grasspencils.symmetry import (build_group, character, invariant_monomials,
-                                   invariant_monomials_json,
                                    invariant_multiplicities, is_invariant,
                                    is_invariant_pencil, pencil_blocks)
 
@@ -261,14 +260,6 @@ def test_invariance_agrees_with_random_lattice_elements():
                     sum(c * a for c, a in zip(counts, vec)) % n == 0
                     for vec in lattice)
                 assert not by_full
-
-
-def test_invariant_monomials_json():
-    import json
-    doc = json.loads(invariant_monomials_json(2, 4, 4))
-    assert doc["canonical_order"] == "graded-lex-descending"
-    assert len(doc["monomials"]) == 12
-    assert doc["monomials"][0] == [4, 0, 0, 0, 0, 0]
 
 
 def test_build_group_validation():
