@@ -242,11 +242,10 @@ def cmd_hodge(args) -> int:
         if args.primes else ()
     group = build_group(n, r)
 
+    include_q = args.rationals or not primes
     report = run.timed("invariant_ms", invariant_subspace, spec,
                        degree=args.degree, t_values=t_values, primes=primes,
-                       include_rationals=args.rationals)
-    include_q = any(s["field"] == RATIONALS.name
-                    for s in report.specializations)
+                       include_rationals=include_q)
     doc = {"report": json.loads(report.to_json()), "verdict": "unanimous",
            "group": {"order": group.effective_order,
                      "structure": group.structure}}
@@ -311,10 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated parameter values")
     hodge.add_argument("--primes", default="",
                        help="comma-separated specialization primes")
-    hodge.add_argument("--rationals", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="also specialize over Q (default: only when "
-                            "no primes are given)")
+    hodge.add_argument("--rationals", action="store_true",
+                       help="also specialize over Q (always when no primes "
+                            "are given)")
     hodge.add_argument("--outdir", default=".")
     hodge.add_argument("--check", action="store_true",
                        help="compare against the shipped expected dimensions")

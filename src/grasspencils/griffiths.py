@@ -489,18 +489,16 @@ def _specializations(spec, degree, rows, fields, t_values, candidates):
     offers the candidates, each the unit row {e: 1}, to the greedy rank
     extension; it is visited even when it holds no rows.  Any other block
     of one pair needs no basis: it adds 1 exactly when the row is nonzero
-    in the field after _integer_row, as it would enter a basis.  Every
-    basis is dropped when its block is done.  The bases of the rows free
-    of t of one field share one entry budget; the bases of one
-    specialization share another, which counts the rows free of t they
-    start from, as one basis of the whole slice would."""
+    in the field after _integer_row, as it would enter a basis.  The last
+    copy of each field is dropped before the next field's basis is built,
+    so the live bases are one basis free of t and at most one copy of it,
+    and the copy's entry cap bounds them both."""
     key = _column_key(degree)
     trivial = (0,) * spec.n
     blocks = dict(rows)
     blocks.setdefault(trivial, ((), ()))
     runs = [(fld, t) for fld in fields for t in t_values]
     ranks, survivors = [0] * len(runs), [()] * len(runs)
-    free_spent, spent = [[0] for _ in fields], [[0] for _ in runs]
     for block, (free, pairs) in blocks.items():
         offered = candidates if block == trivial else ()
         if len(pairs) == 1 and not (free or offered):
@@ -509,15 +507,15 @@ def _specializations(spec, degree, rows, fields, t_values, candidates):
                                               fld.modulus))
             continue
         for k, fld in enumerate(fields):
-            fixed = row_basis(None, fld, free_spent[k])
+            fixed = row_basis(None, fld)
             fixed.add_rows(free)
             for i, t in enumerate(t_values, k * len(t_values)):
-                basis = fixed.copy(spent[i])
+                basis = fixed.copy()
                 ranks[i] += basis.rank + basis.add_rows(_at(pairs, t))
                 if offered:
                     survivors[i] = tuple(
                         e for e in offered if basis.add_row({key(e): 1}))
-        fixed = basis = None  # no basis outlives its block
+            fixed = basis = None  # no basis outlives its field
     return [{"t": str(t), "field": fld.name,
              **_dims(spec.r, spec.n, degree, rank),
              "invariant_dim": len(kept), "survivors": kept}

@@ -9,8 +9,9 @@ vector repeatedly eliminates the smallest of its columns that is a stored
 pivot; that only creates larger columns, so each pivot is met at most
 once.  Ranks, quotient dimensions and greedy rank extensions are counts of
 the rows a basis accepts.  A copy shares the stored rows and takes new
-ones on its own.  Bases may share one entry budget, so that together they
-store at most _ENTRY_LIMIT entries; a copy counts the rows it shares there.
+ones on its own.  Each basis stores at most _ENTRY_LIMIT entries, and a
+copy counts the rows it shares among them, so a basis and a copy of it
+hold at most the cap between them.
 
 Every row enters through _integer_row.  A row of ints enters in one pass,
 its zero entries dropped and, over F_p, its entries reduced mod p; a row
@@ -28,13 +29,14 @@ those of the monic echelon form; only the scale of each row differs.
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-# Cap on the entries stored by one basis, or by the bases that share its
-# budget, and on the row entries built for one slice (griffiths'
-# _multiple_rows), the count that reaches it first.  tracemalloc (Python
-# 3.11) on the slice of hodge --rn 2,5 --degree 10: its 263,729 row-pair
-# entries take 25.2 MiB, about 100 bytes each, and a stored basis entry
-# takes 58 bytes over Q and 68 over F_p.  So 5e6 pair entries hold about
-# 500 MB, and bases at the cap about 350 MB more.
+# Cap on the entries stored by one basis, the rows a copy shares included,
+# and on the row entries built for one slice (griffiths' _multiple_rows),
+# the count that reaches it first.  tracemalloc (Python 3.11) on the slice
+# of hodge --rn 2,5 --degree 10: its 263,729 row-pair entries take
+# 25.2 MiB, about 100 bytes each, and a stored basis entry takes 58 bytes
+# over Q and 68 over F_p.  So 5e6 pair entries hold about 500 MB, and a
+# basis at the cap, with the copy it shares its rows with, about 350 MB
+# more.
 _ENTRY_LIMIT = 5_000_000
 _INT = frozenset((int,))
 
@@ -46,13 +48,10 @@ class ResourceLimitError(RuntimeError):
 class _RowBasis:
     """Incremental echelon row set on sparse {column: value} rows."""
 
-    def __init__(self, field, spent=None):
+    def __init__(self, field):
         self.field = field
         self.rows = {}    # pivot column -> row (monic mod p, primitive over Q)
-        self.entries = 0  # stored nonzeros
-        # [the entries stored by this basis and the bases that share this
-        # list with it], bounded by _ENTRY_LIMIT
-        self.spent = [0] if spent is None else spent
+        self.entries = 0  # stored nonzeros, bounded by _ENTRY_LIMIT
 
     @property
     def rank(self):
@@ -98,7 +97,11 @@ class _RowBasis:
         res = self.reduce(row_dict)
         if not res:
             return False
-        self._spend(len(res))
+        if self.entries + len(res) > _ENTRY_LIMIT:
+            raise ResourceLimitError(
+                f"echelon basis over {self.field.name}: {self.entries} "
+                f"stored + {len(res)} new entries exceed the "
+                f"{_ENTRY_LIMIT} entry limit")
         pc = min(res)
         p = self.field.modulus
         if p:
@@ -112,27 +115,15 @@ class _RowBasis:
         self.entries += len(res)
         return True
 
-    def _spend(self, count):
-        """Count count new entries in the budget, refusing them past the
-        cap."""
-        stored = self.spent[0]
-        if stored + count > _ENTRY_LIMIT:
-            raise ResourceLimitError(
-                f"echelon basis over {self.field.name}: {stored} "
-                f"stored + {count} new entries exceed the "
-                f"{_ENTRY_LIMIT} entry limit")
-        self.spent[0] += count
-
     def add_rows(self, row_dicts) -> int:
         return sum(1 for r in row_dicts if self.add_row(r))
 
-    def copy(self, spent=None):
+    def copy(self):
         """A basis holding the same rows, to be extended on its own; a
         stored row is never changed, so the two share them.  The copy
-        spends from spent, or else from a new budget, and first counts the
-        shared rows there, as entries a basis of its own would store."""
-        basis = _RowBasis(self.field, spent)
-        basis._spend(self.entries)
+        counts the shared rows among its entries, as a basis of its own
+        would store them."""
+        basis = _RowBasis(self.field)
         basis.rows, basis.entries = dict(self.rows), self.entries
         return basis
 
@@ -155,9 +146,8 @@ def _integer_row(row_dict, p=None):
     return {c: r for c, v in row_dict.items() if (r := v % p)}
 
 
-def row_basis(ncols, field, spent=None):
-    """Empty echelon row set over field (Q or F_p), its entries counted in
-    spent, a budget shared with other bases, if given.  ncols is unused:
-    a row may hold any column."""
-    return _RowBasis(field, spent)
+def row_basis(ncols, field):
+    """Empty echelon row set over field (Q or F_p).  ncols is unused: a
+    row may hold any column."""
+    return _RowBasis(field)
 

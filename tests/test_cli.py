@@ -285,9 +285,9 @@ def test_hodge_manifest_records_the_degree_of_the_slice(tmp_path, rn, flags,
         == degree
 
 
-def test_hodge_fields_follow_rationals_flag(tmp_path):
+def test_hodge_fields_follow_rationals_flag(tmp_path, capsys):
     # with primes given, Q runs only under --rationals, and so does the
-    # complete-intersection cross-check
+    # complete-intersection cross-check; --rationals is a plain switch
     base = ["hodge", "--rn", "2,4", "--t", "2", "--primes", "1048583"]
     for flags, over_q in (([], False), (["--rationals"], True)):
         outdir = tmp_path / str(over_q)
@@ -297,6 +297,12 @@ def test_hodge_fields_follow_rationals_flag(tmp_path):
             (outdir / "hodge_24_arrow_manifest.json").read_text())
         assert ("ci_model" in doc) == over_q
         assert manifest["parameters"]["rationals"] is over_q
+    with pytest.raises(SystemExit) as refused:
+        run(base + ["--no-rationals", "--outdir", str(tmp_path / "no")])
+    assert refused.value.code == 2
+    assert ("unrecognized arguments: --no-rationals"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "no").exists()
 
 
 def test_hodge_ci_model_disagreement_exits_3(tmp_path, monkeypatch, capsys):
@@ -503,23 +509,21 @@ def test_hodge_entry_cap_exits_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_hodge_entry_cap_bounds_the_blocks_together(tmp_path, monkeypatch,
-                                                   capsys):
+def test_hodge_entry_cap_bounds_each_basis(tmp_path, monkeypatch, capsys):
     # (2,4) in degree 8 at t = 2: the largest block basis stores 187
-    # entries, and all the bases of the specialization 3,605, of which the
-    # t-free bases hold 1,440; a cap above the largest block but below the
-    # total still stops the run before it writes anything
+    # entries, the rows its copy shares included, and the cap bounds each
+    # basis on its own, so 187 lets the run through and 186 stops it
+    # before it writes anything
     argv = ["hodge", "--rn", "2,4", "--degree", "8", "--t", "2",
             "--primes", "1048583"]
-    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 3605)
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 187)
     assert run([*argv, "--outdir", str(tmp_path / "a")]) == 0
-    for limit in (3604, 1000):
-        monkeypatch.setattr(linalg, "_ENTRY_LIMIT", limit)
-        out = tmp_path / str(limit)
-        assert run([*argv, "--outdir", str(out)]) == 2
-        assert (f"new entries exceed the {limit} entry limit"
-                in capsys.readouterr().err)
-        assert not out.exists()
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 186)
+    out = tmp_path / "b"
+    assert run([*argv, "--outdir", str(out)]) == 2
+    assert ("186 stored + 1 new entries exceed the 186 entry limit"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_hodge_generator_row_cap_exits_2(tmp_path, monkeypatch, capsys):
@@ -666,6 +670,21 @@ def test_malformed_pencil_json_exits_2(tmp_path, capsys, change, message):
     assert run(["hodge", "--pencil-json", str(path),
                 "--outdir", str(tmp_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("hodge",), ("tables", "--p", "7")])
+@pytest.mark.parametrize("text,message", [
+    ("[2, 4]", "pencil JSON must be an object"),
+    (json.dumps({**json.loads(build_pencil(2, 4).to_json()),
+                 "frozen": [4, 0, 0, 0, 0, 0]}),
+     "frozen monomial must be the product of the frozen variables, each "
+     "to the first power")], ids=["not-an-object", "wrong-frozen"])
+def test_refused_pencil_json_exits_2(tmp_path, capsys, argv, text, message):
+    path, out = tmp_path / "pencil.json", tmp_path / "out"
+    path.write_text(text)
+    assert run([*argv, "--pencil-json", str(path), "--outdir", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("variant", ["", "a/b"])

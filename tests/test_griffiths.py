@@ -273,8 +273,8 @@ def test_ci_generators_are_all_checked_before_any_elimination(monkeypatch):
     added = []
 
     class Recording:
-        def __init__(self, ncols, field, spent=None):
-            self.inner = row_basis(ncols, field, spent)
+        def __init__(self, ncols, field):
+            self.inner = row_basis(ncols, field)
 
         @property
         def rank(self):
@@ -595,15 +595,15 @@ def test_no_basis_outlives_its_block(degree, fields, t_values, made,
         gc.collect()
         return all(ref() is None for ref in refs)
 
-    def made_here(ncols, field, spent=None):
+    def made_here(ncols, field):
         if field == fields[0]:
             assert dead(), f"a basis outlived its block ({len(refs)} made)"
-        basis = row_basis(ncols, field, spent)
+        basis = row_basis(ncols, field)
         refs.append(weakref.ref(basis))
         return basis
 
-    def copied(basis, spent=None):
-        copy = real_copy(basis, spent)
+    def copied(basis):
+        copy = real_copy(basis)
         refs.append(weakref.ref(copy))
         return copy
 
@@ -615,6 +615,35 @@ def test_no_basis_outlives_its_block(degree, fields, t_values, made,
         include_rationals=RATIONALS in fields)
     assert report.invariant_dim == {4: 5, 8: 6}[degree]
     assert len(refs) == made and dead()
+
+
+def test_live_bases_hold_at_most_the_entry_limit(monkeypatch):
+    # (2,4) in degree 8 at t = 2, 3 over Q and mod p stores at most 187
+    # entries in one basis; with the cap there, the bases alive after any
+    # add_row, each row they share counted once, hold at most the cap
+    live, held = weakref.WeakSet(), []
+    real_copy, real_add = linalg._RowBasis.copy, linalg._RowBasis.add_row
+
+    def made(basis):
+        live.add(basis)
+        return basis
+
+    def add_row(basis, row):
+        kept = real_add(basis, row)
+        stored = {id(r): len(r) for b in live for r in b.rows.values()}
+        held.append(sum(stored.values()))
+        return kept
+
+    monkeypatch.setattr(griffiths, "row_basis",
+                        lambda ncols, field: made(row_basis(ncols, field)))
+    monkeypatch.setattr(linalg._RowBasis, "copy",
+                        lambda basis: made(real_copy(basis)))
+    monkeypatch.setattr(linalg._RowBasis, "add_row", add_row)
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 187)
+    report = invariant_subspace(_ARROW_24, degree=8, t_values=(2, 3),
+                                primes=(1048583,), include_rationals=True)
+    assert report.invariant_dim == 6
+    assert max(held) == linalg._ENTRY_LIMIT
 
 
 def test_a_trivial_block_without_rows_keeps_every_candidate():
@@ -653,9 +682,9 @@ class _OracleTwin:
     add_row answer of the two must agree.  Each twin, copies
     included, is appended to made."""
 
-    def __init__(self, ncols, field, made, spent=None):
+    def __init__(self, ncols, field, made):
         assert field == RATIONALS
-        self.fast = row_basis(ncols, field, spent)
+        self.fast = row_basis(ncols, field)
         self.slow = FractionRowBasis()
         self.made = made
         made.append(self)
@@ -664,9 +693,9 @@ class _OracleTwin:
     def entries(self):
         return self.fast.entries
 
-    def copy(self, spent=None):
+    def copy(self):
         twin = _OracleTwin(None, RATIONALS, self.made)
-        twin.fast = self.fast.copy(spent)
+        twin.fast = self.fast.copy()
         twin.slow.rows = dict(self.slow.rows)
         twin.slow.entries = self.slow.entries
         return twin
@@ -698,8 +727,8 @@ def test_integer_rows_match_the_fraction_oracle(r, n, variant, degree,
     # entries and survivors are the oracle's
     fresh, twins = [], []
 
-    def twin(ncols, field, spent=None):
-        fresh.append(_OracleTwin(ncols, field, twins, spent))
+    def twin(ncols, field):
+        fresh.append(_OracleTwin(ncols, field, twins))
         return fresh[-1]
 
     monkeypatch.setattr(griffiths, "row_basis", twin)
@@ -828,10 +857,9 @@ def _keyed_runs(spec, degree, fld, monkeypatch, key):
         return basis
 
     monkeypatch.setattr(griffiths, "row_basis",
-                        lambda ncols, field, spent=None: (
-                            kept(row_basis(ncols, field, spent))))
+                        lambda ncols, field: kept(row_basis(ncols, field)))
     monkeypatch.setattr(linalg._RowBasis, "copy",
-                        lambda basis, spent=None: kept(_COPY(basis, spent)))
+                        lambda basis: kept(_COPY(basis)))
     monkeypatch.setattr(griffiths, "_specializations", recording)
     with _cold_row_caches():
         invariant_subspace(spec, degree=degree, t_values=(2, 3, -1),

@@ -142,7 +142,7 @@ def test_row_basis_membership():
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)],
                          ids=lambda f: f.name)
-def test_row_basis_copy_extends_on_its_own(field):
+def test_row_basis_copy_extends_on_its_own(field, monkeypatch):
     basis = row_basis(4, field)
     basis.add_rows([{0: 2, 1: 4}, {1: 3, 3: 1}])
     rows = {pc: dict(row) for pc, row in basis.rows.items()}
@@ -158,13 +158,16 @@ def test_row_basis_copy_extends_on_its_own(field):
     copied = {pc: dict(row) for pc, row in copy.rows.items()}
     assert basis.add_row({2: 1, 3: 2})
     assert (copy.rows, copy.entries) == (copied, 7)
-    # a copy counts the rows it shares in its budget, a new one or the one
-    # it is given, and is refused past the cap as those rows would be
-    assert copy.spent == [7]
-    assert basis.copy([10]).spent == [10 + 6]
+    # a copy counts the rows it shares among its entries, and is refused
+    # past the cap as a basis that stored them itself would be
+    shared = basis.copy()
+    assert shared.entries == basis.entries == 6
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 7)
+    assert shared.add_row({4: 1})
     with pytest.raises(ResourceLimitError, match=re.escape(
-            f"{linalg._ENTRY_LIMIT - 5} stored + 6 new entries")):
-        basis.copy([linalg._ENTRY_LIMIT - 5])
+            "7 stored + 1 new entries exceed the 7 entry limit")):
+        shared.add_row({5: 1})
+    assert (shared.rank, shared.entries) == (4, 7)
 
 
 def _two_block_pairs():
@@ -185,46 +188,41 @@ def _specialize(fields, t_values):
 def _recorded(monkeypatch, name, made):
     # the bases griffiths makes through row_basis, or by copying one
     if name == "row_basis":
-        monkeypatch.setattr(griffiths, name, lambda ncols, field, spent: (
-            made.append(row_basis(ncols, field, spent)) or made[-1]))
+        monkeypatch.setattr(griffiths, name, lambda ncols, field: (
+            made.append(row_basis(ncols, field)) or made[-1]))
     else:
         real = linalg._RowBasis.copy
-        monkeypatch.setattr(linalg._RowBasis, name, lambda basis, spent: (
-            made.append(real(basis, spent)) or made[-1]))
+        monkeypatch.setattr(linalg._RowBasis, name, lambda basis: (
+            made.append(real(basis)) or made[-1]))
 
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)],
                          ids=lambda f: f.name)
-def test_row_pairs_spend_one_entry_budget_per_t(field, monkeypatch):
-    # each block's basis stores 4 entries at each t, the two together 8:
-    # the cap bounds the sum, as it bounded the one basis of the whole slice
+def test_row_pairs_cap_each_basis_on_its_own(field, monkeypatch):
+    # each block's basis stores 4 entries at each t, 2 of them shared with
+    # its basis free of t: the cap bounds each basis, not their sum
     fixed, copies = [], []
     _recorded(monkeypatch, "row_basis", fixed)
     _recorded(monkeypatch, "copy", copies)
-    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 8)
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 4)
     assert [res["ideal_rank"] for res in _specialize((field,), (2, 3))] == [
         4, 4]
     # blocks 0, 1 and the trivial block, each eliminated once and copied
-    # at each t: the t-free bases share one budget, the bases of one t
-    # another, which counts the t-free rows they start from
+    # at each t; a copy counts the entries it shares
     assert [basis.entries for basis in fixed] == [2, 2, 0]
-    assert fixed[0].spent is fixed[1].spent is fixed[2].spent == [4]
-    for at_t in (copies[0::2], copies[1::2]):
-        assert [basis.entries for basis in at_t] == [4, 4, 0]
-        assert at_t[0].spent is at_t[1].spent is at_t[2].spent == [8]
-    for limit, stored in ((7, 6), (5, 4)):
-        monkeypatch.setattr(linalg, "_ENTRY_LIMIT", limit)
-        with pytest.raises(ResourceLimitError, match=re.escape(
-                f"over {field.name}: {stored} stored + 2 new entries "
-                f"exceed the {limit} entry limit")):
-            _specialize((field,), (2,))
-    # at t = 2 the first block's pair row is refused; with no t, the
-    # budget of the t-free bases, shared by the blocks, refuses the second
-    # block's row free of t
+    assert [basis.entries for basis in copies] == [4, 4, 4, 4, 0, 0]
+    # at t = 2 the first block's copy holds its 2 shared entries, and its
+    # pair row of 2 more is refused
     monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 3)
-    for t_values in ((2,), ()):
-        with pytest.raises(ResourceLimitError, match="2 stored \\+ 2 new"):
-            _specialize((field,), t_values)
+    with pytest.raises(ResourceLimitError, match=re.escape(
+            f"over {field.name}: 2 stored + 2 new entries "
+            "exceed the 3 entry limit")):
+        _specialize((field,), (2,))
+    # with no t, the two bases free of t, of 2 entries each, fit a cap of 2
+    monkeypatch.setattr(linalg, "_ENTRY_LIMIT", 2)
+    fixed.clear()
+    assert _specialize((field,), ()) == []
+    assert [basis.entries for basis in fixed] == [2, 2, 0]
 
 
 def test_row_pairs_eliminate_the_t_free_rows_once_per_field(monkeypatch):

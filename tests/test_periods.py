@@ -216,6 +216,10 @@ def test_hypergeometric_rejects_bad_denominator():
         hypergeometric_truncation([Fraction(1, 5)], [], 5, 1)
     with pytest.raises(ZeroDivisionError, match="1/7"):
         hypergeometric_truncation([1], [Fraction(1, 7)], 7, 2)
+    # 1/2 + k vanishes mod 5 at k = 2: the lower Pochhammer factor has no
+    # inverse there
+    with pytest.raises(ZeroDivisionError, match="mod 5 at k=2"):
+        hypergeometric_truncation([1], [Fraction(1, 2)], 5, 1)
     # int and Fraction parameters name the same residues
     assert (hypergeometric_truncation([2, 3], [1], 7, 3)
             == hypergeometric_truncation([Fraction(2), Fraction(3)],
