@@ -30,6 +30,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
+# at module top, so that importing cli, not a subcommand's first call, pays
+# for loading the layers
 from .fields import RATIONALS
 from .grassmann import PencilSpec, build_pencil, normal_form
 from .griffiths import (SpecializationMismatch, ci_bigraded_quotient,

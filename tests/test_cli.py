@@ -720,9 +720,13 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_package_imports_without_numpy():
-    src = Path(cli.__file__).resolve().parents[1]
-    code = "import grasspencils, sys; sys.exit('numpy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # `import grasspencils` loads no layer, so import every module by name
+    package = Path(cli.__file__).resolve().parent
+    modules = ", ".join(f"grasspencils.{path.stem}"
+                        for path in sorted(package.glob("*.py"))
+                        if path.stem != "__init__")
+    code = f"import sys, {modules}; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -743,6 +747,59 @@ def test_chains_are_imported_on_first_use(tmp_path, argv, imports_chains):
         text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(imports_chains)
+
+
+def _loaded_modules(code):
+    """The grasspencils modules a fresh interpreter holds after `code`."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code += ("; import sys; print(sorted(m for m in sys.modules "
+             "if m.startswith('grasspencils')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout))
+
+
+def test_package_import_loads_no_layer():
+    assert _loaded_modules("import grasspencils") == {"grasspencils"}
+
+
+def test_a_layer_import_loads_only_what_it_uses():
+    loaded = _loaded_modules(
+        "from grasspencils.pointcount import count_table")
+    assert "grasspencils.pointcount" in loaded
+    assert not loaded & {"grasspencils.griffiths", "grasspencils.periods",
+                         "grasspencils.cli", "grasspencils.chains"}
+
+
+PACKAGE_NAMES = (
+    "CIJacobianContext", "GradedPieceReport", "PencilSpec", "PeriodKernel",
+    "PointCountRecord", "PrimeField", "RATIONALS", "ResourceLimitError",
+    "SchubertCell", "SparsePolynomial", "SpecializationMismatch",
+    "SymmetryGroup", "apply_derivation", "build_group", "build_pencil",
+    "build_period_kernel", "character", "ci_bigraded_quotient", "ci_context",
+    "ci_context_for_pencil", "count_points", "count_table", "count_zeros",
+    "enumerate_arrow_partitions", "enumerate_cells", "evaluate_pencil",
+    "frozen_variables", "graded_quotient", "grassmann_jacobian_generators",
+    "grassmannian_count", "hasse_witt", "hypergeometric_truncation",
+    "index_to_partition", "invariant_monomials", "invariant_subspace",
+    "is_invariant", "is_prime", "monomial_name", "monomials_of_degree",
+    "next_prime", "partition_to_index", "period_coefficients",
+    "plucker_indices", "plucker_names", "plucker_relations",
+    "records_to_csv", "truncation_search")
+
+
+def test_package_names_load_from_their_layers():
+    import grasspencils
+    assert sorted(grasspencils.__all__) == sorted(PACKAGE_NAMES)
+    for name in PACKAGE_NAMES:
+        obj = getattr(grasspencils, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(grasspencils.__all__) <= set(dir(grasspencils))
+    assert grasspencils.griffiths is griffiths
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(grasspencils, "no_such_name")
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):
