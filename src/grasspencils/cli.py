@@ -142,8 +142,9 @@ def cmd_tables(args) -> int:
                        force=args.force)
     csv_text = records_to_csv(records)
     rows = []
+    # the congruence 1 - HW_p(t) = #X_t(F_p) mod p is for odd p
     with_hw = ((spec.r, spec.n, spec.variant) == (2, 4, "arrow")
-               and _matches_label(spec))
+               and _matches_label(spec) and args.p > 2)
     for rec in records:
         row = {"t": rec.t, "count": rec.count, "residue": rec.residue}
         if with_hw:

@@ -276,6 +276,10 @@ def graded_quotient(r: int, n: int, degree: int,
     """
     generators = list(ideal_generators)
     fld = generators[0].field if generators else RATIONALS
+    nv = len(plucker_indices(r, n))
+    if any(g.nvars != nv or g.field != fld for g in generators):
+        raise ValueError(f"ideal generators must share one field and have "
+                         f"the {nv} Pluecker variables of G({r},{n})")
     rows = _slice_rows(r, n, degree, ((g,) for g in generators))
     basis = row_basis(None, fld)
     return GradedPieceReport(

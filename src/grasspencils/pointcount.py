@@ -65,7 +65,7 @@ from itertools import combinations, compress, permutations, product
 from math import gcd, prod
 from operator import mul
 
-from .fields import is_prime
+from .fields import PrimeField, is_prime
 from .grassmann import PencilSpec, _check_rn, plucker_indices, sort_with_sign
 from .linalg import ResourceLimitError
 from .symmetry import is_invariant_pencil
@@ -164,6 +164,8 @@ def count_zeros(poly, r: int, n: int, p: int, force: bool = False) -> int:
     """
     if poly.nvars != len(plucker_indices(r, n)):
         raise ValueError("polynomial does not live on G(r,n)")
+    if poly.field != PrimeField(p):
+        raise ValueError(f"polynomial over {poly.field.name}, not GF({p})")
     count = 0
     for coords in iter_plucker_points(r, n, p, force=force):
         if poly.evaluate(coords) == 0:

@@ -216,6 +216,16 @@ def test_graded_quotient_rejects_oversized_generator():
         graded_quotient(2, 4, 3, [f])
 
 
+def test_graded_quotient_refuses_foreign_generators():
+    # a G(2,5) polynomial on G(2,4) would lose its last four exponents
+    with pytest.raises(ValueError, match="Pluecker variables of G"):
+        graded_quotient(2, 4, 5, [evaluate_pencil(build_pencil(2, 5), 2)])
+    f5, f7 = (evaluate_pencil(build_pencil(2, 4), 2, PrimeField(p))
+              for p in (5, 7))
+    with pytest.raises(ValueError, match="share one field"):
+        graded_quotient(2, 4, 4, [f5, f7])
+
+
 def test_ci_bigraded_dimensions():
     for t in (2, 3, 5):
         ctx = ci_context_for_pencil(build_pencil(2, 4), Fraction(t))

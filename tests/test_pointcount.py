@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
@@ -7,7 +8,7 @@ from math import gcd, prod
 import pytest
 
 from grasspencils import pointcount
-from grasspencils.fields import PrimeField
+from grasspencils.fields import RATIONALS, PrimeField
 from grasspencils.grassmann import (VARIANTS, PencilSpec, build_pencil,
                                     evaluate_pencil, plucker_indices)
 from grasspencils.linalg import ResourceLimitError
@@ -76,6 +77,17 @@ def test_count_points_agrees_with_direct_substitution():
     for p, t in [(5, 2), (7, 3)]:
         poly = evaluate_pencil(spec, t, PrimeField(p))
         assert count_points(spec, p, t).count == count_zeros(poly, 2, 4, p)
+
+
+def test_count_zeros_refuses_a_polynomial_over_another_field():
+    # over Q or GF(7) the counts at p = 5 read 0 and 130, not 320
+    spec = build_pencil(2, 4)
+    for field in (RATIONALS, PrimeField(7)):
+        message = re.escape(f"over {field.name}, not GF(5)")
+        with pytest.raises(ValueError, match=message):
+            count_zeros(evaluate_pencil(spec, 2, field), 2, 4, 5)
+    poly = evaluate_pencil(spec, 2, PrimeField(5))
+    assert count_zeros(poly, 2, 4, 5) == count_points(spec, 5, 2).count == 320
 
 
 def test_counts_symmetric_under_negation_for_p_1_mod_4():
